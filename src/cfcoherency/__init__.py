@@ -9,11 +9,9 @@ frequency of their injected currents.
 from .coherency import (
     CfSeries,
     ClusterTree,
-    CoherencyClustering,
     CoherencyDistanceMatrix,
     ObservationPoint,
     alpha_beta_sweep,
-    average_linkage,
     build_two_machine_scenario,
     coherency_distance,
     coherency_function,
@@ -33,12 +31,11 @@ from .devices import (
     ZipLoad,
     ibr_current_cf,
     s_load_cf,
-    sm_coherency_residual,
     sm_current_cf,
     z_load_cf,
 )
 from .network import Branch, Bus, Network, Shunt, build_admittance, impedance_matrix
-from .primitives import ComplexFrequency, cf_from_value_and_derivative, polar, unwrap_phase
+from .primitives import unwrap_phase
 from .simulation import (
     AnalysisOptions,
     Event,
@@ -57,9 +54,7 @@ __all__ = [
     "Bus",
     "CfSeries",
     "ClusterTree",
-    "CoherencyClustering",
     "CoherencyDistanceMatrix",
-    "ComplexFrequency",
     "Event",
     "GridFollowingConverter",
     "GridFormingConverter",
@@ -72,10 +67,8 @@ __all__ = [
     "Trajectory",
     "ZipLoad",
     "alpha_beta_sweep",
-    "average_linkage",
     "build_admittance",
     "build_two_machine_scenario",
-    "cf_from_value_and_derivative",
     "cluster_trajectory",
     "coherency_distance",
     "coherency_function",
@@ -87,11 +80,9 @@ __all__ = [
     "initialize",
     "numerical_cf",
     "observer_independence_check",
-    "polar",
     "power_flow",
     "run",
     "s_load_cf",
-    "sm_coherency_residual",
     "sm_current_cf",
     "unwrap_phase",
     "upgma_tree",

@@ -8,6 +8,7 @@ line endings, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -20,10 +21,11 @@ from .coherency import (
     device_cf_numerical,
     numerical_cf,
     observer_independence_check,
+    source_devices,
 )
 from .errors import CfCoherencyError, SchemaError
-from .scenario_io import load_scenario
-from .simulation import Trajectory, run
+from .scenario_io import load_scenario, parse_window
+from .simulation import Scenario, Trajectory, run
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -102,8 +104,7 @@ def _write_cf_csv(traj: Trajectory, path: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
-    _apply_overrides(scenario, args)
+    scenario = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     traj = run(scenario)
@@ -119,16 +120,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    scenario = load_scenario(args.scenario)
-    _apply_overrides(scenario, args)
+    scenario = _load(args)
     k = args.k if args.k is not None else scenario.analysis.k_clusters
+    names = scenario.analysis.cluster_devices
+    if names is None:
+        devices = scenario.devices
+        names = source_devices([d.name for d in devices], [d.kind for d in devices])
+    if len(names) < 2 or not 1 <= k <= len(names):
+        raise SchemaError("$", f"cannot cut {len(names)} clustered device(s) into k={k} groups")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     traj = run(scenario)
     window = scenario.analysis.window or default_window(traj)
-    matrix, tree, groups = cluster_trajectory(
-        traj, k, scenario.analysis.cluster_devices, window
-    )
+    matrix, tree, groups = cluster_trajectory(traj, k, names, window)
     labels = matrix.labels
     _write_csv(
         out / "distance.csv",
@@ -177,16 +181,16 @@ def _parse_grid(args) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = _load(args)
     sm_count = sum(1 for d in scenario.devices if d.kind == "sm")
     if sm_count != 2 or scenario.network.n_bus != 1:
         raise SchemaError("$", "sweep needs the single-bus two-machine template scenario")
     alphas, betas = _parse_grid(args)
-    t_end = args.t_end if args.t_end is not None else scenario.t_end
-    dt = args.dt if args.dt is not None else scenario.dt
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = alpha_beta_sweep(alphas, betas, t_end=t_end, dt=dt, workers=args.workers)
+    result = alpha_beta_sweep(
+        alphas, betas, t_end=scenario.t_end, dt=scenario.dt, workers=args.workers
+    )
     _write_csv(
         out / "sweep.csv",
         ["alpha\\beta"] + [_fmt(b) for b in betas],
@@ -223,7 +227,11 @@ def _cmd_cf(args) -> int:
     times = data[:, 0]
     if times.size < 3:
         raise SchemaError("$", "need at least 3 samples")
-    dt = float(times[1] - times[0])
+    dt = float(times[-1] - times[0]) / (times.size - 1)
+    if not (dt > 0.0 and np.all(np.abs(np.diff(times) - dt) <= 1e-9 * dt)):
+        raise SchemaError("$.time", "time column must increase in uniform steps")
+    if not 0.0 < args.f_nominal < np.inf:
+        raise SchemaError("--f-nominal", "base frequency must be positive and finite")
     omega_base = 2.0 * np.pi * args.f_nominal
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -247,13 +255,22 @@ def _cmd_cf(args) -> int:
     return EXIT_OK
 
 
-def _apply_overrides(scenario, args) -> None:
+def _load(args) -> Scenario:
+    """The scenario file with the global overrides applied; rebuilding the
+    scenario runs its own checks on them again."""
+    scenario = load_scenario(args.scenario)
+    changes = {}
     if args.dt is not None:
-        scenario.dt = args.dt
+        changes["dt"] = args.dt
     if args.t_end is not None:
-        scenario.t_end = args.t_end
+        changes["t_end"] = args.t_end
     if args.window is not None:
-        scenario.analysis.window = (args.window[0], args.window[1])
+        window = parse_window(args.window, "--window")
+        changes["analysis"] = dataclasses.replace(scenario.analysis, window=window)
+    try:
+        return dataclasses.replace(scenario, **changes)
+    except ValueError as exc:
+        raise SchemaError("$", str(exc)) from exc
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -275,10 +292,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument(
         "--window", type=float, nargs=2, metavar=("T0", "T1"), default=default(None),
         help="override analysis window [s]",
-    )
-    parser.add_argument(
-        "--seedless", action="store_true", default=default(False),
-        help="reserved; the toolkit never uses randomness, so this flag is rejected",
     )
 
 
@@ -320,12 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.seedless:
-        print(
-            "error: --seedless is reserved: there is no randomness to disable", file=sys.stderr
-        )
-        return EXIT_SCHEMA
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors, which is the solver-failure code here
+        return EXIT_SCHEMA if exc.code else EXIT_OK
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -34,12 +34,6 @@ class CfSeries:
         if not (self.times.shape == self.values.shape == self.valid.shape):
             raise ValueError("times, values and valid must share one shape")
 
-    def masked_fraction(self) -> float:
-        return 1.0 - float(np.count_nonzero(self.valid)) / self.times.size
-
-    def __neg__(self) -> "CfSeries":
-        return CfSeries(self.times, -self.values, self.valid.copy())
-
 
 def numerical_cf(samples, dt: float, omega_base: float) -> CfSeries:
     """Finite-difference CF estimate of a sampled Clarke vector.
@@ -152,24 +146,23 @@ def distance_matrix(
 
 @dataclass
 class ClusterTree:
-    """Agglomeration record.  Leaves are 0..n-1; merge step k creates cluster
-    id n+k from `left` and `right` at the stored height."""
+    """Agglomeration record.  Leaves are 0..n-1, named by `labels`; merge
+    step k creates cluster id n+k from `left` and `right` at the stored
+    height."""
 
     n_leaves: int
     merges: list[tuple[int, int, float]]
-    labels: list[str] = field(default_factory=list)
+    labels: list[str]
 
-    def heights(self) -> list[float]:
-        return [m[2] for m in self.merges]
-
-    def cut(self, k: int) -> list[set[int]]:
-        """Partition into k groups of leaf indices by undoing the last merges."""
+    def cut(self, k: int) -> list[set[str]]:
+        """Partition into k groups of labels by undoing the last merges,
+        ordered by the smallest leaf index in each group."""
         if not 1 <= k <= self.n_leaves:
             raise ValueError(f"k must be in [1, {self.n_leaves}]")
         members: dict[int, set[int]] = {i: {i} for i in range(self.n_leaves)}
         for step, (left, right, _) in enumerate(self.merges[: self.n_leaves - k]):
             members[self.n_leaves + step] = members.pop(left) | members.pop(right)
-        return sorted(members.values(), key=min)
+        return [{self.labels[i] for i in g} for g in sorted(members.values(), key=min)]
 
 
 def upgma_tree(matrix: CoherencyDistanceMatrix) -> ClusterTree:
@@ -199,52 +192,6 @@ def upgma_tree(matrix: CoherencyDistanceMatrix) -> ClusterTree:
         merges.append((ca, cb, dist))
         next_id += 1
     return ClusterTree(n, merges, list(matrix.labels))
-
-
-def average_linkage(matrix: CoherencyDistanceMatrix, k: int) -> list[set[str]]:
-    """k-cluster cut of the UPGMA tree, as sets of device labels."""
-    tree = upgma_tree(matrix)
-    return [
-        {matrix.labels[i] for i in group} for group in tree.cut(k)
-    ]
-
-
-class CoherencyClustering:
-    """Estimator-style wrapper around the UPGMA cut: fit a precomputed
-    coherency distance matrix, read group assignments off `labels_`."""
-
-    def __init__(self, n_clusters: int = 4):
-        self.n_clusters = n_clusters
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"n_clusters": self.n_clusters}
-
-    def set_params(self, **params) -> "CoherencyClustering":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, distances: CoherencyDistanceMatrix | np.ndarray, labels=None):
-        if isinstance(distances, CoherencyDistanceMatrix):
-            matrix = distances
-        else:
-            arr = np.asarray(distances, dtype=float)
-            labels = list(labels) if labels is not None else [str(i) for i in range(arr.shape[0])]
-            matrix = CoherencyDistanceMatrix(arr, labels)
-        self.tree_ = upgma_tree(matrix)
-        groups = self.tree_.cut(self.n_clusters)
-        self.labels_ = np.empty(matrix.values.shape[0], dtype=int)
-        for gid, members in enumerate(groups):
-            for i in members:
-                self.labels_[i] = gid
-        self.groups_ = [{matrix.labels[i] for i in g} for g in groups]
-        self.feature_labels_ = list(matrix.labels)
-        return self
-
-    def fit_predict(self, distances, labels=None) -> np.ndarray:
-        return self.fit(distances, labels).labels_
 
 
 # ---------------------------------------------------------------------------
@@ -443,27 +390,29 @@ def alpha_beta_sweep(
     return SweepResult(alphas, betas, values, failures)
 
 
+def source_devices(names: list[str], kinds: list[str]) -> list[str]:
+    """The sources (machines and converters) among the devices; loads are
+    left out just like in a generator-coherency study."""
+    return [name for name, kind in zip(names, kinds) if kind != "zip"]
+
+
 def cluster_trajectory(
     traj: Trajectory,
     k: int,
     device_names: list[str] | None = None,
     window: tuple[float, float] | None = None,
 ) -> tuple[CoherencyDistanceMatrix, ClusterTree, list[set[str]]]:
-    """Distance matrix + UPGMA partition of a simulated run.
-
-    By default the sources (machines and converters) are clustered; loads are
-    left out just like in a generator-coherency study.
-    """
+    """Distance matrix + UPGMA partition of a simulated run; by default of
+    its sources."""
     if device_names is None:
         device_names = [
             name
-            for name, kind in zip(traj.device_names, traj.device_kinds)
-            if kind != "zip" and name in traj.analytic_cf
+            for name in source_devices(traj.device_names, traj.device_kinds)
+            if name in traj.analytic_cf
         ]
     if window is None:
         window = default_window(traj)
     cfs = {name: device_cf_analytic(traj, name) for name in device_names}
     matrix = distance_matrix(cfs, window)
     tree = upgma_tree(matrix)
-    groups = [{matrix.labels[i] for i in g} for g in tree.cut(k)]
-    return matrix, tree, groups
+    return matrix, tree, tree.cut(k)

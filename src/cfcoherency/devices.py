@@ -64,19 +64,6 @@ def s_load_cf(eta_v):
     return -np.conj(eta_v)
 
 
-def sm_coherency_residual(
-    m1: float, m2: float, xd1: float, xd2: float, i1_0: float, i2_0: float
-) -> float:
-    """How far two parallel classical machines are from the parameter/state
-    ratio chain x'_d1/x'_d2 = M2/M1 = ı2(t0)/ı1(t0); zero iff it holds."""
-    if min(m1, m2, xd1, xd2, i1_0, i2_0) <= 0.0:
-        raise ValueError("parameters and initial current magnitudes must be positive")
-    r_x = xd1 / xd2
-    r_m = m2 / m1
-    r_i = i2_0 / i1_0
-    return max(abs(r_x - r_m), abs(r_m - r_i))
-
-
 # ---------------------------------------------------------------------------
 # Device models
 # ---------------------------------------------------------------------------
@@ -162,7 +149,6 @@ class SynchronousMachine(Device):
         self.v_set = v_set
         self.p_m = 0.0
         self.e_field = 1.0  # constant EMF magnitude e'_q, fixed at init
-        self._inv_jx = 1.0 / (1j * xd_prime)
 
     def initial_state(self, v: complex, s: complex) -> np.ndarray:
         i = (s / v).conjugate()
@@ -179,11 +165,11 @@ class SynchronousMachine(Device):
         return self.e_field * cmath.exp(1j * x[0])
 
     def injected_current(self, x: np.ndarray, v: complex) -> complex:
-        return (self.emf(x) - v) * self._inv_jx
+        return (self.emf(x) - v) * (-1j / self.xd_prime)  # ÷ j·x'_d
 
     def electrical_power(self, x: np.ndarray, v: complex) -> float:
         e_vec = self.emf(x)
-        i = (e_vec - v) * self._inv_jx
+        i = (e_vec - v) * (-1j / self.xd_prime)
         return (e_vec * i.conjugate()).real
 
     def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
@@ -193,11 +179,11 @@ class SynchronousMachine(Device):
         return np.array([d_delta, d_omega])
 
     def voltage_sensitivity(self, x, v):
-        return -self._inv_jx, 0.0 + 0.0j
+        return 1j / self.xd_prime, 0.0 + 0.0j
 
     def current_state_rate(self, x, xdot, v):
         # dĒ/dt = j·δ̇·Ē
-        return 1j * xdot[0] * self.emf(x) * self._inv_jx
+        return 1j * xdot[0] * self.emf(x) * (-1j / self.xd_prime)
 
     def analytic_cf(self, x, xdot, v, eta_v):
         i = self.injected_current(x, v)

@@ -170,17 +170,6 @@ def impedance_matrix(y: np.ndarray) -> np.ndarray:
     return z
 
 
-def network_residual(
-    y: np.ndarray, bus_voltages: np.ndarray, injections: np.ndarray
-) -> np.ndarray:
-    """KCL residual per bus: summed device injections minus Ȳ·v̄."""
-    v = np.asarray(bus_voltages, dtype=complex)
-    i = np.asarray(injections, dtype=complex)
-    if v.shape[-1] != y.shape[0] or i.shape != v.shape:
-        raise ValueError("inconsistent dimensions")
-    return i - v @ y.T
-
-
 def power_contribution(
     dir_current: complex | np.ndarray,
     z_observer_device: complex,
@@ -246,6 +235,3 @@ class Network:
                 y_hh += y_tt
                 y_hj += y_tf
         return y_hh * v[..., h] + y_hj * v[..., j]
-
-    def residual(self, bus_voltages: np.ndarray, injections: np.ndarray) -> np.ndarray:
-        return network_residual(self._y, bus_voltages, injections)

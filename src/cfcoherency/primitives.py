@@ -1,4 +1,5 @@
-"""Clarke-vector and complex-frequency arithmetic.
+"""Shared pieces of complex-frequency arithmetic: the magnitude guard and
+phase unwrapping.
 
 Clarke vectors are plain complex numbers in per unit.  The complex frequency
 (CF) of a Clarke vector x̄(t) is its logarithmic time derivative; both parts
@@ -8,65 +9,10 @@ synchronous speed has CF exactly 0 + j1 pu.
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
-
 import numpy as np
-
-from .errors import MagnitudeUnderflow
 
 # Below this magnitude the log-derivative is considered undefined.
 MAGNITUDE_GUARD = 1e-9
-
-
-class ComplexFrequency(NamedTuple):
-    """Per-unit complex frequency: radial rate `rho` and rotational rate `omega`."""
-
-    rho: float
-    omega: float
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.rho, self.omega)
-
-    @classmethod
-    def from_complex(cls, value: complex) -> "ComplexFrequency":
-        value = complex(value)
-        return cls(value.real, value.imag)
-
-
-def cf_from_value_and_derivative(
-    x: complex, dx_dt: complex, omega_base: float
-) -> ComplexFrequency:
-    """Complex frequency of a Clarke vector given its value and time derivative.
-
-    Equals (ẋ/x + jφ̇)/omega_base; the complex quotient form computes both
-    parts at once and is invariant under any constant complex scaling of the
-    pair (x, dx_dt).
-    """
-    if omega_base <= 0.0:
-        raise ValueError(f"omega_base must be positive, got {omega_base}")
-    x = complex(x)
-    if abs(x) <= MAGNITUDE_GUARD:
-        raise MagnitudeUnderflow(
-            f"|x| = {abs(x):.3e} is at or below the guard {MAGNITUDE_GUARD:.0e}"
-        )
-    return ComplexFrequency.from_complex(complex(dx_dt) / x / omega_base)
-
-
-def polar(x: complex) -> tuple[float, float]:
-    """Magnitude and phase of a Clarke vector; phase in (-pi, pi].
-
-    The zero vector maps to (0.0, 0.0) by convention.
-    """
-    x = complex(x)
-    mag = abs(x)
-    if mag == 0.0:
-        return 0.0, 0.0
-    phase = math.atan2(x.imag, x.real)
-    if phase <= -math.pi:
-        phase += 2.0 * math.pi
-    return mag, phase
 
 
 def unwrap_phase(samples) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Scenario file parsing, validation and serialization.
+"""Scenario file parsing and validation.
 
 Scenario documents are JSON with a fixed schema; unknown keys are rejected
 and every cross-reference (bus ids, device names, event targets) is resolved
@@ -144,6 +144,17 @@ def _string(obj: dict, key: str, path: str, default=None):
     if not isinstance(value, str):
         raise SchemaError(f"{path}.{key}", f"expected a string, got {value!r}")
     return value
+
+
+def parse_window(win, path: str) -> tuple[float, float]:
+    """An analysis window [t_start, t_end] of finite numbers with t_start < t_end."""
+    if not (isinstance(win, (list, tuple)) and len(win) == 2):
+        raise SchemaError(path, "expected [t_start, t_end]")
+    bounds = {"t_start": win[0], "t_end": win[1]}
+    t_start, t_end = (_number(bounds, key, path) for key in bounds)
+    if not t_start < t_end:
+        raise SchemaError(path, f"t_start {t_start:g} must be below t_end {t_end:g}")
+    return t_start, t_end
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -295,10 +306,7 @@ def parse_scenario(doc: dict) -> Scenario:
         an = doc["analysis"]
         _check_keys(an, _ANALYSIS_KEYS, "$.analysis")
         if an.get("window") is not None:
-            win = an["window"]
-            if not (isinstance(win, list) and len(win) == 2):
-                raise SchemaError("$.analysis.window", "expected [t_start, t_end]")
-            analysis.window = (float(win[0]), float(win[1]))
+            analysis.window = parse_window(an["window"], "$.analysis.window")
         if "k_clusters" in an:
             k = an["k_clusters"]
             if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -327,6 +335,8 @@ def parse_scenario(doc: dict) -> Scenario:
             sel = an["cluster_devices"]
             if not isinstance(sel, list) or not all(isinstance(s, str) for s in sel):
                 raise SchemaError("$.analysis.cluster_devices", "expected device names")
+            if len(set(sel)) != len(sel):
+                raise SchemaError("$.analysis.cluster_devices", "device names repeat")
             for s in sel:
                 if s not in names:
                     raise SchemaError("$.analysis.cluster_devices", f"unknown device {s!r}")
@@ -408,141 +418,6 @@ def _build_device(
     )
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Inverse of `parse_scenario`: a JSON-ready document."""
-    net = scenario.network
-    label = {b.index: b.label for b in net.buses}
-    doc: dict = {
-        "system": {
-            # sub-nanohertz rounding keeps 2*pi*f -> f round trips exact
-            "f_nominal": round(scenario.omega_base / (2.0 * math.pi), 9),
-            "s_base": scenario.s_base,
-        },
-        "buses": [
-            {"id": b.label, "kind": b.kind, "v_set": b.v_set} for b in net.buses
-        ],
-        "branches": [
-            {
-                "from": label[br.from_bus],
-                "to": label[br.to_bus],
-                "r": br.resistance,
-                "x": br.reactance,
-                "b": br.charging,
-                "tap": br.tap,
-            }
-            for br in net.branches
-        ],
-    }
-    if net.shunts:
-        doc["shunts"] = [
-            {"bus": label[sh.bus], "g": sh.conductance, "b": sh.susceptance}
-            for sh in net.shunts
-        ]
-    doc["devices"] = [_device_to_dict(d, label) for d in scenario.devices]
-    if scenario.events:
-        doc["events"] = [_event_to_dict(ev, label) for ev in scenario.events]
-    doc["simulation"] = {
-        "t_end": scenario.t_end,
-        "dt": scenario.dt,
-        "tolerance": scenario.tolerance,
-    }
-    an = scenario.analysis
-    analysis: dict = {"k_clusters": an.k_clusters}
-    if an.window is not None:
-        analysis["window"] = list(an.window)
-    if an.observation_points:
-        analysis["observation_points"] = [
-            [label[pt.bus], label[pt.towards_bus]]
-            if pt.towards_bus is not None
-            else {"bus": label[pt.bus], "device": pt.device}
-            for pt in an.observation_points
-        ]
-    if an.cluster_devices is not None:
-        analysis["cluster_devices"] = list(an.cluster_devices)
-    doc["analysis"] = analysis
-    return doc
-
-
-def _device_to_dict(d: Device, label: dict[int, int]) -> dict:
-    if isinstance(d, SynchronousMachine):
-        out = {
-            "type": "sm",
-            "name": d.name,
-            "bus": label[d.bus],
-            "inertia": d.inertia,
-            "xd_prime": d.xd_prime,
-            "damping": d.damping,
-            "p": d.p,
-        }
-        if d.q_weight is not None:
-            out["q_weight"] = d.q_weight
-        return out
-    if isinstance(d, ZipLoad):
-        return {
-            "type": "zip",
-            "name": d.name,
-            "bus": label[d.bus],
-            "p": d.nominal_p,
-            "q": d.nominal_q,
-            "kz_p": d.kz_p,
-            "ki_p": d.ki_p,
-            "kp_p": d.kp_p,
-            "kz_q": d.kz_q,
-            "ki_q": d.ki_q,
-            "kp_q": d.kp_q,
-        }
-    if isinstance(d, GridFollowingConverter):
-        return {
-            "type": "gfl",
-            "name": d.name,
-            "bus": label[d.bus],
-            "p": d.p,
-            "r_filter": d.filter.z_f.real,
-            "x_filter": d.filter.z_f.imag,
-            "g_filter": d.filter.y_f.real,
-            "b_filter": d.filter.y_f.imag,
-            "v_dc": d.filter.v_dc,
-            "kp_current": d.kp_current,
-            "ki_current": d.ki_current,
-            "t_measure": d.t_measure,
-            "kp_pll": d.kp_pll,
-            "ki_pll": d.ki_pll,
-            "omega_ref": d.omega_ref,
-        }
-    if isinstance(d, GridFormingConverter):
-        return {
-            "type": "gfm",
-            "name": d.name,
-            "bus": label[d.bus],
-            "p": d.p,
-            "r_filter": d.filter.z_f.real,
-            "x_filter": d.filter.z_f.imag,
-            "g_filter": d.filter.y_f.real,
-            "b_filter": d.filter.y_f.imag,
-            "v_dc": d.filter.v_dc,
-            "kp_voltage": d.kp_voltage,
-            "ki_voltage": d.ki_voltage,
-            "t_voltage": d.t_voltage,
-            "t_power": d.t_power,
-            "droop": d.droop,
-        }
-    raise TypeError(f"cannot serialize device {d!r}")
-
-
-def _event_to_dict(ev: Event, label: dict[int, int]) -> dict:
-    if ev.action == "load_scale":
-        return {"time": ev.time, "action": ev.action, "bus": label[ev.bus], "factor": ev.factor}
-    if ev.action == "load_disconnect_mw":
-        return {"time": ev.time, "action": ev.action, "bus": label[ev.bus], "amount": ev.amount}
-    return {
-        "time": ev.time,
-        "action": ev.action,
-        "device": ev.device,
-        "name": ev.param,
-        "value": ev.value,
-    }
-
-
 def load_scenario(path: str | Path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -550,12 +425,6 @@ def load_scenario(path: str | Path) -> Scenario:
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"invalid JSON: {exc}") from exc
     return parse_scenario(doc)
-
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -59,8 +59,8 @@ class Scenario:
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
+            raise ValueError("dt and t_end must be positive and finite")
         for ev in self.events:
             if not 0.0 <= ev.time <= self.t_end:
                 raise ValueError(f"event at t={ev.time} outside [0, {self.t_end}]")
@@ -248,11 +248,20 @@ class DaeSystem:
 FD_STEP = 1e-7
 
 
+def _voltage_block(dev: Device, x_d: np.ndarray, vb: complex) -> np.ndarray:
+    """∂(Re ı, Im ı)/∂(Re v, Im v) at fixed states, from the closed-form
+    sensitivity dı = a·dv̄ + b·dv̄*: the columns are a + b and j(a - b)."""
+    a, b = dev.voltage_sensitivity(x_d, vb)
+    cols = (a + b, 1j * (a - b))
+    return np.array([[c.real for c in cols], [c.imag for c in cols]])
+
+
 def _device_fd_blocks(dev: Device, x_d: np.ndarray, vb: complex):
-    """Forward-difference sensitivities of (state derivatives, injected
-    current) with respect to (own states, terminal voltage components)."""
+    """Forward-difference sensitivities of the state derivatives with respect
+    to (own states, terminal voltage components), and of the injected
+    current with respect to the own states."""
     n = dev.n_states
-    f0 = dev.derivatives(x_d, vb) if n else np.empty(0)
+    f0 = dev.derivatives(x_d, vb)
     i0 = dev.injected_current(x_d, vb)
     df_dx = np.zeros((n, n))
     di_dx = np.zeros(n, dtype=complex)
@@ -264,13 +273,9 @@ def _device_fd_blocks(dev: Device, x_d: np.ndarray, vb: complex):
         di_dx[k] = (dev.injected_current(xp, vb) - i0) / h
     h = FD_STEP * (1.0 + abs(vb))
     df_dv = np.zeros((n, 2))
-    di_dv = np.zeros(2, dtype=complex)
     for k, dv in enumerate((h, 1j * h)):
-        f1 = dev.derivatives(x_d, vb + dv) if n else f0
-        if n:
-            df_dv[:, k] = (f1 - f0) / h
-        di_dv[k] = (dev.injected_current(x_d, vb + dv) - i0) / h
-    return f0, i0, df_dx, df_dv, di_dx, di_dv
+        df_dv[:, k] = (dev.derivatives(x_d, vb + dv) - f0) / h
+    return df_dx, df_dv, di_dx
 
 
 class TrapezoidalIntegrator:
@@ -330,16 +335,15 @@ class TrapezoidalIntegrator:
         a = np.zeros((sys.n_vars, sys.n_vars))
         a[:nx, :nx] = np.eye(nx)
         for dev, sl in zip(sys.devices, sys.slices):
-            _, _, df_dx, df_dv, di_dx, di_dv = _device_fd_blocks(dev, x[sl], complex(v[dev.bus]))
-            ucol = nx + 2 * dev.bus
-            urow = nx + 2 * dev.bus
+            vb = complex(v[dev.bus])
+            u = nx + 2 * dev.bus
             if dev.n_states:
+                df_dx, df_dv, di_dx = _device_fd_blocks(dev, x[sl], vb)
                 a[sl, sl] -= 0.5 * dt * df_dx
-                a[sl, ucol : ucol + 2] -= 0.5 * dt * df_dv
-                a[urow, sl] += di_dx.real
-                a[urow + 1, sl] += di_dx.imag
-            a[urow, ucol : ucol + 2] += di_dv.real
-            a[urow + 1, ucol : ucol + 2] += di_dv.imag
+                a[sl, u : u + 2] -= 0.5 * dt * df_dv
+                a[u, sl] += di_dx.real
+                a[u + 1, sl] += di_dx.imag
+            a[u : u + 2, u : u + 2] += _voltage_block(dev, x[sl], vb)
         a[nx:, nx:] -= sys.yblk
         return a
 
@@ -401,14 +405,8 @@ class TrapezoidalIntegrator:
                 return v
             a = -sys.yblk.copy()
             for dev, sl in zip(sys.devices, sys.slices):
-                vb = complex(v[dev.bus])
-                i0 = dev.injected_current(x[sl], vb)
-                h = FD_STEP * (1.0 + abs(vb))
-                col = 2 * dev.bus
-                for k, dv in enumerate((h, 1j * h)):
-                    di = (dev.injected_current(x[sl], vb + dv) - i0) / h
-                    a[col, col + k] += di.real
-                    a[col + 1, col + k] += di.imag
+                u = 2 * dev.bus
+                a[u : u + 2, u : u + 2] += _voltage_block(dev, x[sl], complex(v[dev.bus]))
             rhs = np.empty(2 * sys.n_bus)
             rhs[0::2] = rn.real
             rhs[1::2] = rn.imag

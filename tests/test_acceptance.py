@@ -18,6 +18,7 @@ from cfcoherency import (
     device_cf_analytic,
     device_cf_numerical,
     distance_matrix,
+    numerical_cf,
     observer_independence_check,
 )
 from cfcoherency.coherency import (
@@ -27,7 +28,6 @@ from cfcoherency.coherency import (
 )
 from cfcoherency.devices import ibr_current_cf, sm_current_cf
 from cfcoherency.network import power_contribution
-from cfcoherency.primitives import cf_from_value_and_derivative
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import run
 from tests.conftest import OMEGA_B, mixed_scenario
@@ -110,9 +110,7 @@ class TestCriterion2SmCondition:
 
     def test_reactance_ratio_violation_detected(self):
         def bump(sc):
-            sm2 = sc.device("SM2")
-            sm2.xd_prime *= 1.1
-            sm2._inv_jx = 1.0 / (1j * sm2.xd_prime)
+            sc.device("SM2").xd_prime *= 1.1
 
         value = self._max_eps(bump)
         assert report(
@@ -249,13 +247,13 @@ class TestCriterion6CfOracle:
 
 class TestCriterion7Properties:
     def test_cf_scale_invariance(self):
-        x = 0.8 - 0.4j
-        dx = (0.03 + 1.01j) * OMEGA_B * x
-        base = cf_from_value_and_derivative(x, dx, OMEGA_B).as_complex
+        t = np.arange(200) * 1e-3
+        x = (0.8 - 0.4j) * np.exp((0.03 + 1.01j) * OMEGA_B * t)
+        base = numerical_cf(x, 1e-3, OMEGA_B).values
         ok = True
         for k in (3.0, -0.25, 2j, 0.3 - 1.7j, 1e4 + 1e-4j):
-            eta = cf_from_value_and_derivative(k * x, k * dx, OMEGA_B).as_complex
-            ok &= abs(eta - base) < 1e-12 * abs(base)
+            eta = numerical_cf(k * x, 1e-3, OMEGA_B).values
+            ok &= bool(np.all(np.abs(eta - base) < 1e-12 * np.abs(base)))
         assert report("criterion 7a (CF scale invariance)", ok, "5 complex factors")
 
     def test_same_bus_z_loads_perfectly_coherent(self):

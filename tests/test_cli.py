@@ -95,9 +95,30 @@ class TestRunCommand:
         assert "NonConvergence" in capsys.readouterr().err
 
     def test_seedless_flag_rejected(self, small_scenario, tmp_path, capsys):
+        # an unknown flag is a usage error, which exits 1 like a schema error
         code = main(["--out", str(tmp_path / "o"), "--seedless", "run", str(small_scenario)])
         assert code == 1
-        assert "reserved" in capsys.readouterr().err
+        assert "unrecognized arguments: --seedless" in capsys.readouterr().err
+
+    def test_missing_subcommand_exits_one(self):
+        assert main([]) == 1
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--dt", "0"], ["--dt", "nan"], ["--t-end", "0"]])
+    def test_bad_step_or_horizon_exits_one(self, small_scenario, tmp_path, capsys, flag):
+        code = main(["--out", str(tmp_path / "o")] + flag + ["run", str(small_scenario)])
+        assert code == 1
+        assert "dt and t_end must be positive" in capsys.readouterr().err
+
+    def test_horizon_before_events_exits_one(self, tmp_path, capsys):
+        twomachine = str(bundled_scenario_path("twomachine"))
+        code = main(["--out", str(tmp_path / "o"), "--t-end", "0.5", "run", twomachine])
+        assert code == 1
+        assert "outside [0, 0.5]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestClusterCommand:
@@ -116,6 +137,29 @@ class TestClusterCommand:
         assert set(partition[1:]) == {"G1,0", "G2,0"}
         assert (out / "distance.csv").exists()
         assert (out / "dendrogram.csv").exists()
+
+
+    @pytest.fixture()
+    def no_simulation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated before checking the arguments")
+
+        monkeypatch.setattr("cfcoherency.cli.run", fail)
+
+    @pytest.mark.parametrize(
+        "name, k", [("twomachine", "5"), ("twomachine", "0"), ("ieee39", "11")]
+    )
+    def test_k_checked_before_simulating(self, tmp_path, capsys, no_simulation, name, k):
+        scenario = str(bundled_scenario_path(name))
+        assert main(["--out", str(tmp_path / "o"), "cluster", scenario, "--k", k]) == 1
+        assert f"into k={k} groups" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [["2", "1"], ["1", "1"], ["nan", "2"], ["1", "inf"]])
+    def test_bad_window_exits_one(self, tmp_path, capsys, no_simulation, window):
+        scenario = str(bundled_scenario_path("twomachine"))
+        code = main(["--out", str(tmp_path / "o"), "--window", *window, "cluster", scenario])
+        assert code == 1
+        assert "--window" in capsys.readouterr().err
 
 
 class TestClusterIeee39:
@@ -192,3 +236,23 @@ class TestCfCommand:
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "cf", str(tmp_path / "nope.csv")]) == 1
+
+    def test_non_uniform_time_base_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "uneven.csv"
+        path.write_text(
+            "time,x_re,x_im\n0,1,0\n0.001,1,0.001\n0.005,1,0.005\n0.006,1,0.006\n",
+            encoding="utf-8",
+        )
+        assert main(["--out", str(tmp_path / "o"), "cf", str(path)]) == 1
+        assert "uniform steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("f_nominal", ["0", "-60", "nan"])
+    def test_nonpositive_f_nominal_exits_one(self, small_scenario, tmp_path, capsys, f_nominal):
+        out = tmp_path / "out"
+        main(["--out", str(out), "run", str(small_scenario)])
+        code = main(
+            ["--out", str(tmp_path / "o"), "cf", str(out / "trajectory.csv"),
+             "--f-nominal", f_nominal]
+        )
+        assert code == 1
+        assert "--f-nominal" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cfcoherency import CoherencyClustering, CoherencyDistanceMatrix, average_linkage, upgma_tree
+from cfcoherency import CoherencyDistanceMatrix, upgma_tree
 
 
 def matrix(values, labels=None):
@@ -28,16 +28,16 @@ def block_matrix():
 class TestUpgma:
     def test_singletons_cut(self):
         m = block_matrix()
-        groups = average_linkage(m, 5)
+        groups = upgma_tree(m).cut(5)
         assert sorted(map(tuple, map(sorted, groups))) == [("a",), ("b",), ("c",), ("x",), ("y",)]
 
     def test_single_group_cut(self):
-        groups = average_linkage(block_matrix(), 1)
+        groups = upgma_tree(block_matrix()).cut(1)
         assert groups[0] == {"a", "b", "c", "x", "y"}
 
     def test_two_blocks(self):
-        groups = average_linkage(block_matrix(), 2)
-        assert sorted(map(tuple, map(sorted, groups))) == [("a", "b", "c"), ("x", "y")]
+        groups = upgma_tree(block_matrix()).cut(2)
+        assert groups == [{"a", "b", "c"}, {"x", "y"}]
 
     def test_heights_nondecreasing(self):
         base = np.array(
@@ -50,7 +50,7 @@ class TestUpgma:
             ]
         )
         tree = upgma_tree(matrix(base))
-        heights = tree.heights()
+        heights = [height for _, _, height in tree.merges]
         assert all(h1 <= h2 + 1e-15 for h1, h2 in zip(heights, heights[1:]))
 
     def test_average_linkage_height_is_mean_pairwise(self):
@@ -76,10 +76,10 @@ class TestUpgma:
 
     def test_label_permutation_invariance(self):
         m = block_matrix()
-        groups = {frozenset(g) for g in average_linkage(m, 2)}
+        groups = {frozenset(g) for g in upgma_tree(m).cut(2)}
         perm = [4, 2, 0, 3, 1]
         permuted = matrix(m.values[np.ix_(perm, perm)], [m.labels[i] for i in perm])
-        groups_p = {frozenset(g) for g in average_linkage(permuted, 2)}
+        groups_p = {frozenset(g) for g in upgma_tree(permuted).cut(2)}
         assert groups == groups_p
 
     def test_cut_bounds(self):
@@ -88,29 +88,3 @@ class TestUpgma:
             tree.cut(0)
         with pytest.raises(ValueError):
             tree.cut(6)
-
-
-class TestCoherencyClustering:
-    def test_fit_labels(self):
-        est = CoherencyClustering(n_clusters=2).fit(block_matrix())
-        labels = est.labels_
-        assert labels[0] == labels[1] == labels[2]
-        assert labels[3] == labels[4]
-        assert labels[0] != labels[3]
-        assert {frozenset(g) for g in est.groups_} == {
-            frozenset({"a", "b", "c"}),
-            frozenset({"x", "y"}),
-        }
-
-    def test_fit_predict_on_raw_array(self):
-        labels = CoherencyClustering(n_clusters=2).fit_predict(block_matrix().values)
-        assert len(set(labels[:3])) == 1
-        assert len(set(labels[3:])) == 1
-
-    def test_get_set_params(self):
-        est = CoherencyClustering(n_clusters=4)
-        assert est.get_params() == {"n_clusters": 4}
-        est.set_params(n_clusters=2)
-        assert est.n_clusters == 2
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)

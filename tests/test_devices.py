@@ -13,7 +13,6 @@ from cfcoherency import (
     ZipLoad,
     ibr_current_cf,
     s_load_cf,
-    sm_coherency_residual,
     sm_current_cf,
     z_load_cf,
 )
@@ -101,22 +100,6 @@ class TestSmCf:
         eta1 = sm_current_cf(s1, abs(i1), xd1, omega_r, eta_v)
         eta2 = sm_current_cf(s2, abs(i2), xd2, omega_r, eta_v)
         assert eta1 == pytest.approx(eta2, rel=1e-13)
-
-
-class TestSmCoherencyResidual:
-    def test_condition_satisfied(self):
-        assert sm_coherency_residual(6.0, 4.0, 0.04, 0.06, 0.6, 0.4) == pytest.approx(0.0, abs=1e-15)
-
-    def test_identical_machines(self):
-        assert sm_coherency_residual(5.0, 5.0, 0.05, 0.05, 0.7, 0.7) == 0.0
-
-    def test_reactance_mismatch(self):
-        r = sm_coherency_residual(5.0, 5.0, 0.055, 0.05, 0.7, 0.7)
-        assert r == pytest.approx(abs(0.055 / 0.05 - 1.0), rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sm_coherency_residual(5.0, -5.0, 0.05, 0.05, 0.7, 0.7)
 
 
 class TestZipLoad:

@@ -10,7 +10,7 @@ from cfcoherency.errors import (
     SingularAdmittance,
     ZeroImpedanceBranch,
 )
-from cfcoherency.network import network_residual, power_contribution
+from cfcoherency.network import power_contribution
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import power_flow
 
@@ -85,27 +85,13 @@ class TestImpedanceMatrix:
 
 
 class TestNetworkResidual:
-    def test_zero_state(self):
-        y = np.array([[-9.98j, 10j], [10j, -9.99j]])
-        r = network_residual(y, np.zeros(2, complex), np.zeros(2, complex))
-        assert np.all(r == 0)
-
     def test_converged_power_flow_is_consistent(self, bundled_ieee39):
         # net bus injections translated to currents must satisfy KCL
         sc = bundled_ieee39
         pf = power_flow(sc)
         inj = np.conj(pf.bus_injection / pf.voltages)
-        r = sc.network.residual(pf.voltages, inj)
+        r = inj - sc.network.admittance() @ pf.voltages
         assert np.max(np.abs(r)) < 1e-8
-
-    def test_linearity_in_voltage(self):
-        y = np.array([[-9.98j, 10j], [10j, -9.99j]])
-        v = np.array([1.0 + 0j, 0.98 - 0.02j])
-        i = np.array([0.5 + 0.1j, -0.5 + 0j])
-        base = network_residual(y, v, i)
-        delta = 1e-3 + 2e-3j
-        shifted = network_residual(y, v + np.array([delta, 0]), i)
-        assert np.allclose(shifted - base, -y[:, 0] * delta, atol=1e-15)
 
 
 class TestBranchCurrent:

@@ -3,91 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cfcoherency import ComplexFrequency, cf_from_value_and_derivative, polar, unwrap_phase
-from cfcoherency.errors import MagnitudeUnderflow
+from cfcoherency import unwrap_phase
 
 OMEGA_B = 2.0 * np.pi * 60.0
-
-
-class TestCfFromValueAndDerivative:
-    def test_static_vector(self):
-        eta = cf_from_value_and_derivative(1.0 + 0.0j, 0.0, OMEGA_B)
-        assert eta == ComplexFrequency(0.0, 0.0)
-
-    def test_pure_synchronous_rotation(self):
-        eta = cf_from_value_and_derivative(1.0 + 0.0j, 1j * OMEGA_B, OMEGA_B)
-        assert eta.rho == pytest.approx(0.0, abs=1e-15)
-        assert eta.omega == pytest.approx(1.0, rel=1e-14)
-
-    def test_scaling_invariance_of_log_derivative(self):
-        eta = cf_from_value_and_derivative(2.0 + 0.0j, 2.0 * OMEGA_B * (0.01 + 1j), OMEGA_B)
-        assert eta.rho == pytest.approx(0.01, rel=1e-14)
-        assert eta.omega == pytest.approx(1.0, rel=1e-14)
-
-    def test_magnitude_guard(self):
-        with pytest.raises(MagnitudeUnderflow):
-            cf_from_value_and_derivative(1e-10 + 0j, 1.0, OMEGA_B)
-
-    def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            cf_from_value_and_derivative(1.0, 0.0, 0.0)
-
-    def test_scale_invariance_under_complex_factor(self):
-        # constant complex factors leave the CF untouched (the algebraic heart
-        # of complex-proportionality implying zero coherency function)
-        x = 0.7 - 0.3j
-        dx = (0.05 + 0.9j) * OMEGA_B * x
-        base = cf_from_value_and_derivative(x, dx, OMEGA_B).as_complex
-        for k in (2.0, -3.0, 0.5j, 1.7 - 2.4j, 1e-3 + 1e3j):
-            eta = cf_from_value_and_derivative(k * x, k * dx, OMEGA_B).as_complex
-            assert eta == pytest.approx(base, rel=1e-13)
-
-    def test_agrees_with_polar_form_by_finite_differences(self):
-        # rho*omega_base == d|x|/dt / |x| and omega*omega_base == dphase/dt,
-        # cross-checked by differentiating both representations numerically
-        def x_of_t(t):
-            return (1.0 + 0.2 * np.sin(3.0 * t)) * np.exp(1j * (0.8 * t + 0.1 * np.sin(7.0 * t)))
-
-        t0, h = 0.4, 1e-6
-        x = x_of_t(t0)
-        dx = (x_of_t(t0 + h) - x_of_t(t0 - h)) / (2 * h)
-        eta = cf_from_value_and_derivative(x, dx, OMEGA_B)
-        mags = [abs(x_of_t(t0 - h)), abs(x_of_t(t0 + h))]
-        phases = [np.angle(x_of_t(t0 - h)), np.angle(x_of_t(t0 + h))]
-        rho_polar = (mags[1] - mags[0]) / (2 * h) / abs(x) / OMEGA_B
-        omega_polar = (phases[1] - phases[0]) / (2 * h) / OMEGA_B
-        assert eta.rho == pytest.approx(rho_polar, rel=1e-6)
-        assert eta.omega == pytest.approx(omega_polar, rel=1e-6)
-
-
-class TestPolar:
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            (1 + 0j, (1.0, 0.0)),
-            (1j, (1.0, np.pi / 2)),
-            (-1 + 0j, (1.0, np.pi)),
-        ],
-    )
-    def test_examples(self, value, expected):
-        mag, phase = polar(value)
-        assert mag == pytest.approx(expected[0], rel=1e-15)
-        assert phase == pytest.approx(expected[1], rel=1e-15)
-
-    def test_zero_vector_convention(self):
-        assert polar(0j) == (0.0, 0.0)
-
-    def test_phase_range_half_open(self):
-        # the negative real axis maps to +pi, never -pi
-        mag, phase = polar(complex(-1.0, -0.0))
-        assert phase == pytest.approx(np.pi)
-
-    def test_round_trip_across_magnitudes(self):
-        for mag in 10.0 ** np.arange(-6, 7):
-            for phase in np.linspace(-3.1, 3.1, 13):
-                x = mag * np.exp(1j * phase)
-                m, p = polar(x)
-                assert abs(m * np.exp(1j * p) - x) < 1e-12 * max(1.0, mag)
 
 
 class TestUnwrapPhase:

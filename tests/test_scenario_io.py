@@ -5,12 +5,7 @@ import json
 import pytest
 
 from cfcoherency.errors import SchemaError
-from cfcoherency.scenario_io import (
-    bundled_scenario_path,
-    load_scenario,
-    parse_scenario,
-    scenario_to_dict,
-)
+from cfcoherency.scenario_io import bundled_scenario_path, load_scenario, parse_scenario
 
 
 def minimal_doc():
@@ -109,27 +104,33 @@ class TestParse:
             parse_scenario(doc)
         assert "$.devices[1]" in str(err.value)
 
+    def test_window_is_kept(self):
+        doc = minimal_doc()
+        doc["analysis"]["window"] = [1.0, 1.5]
+        assert parse_scenario(doc).analysis.window == (1.0, 1.5)
+
+    @pytest.mark.parametrize(
+        "window", [["a", 2], [True, 2], [float("nan"), 1], [2, 1], [1, 1], [1], "1,2"]
+    )
+    def test_bad_window_rejected(self, window):
+        doc = minimal_doc()
+        doc["analysis"]["window"] = window
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(doc)
+        assert "$.analysis.window" in str(err.value)
+
+    def test_repeated_cluster_device_rejected(self):
+        doc = minimal_doc()
+        doc["analysis"]["cluster_devices"] = ["G1", "G1"]
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(doc)
+        assert "$.analysis.cluster_devices" in str(err.value)
+
     def test_event_outside_horizon_rejected(self):
         doc = minimal_doc()
         doc["events"][0]["time"] = 5.0
         with pytest.raises(SchemaError):
             parse_scenario(doc)
-
-
-class TestRoundTrip:
-    def test_parse_serialize_parse_is_identity(self):
-        sc1 = parse_scenario(minimal_doc())
-        doc1 = scenario_to_dict(sc1)
-        sc2 = parse_scenario(doc1)
-        doc2 = scenario_to_dict(sc2)
-        assert doc1 == doc2
-
-    @pytest.mark.parametrize("name", ["twomachine", "ieee39", "ieee39_mod"])
-    def test_bundled_scenarios_round_trip(self, name):
-        sc1 = load_scenario(bundled_scenario_path(name))
-        doc1 = scenario_to_dict(sc1)
-        sc2 = parse_scenario(doc1)
-        assert scenario_to_dict(sc2) == doc1
 
 
 class TestBundled:
