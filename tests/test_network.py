@@ -12,7 +12,7 @@ from cfcoherency.errors import (
 )
 from cfcoherency.network import power_contribution
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
-from cfcoherency.simulation import power_flow
+from cfcoherency.simulation import DaeSystem, power_flow
 
 
 def two_buses():
@@ -84,7 +84,22 @@ class TestImpedanceMatrix:
         assert np.max(np.abs(y @ z - np.eye(39))) < 1e-10
 
 
+def shunted_pair_system():
+    # device-free two-bus system: the bus-current residual reduces to -Y v
+    net = Network(
+        two_buses(),
+        [Branch(0, 1, 0.0, 0.1)],
+        [Shunt(0, susceptance=0.02), Shunt(1, susceptance=0.01)],
+    )
+    return DaeSystem(net, [], omega_base=2 * np.pi * 60)
+
+
 class TestNetworkResidual:
+    def test_zero_state(self):
+        system = shunted_pair_system()
+        r = system.network_residual(np.zeros(0), np.zeros(2, complex))
+        assert np.all(r == 0)
+
     def test_converged_power_flow_is_consistent(self, bundled_ieee39):
         # net bus injections translated to currents must satisfy KCL
         sc = bundled_ieee39
@@ -92,6 +107,15 @@ class TestNetworkResidual:
         inj = np.conj(pf.bus_injection / pf.voltages)
         r = inj - sc.network.admittance() @ pf.voltages
         assert np.max(np.abs(r)) < 1e-8
+
+    def test_linearity_in_voltage(self):
+        system = shunted_pair_system()
+        y = system.network.admittance()
+        v = np.array([1.0 + 0j, 0.98 - 0.02j])
+        base = system.network_residual(np.zeros(0), v)
+        delta = 1e-3 + 2e-3j
+        shifted = system.network_residual(np.zeros(0), v + np.array([delta, 0]))
+        assert np.allclose(shifted - base, -y[:, 0] * delta, atol=1e-15)
 
 
 class TestBranchCurrent:
