@@ -16,6 +16,7 @@ from .coherency import (
     coherency_distance,
     coherency_function,
     cluster_trajectory,
+    device_cf,
     device_cf_analytic,
     device_cf_numerical,
     distance_matrix,
@@ -72,6 +73,7 @@ __all__ = [
     "cluster_trajectory",
     "coherency_distance",
     "coherency_function",
+    "device_cf",
     "device_cf_analytic",
     "device_cf_numerical",
     "distance_matrix",

@@ -18,7 +18,7 @@ from .coherency import (
     alpha_beta_sweep,
     cluster_trajectory,
     default_window,
-    device_cf_numerical,
+    device_cf,
     numerical_cf,
     observer_independence_check,
     source_devices,
@@ -43,18 +43,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _device_cf_columns(traj: Trajectory) -> list[np.ndarray]:
-    """Stationary-frame CF per device: the recorded analytical series where
-    the model has one, the finite-difference estimate otherwise."""
-    columns = []
-    for name in traj.device_names:
-        if name in traj.analytic_cf:
-            columns.append(traj.analytic_cf[name])
-        else:
-            columns.append(device_cf_numerical(traj, name).values)
-    return columns
-
-
 def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     header = ["time"]
     for lbl in traj.bus_labels:
@@ -63,7 +51,7 @@ def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
         header += [f"i_{name}_re", f"i_{name}_im"]
     for name in traj.device_names:
         header += [f"rho_{name}", f"omega_{name}"]
-    cf_columns = _device_cf_columns(traj)
+    cf_columns = [device_cf(traj, name).values for name in traj.device_names]
 
     def rows():
         for k in range(traj.times.size):
@@ -88,7 +76,7 @@ def _write_cf_csv(traj: Trajectory, path: Path) -> None:
     header = ["time"]
     for name in traj.device_names:
         header += [f"rho_{name}", f"omega_{name}"]
-    series = _device_cf_columns(traj)
+    series = [device_cf(traj, name).values for name in traj.device_names]
     header.append("event_mask")
     valid = traj.estimator_valid()
 
@@ -166,18 +154,26 @@ def _cmd_cluster(args) -> int:
     return EXIT_OK
 
 
+def _grid_values(text: str, flag: str) -> np.ndarray:
+    """Comma-separated split fractions, each strictly inside (0, 1)."""
+    try:
+        values = np.array([float(item) for item in text.split(",")])
+    except ValueError as exc:
+        raise SchemaError(flag, f"expected comma-separated numbers, got {text!r}") from exc
+    if not np.all((values > 0.0) & (values < 1.0)):
+        raise SchemaError(flag, "grid values must lie strictly inside (0, 1)")
+    return values
+
+
 def _parse_grid(args) -> tuple[np.ndarray, np.ndarray]:
-    if args.alpha or args.beta:
-        if not (args.alpha and args.beta):
+    if args.alpha is not None or args.beta is not None:
+        if args.alpha is None or args.beta is None:
             raise SchemaError("$", "--alpha and --beta must be given together")
-        alphas = np.array([float(a) for a in args.alpha.split(",")])
-        betas = np.array([float(b) for b in args.beta.split(",")])
-    else:
-        n = args.grid
-        alphas = betas = np.linspace(0.05, 0.95, n)
-    if np.any(alphas <= 0) or np.any(alphas >= 1) or np.any(betas <= 0) or np.any(betas >= 1):
-        raise SchemaError("$", "grid values must lie strictly inside (0, 1)")
-    return alphas, betas
+        return _grid_values(args.alpha, "--alpha"), _grid_values(args.beta, "--beta")
+    if args.grid < 1:
+        raise SchemaError("--grid", f"need at least 1 point per axis, got {args.grid}")
+    alphas = np.linspace(0.05, 0.95, args.grid)
+    return alphas, alphas
 
 
 def _cmd_sweep(args) -> int:

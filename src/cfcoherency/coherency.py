@@ -80,6 +80,15 @@ def device_cf_analytic(traj: Trajectory, name: str) -> CfSeries:
     return CfSeries(traj.times.copy(), values.copy(), np.ones(values.size, dtype=bool))
 
 
+def device_cf(traj: Trajectory, name: str) -> CfSeries:
+    """Stationary-frame CF of a device's current: the recorded analytic series
+    where the model has a closed form, the masked estimator otherwise (mixed
+    ZIP loads)."""
+    if name in traj.analytic_cf:
+        return device_cf_analytic(traj, name)
+    return device_cf_numerical(traj, name)
+
+
 def coherency_function(eta1: CfSeries, eta2: CfSeries) -> CfSeries:
     """Instantaneous coherency function: sample-wise CF difference."""
     if eta1.times.shape != eta2.times.shape or not np.allclose(
@@ -239,9 +248,7 @@ def observer_independence_check(
     z = network.impedance()
     if window is None:
         window = default_window(traj)
-    eta1 = device_cf_analytic(traj, d1)
-    eta2 = device_cf_analytic(traj, d2)
-    eps_direct = coherency_function(eta1, eta2)
+    eps_direct = coherency_function(device_cf(traj, d1), device_cf(traj, d2))
     b1 = traj.device_buses[traj.device_index(d1)]
     b2 = traj.device_buses[traj.device_index(d2)]
 
@@ -369,7 +376,8 @@ def alpha_beta_sweep(
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
-    if np.any(alphas <= 0.0) or np.any(alphas >= 1.0) or np.any(betas <= 0.0) or np.any(betas >= 1.0):
+    grid = np.concatenate([alphas, betas])
+    if not np.all((grid > 0.0) & (grid < 1.0)):  # NaN fails too
         raise ValueError("grid values must lie strictly inside (0, 1)")
     cells = [
         (ia, ib, float(a), float(b), t_end, dt)
@@ -405,14 +413,10 @@ def cluster_trajectory(
     """Distance matrix + UPGMA partition of a simulated run; by default of
     its sources."""
     if device_names is None:
-        device_names = [
-            name
-            for name in source_devices(traj.device_names, traj.device_kinds)
-            if name in traj.analytic_cf
-        ]
+        device_names = source_devices(traj.device_names, traj.device_kinds)
     if window is None:
         window = default_window(traj)
-    cfs = {name: device_cf_analytic(traj, name) for name in device_names}
+    cfs = {name: device_cf(traj, name) for name in device_names}
     matrix = distance_matrix(cfs, window)
     tree = upgma_tree(matrix)
     return matrix, tree, tree.cut(k)

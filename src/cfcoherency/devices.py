@@ -99,7 +99,8 @@ class Device:
 
     def current_state_rate(self, x: np.ndarray, xdot: np.ndarray, v: complex) -> complex:
         """State-driven part of dı̄/dt (the voltage-driven part comes from
-        `voltage_sensitivity`)."""
+        `voltage_sensitivity`).  It is linear in `xdot`, so a unit rate e_k
+        gives ∂ı/∂x_k; the integrator builds its Newton matrix from that."""
         return 0.0 + 0.0j
 
     def analytic_cf(

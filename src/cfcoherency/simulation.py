@@ -9,6 +9,7 @@ after each event before integration resumes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,13 @@ from .errors import InfeasibleInit, NewtonDivergence, NonConvergence
 from .network import Network
 
 EVENT_ACTIONS = ("load_scale", "load_disconnect_mw", "set_parameter")
+
+POWER_FLOW_TOL = 1e-10  # largest P/Q mismatch accepted, pu
+POWER_FLOW_MAX_ITER = 50
+NEWTON_MAX_ITER = 25  # per integration step
+NEWTON_REFRESH_ITER = 8  # rebuild the chord matrix at this iteration of a step
+MAX_HALVINGS = 4  # nested step halvings before a divergence is reported
+ALGEBRAIC_MAX_ITER = 50  # post-event re-solve of the bus equations
 
 
 @dataclass
@@ -64,6 +72,11 @@ class Scenario:
         for ev in self.events:
             if not 0.0 <= ev.time <= self.t_end:
                 raise ValueError(f"event at t={ev.time} outside [0, {self.t_end}]")
+        window = self.analysis.window
+        if window is not None and window[1] > self.t_end:
+            raise ValueError(
+                f"analysis window [{window[0]:g}, {window[1]:g}] ends after t_end {self.t_end:g}"
+            )
         names = [d.name for d in self.devices]
         if len(set(names)) != len(names):
             raise ValueError("device names must be unique")
@@ -90,9 +103,7 @@ class PowerFlowResult:
     mismatch: float
 
 
-def power_flow(
-    scenario: Scenario, tol: float = 1e-10, max_iter: int = 50
-) -> PowerFlowResult:
+def power_flow(scenario: Scenario) -> PowerFlowResult:
     """Newton-Raphson power flow in polar coordinates.
 
     Loads enter as constant-power draws (ZIP bases are rebased afterwards at
@@ -134,11 +145,11 @@ def power_flow(
         dq = s_calc.imag - q_spec
         f = np.concatenate([dp[pvpq], dq[pq]])
         mismatch = np.max(np.abs(f)) if f.size else 0.0
-        if mismatch < tol:
+        if mismatch < POWER_FLOW_TOL:
             break
-        if it >= max_iter:
+        if it >= POWER_FLOW_MAX_ITER:
             raise NonConvergence(
-                f"power flow: mismatch {mismatch:.3e} after {max_iter} iterations"
+                f"power flow: mismatch {mismatch:.3e} after {POWER_FLOW_MAX_ITER} iterations"
             )
         # Standard complex-matrix power-injection derivatives.
         ibus = y @ v
@@ -186,17 +197,6 @@ class DaeSystem:
             off += d.n_states
         self.n_states = off
         self.n_vars = off + 2 * self.n_bus
-        self.yblk = self._real_block(self.y)
-
-    @staticmethod
-    def _real_block(y: np.ndarray) -> np.ndarray:
-        n = y.shape[0]
-        blk = np.zeros((2 * n, 2 * n))
-        blk[0::2, 0::2] = y.real
-        blk[0::2, 1::2] = -y.imag
-        blk[1::2, 0::2] = y.imag
-        blk[1::2, 1::2] = y.real
-        return blk
 
     def derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty(self.n_states)
@@ -214,31 +214,31 @@ class DaeSystem:
     def network_residual(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.injections(x, v) - self.y @ v
 
+    def voltage_jacobian(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """∂(ı - Ȳv)/∂(Re v, Im v) at fixed states, with rows and columns
+        interleaved per bus as (Re, Im).  Each device contributes its
+        closed-form dı = a·dv̄ + b·dv̄* to the diagonal of its bus."""
+        a_bus = np.zeros(self.n_bus, dtype=complex)
+        b_bus = np.zeros(self.n_bus, dtype=complex)
+        for d, sl in zip(self.devices, self.slices):
+            a, b = d.voltage_sensitivity(x[sl], complex(v[d.bus]))
+            a_bus[d.bus] += a
+            b_bus[d.bus] += b
+        m = np.diag(a_bus) - self.y
+        jac = np.empty((2 * self.n_bus, 2 * self.n_bus))
+        jac[0::2, 0::2] = m.real + np.diag(b_bus.real)
+        jac[0::2, 1::2] = np.diag(b_bus.imag) - m.imag
+        jac[1::2, 0::2] = m.imag + np.diag(b_bus.imag)
+        jac[1::2, 1::2] = m.real - np.diag(b_bus.real)
+        return jac
+
     def voltage_rates(self, x: np.ndarray, v: np.ndarray, xdot: np.ndarray) -> np.ndarray:
         """Exact bus-voltage time derivatives by implicit differentiation of
-        the current balance: (Ȳ - dı/dv̄)·v̇ - (dı/dv̄*)·v̇* = Σ state-driven rates."""
-        a_diag = np.zeros(self.n_bus, dtype=complex)
-        b_diag = np.zeros(self.n_bus, dtype=complex)
+        the current balance ı(x, v) = Ȳv: J_v·v̇ = -Σ state-driven current rates."""
         c = np.zeros(self.n_bus, dtype=complex)
         for d, sl in zip(self.devices, self.slices):
-            vb = complex(v[d.bus])
-            a, b = d.voltage_sensitivity(x[sl], vb)
-            a_diag[d.bus] += a
-            b_diag[d.bus] += b
-            c[d.bus] += d.current_state_rate(x[sl], xdot[sl], vb)
-        a_sys = self.y - np.diag(a_diag)
-        if np.all(b_diag == 0.0):
-            return np.linalg.solve(a_sys, c)
-        b_sys = -np.diag(b_diag)
-        m = np.block(
-            [
-                [a_sys.real + b_sys.real, -(a_sys.imag - b_sys.imag)],
-                [a_sys.imag + b_sys.imag, a_sys.real - b_sys.real],
-            ]
-        )
-        rhs = np.concatenate([c.real, c.imag])
-        sol = np.linalg.solve(m, rhs)
-        return sol[: self.n_bus] + 1j * sol[self.n_bus :]
+            c[d.bus] += d.current_state_rate(x[sl], xdot[sl], complex(v[d.bus]))
+        return np.linalg.solve(self.voltage_jacobian(x, v), -c.view(float)).view(complex)
 
     def voltage_cf(self, v: np.ndarray, vdot: np.ndarray) -> np.ndarray:
         """Stationary-frame CF of every bus voltage, per unit."""
@@ -248,53 +248,31 @@ class DaeSystem:
 FD_STEP = 1e-7
 
 
-def _voltage_block(dev: Device, x_d: np.ndarray, vb: complex) -> np.ndarray:
-    """∂(Re ı, Im ı)/∂(Re v, Im v) at fixed states, from the closed-form
-    sensitivity dı = a·dv̄ + b·dv̄*: the columns are a + b and j(a - b)."""
-    a, b = dev.voltage_sensitivity(x_d, vb)
-    cols = (a + b, 1j * (a - b))
-    return np.array([[c.real for c in cols], [c.imag for c in cols]])
-
-
 def _device_fd_blocks(dev: Device, x_d: np.ndarray, vb: complex):
     """Forward-difference sensitivities of the state derivatives with respect
-    to (own states, terminal voltage components), and of the injected
-    current with respect to the own states."""
+    to the own states and to the terminal voltage components."""
     n = dev.n_states
     f0 = dev.derivatives(x_d, vb)
-    i0 = dev.injected_current(x_d, vb)
     df_dx = np.zeros((n, n))
-    di_dx = np.zeros(n, dtype=complex)
     for k in range(n):
         h = FD_STEP * (1.0 + abs(x_d[k]))
         xp = x_d.copy()
         xp[k] += h
         df_dx[:, k] = (dev.derivatives(xp, vb) - f0) / h
-        di_dx[k] = (dev.injected_current(xp, vb) - i0) / h
     h = FD_STEP * (1.0 + abs(vb))
     df_dv = np.zeros((n, 2))
     for k, dv in enumerate((h, 1j * h)):
         df_dv[:, k] = (dev.derivatives(x_d, vb + dv) - f0) / h
-    return df_dx, df_dv, di_dx
+    return df_dx, df_dv
 
 
 class TrapezoidalIntegrator:
     """Fixed-step implicit trapezoidal scheme with a lazily refreshed Newton
     matrix and step-halving recovery."""
 
-    def __init__(
-        self,
-        system: DaeSystem,
-        tol: float = 1e-8,
-        max_iter: int = 25,
-        refresh_iter: int = 8,
-        max_halvings: int = 4,
-    ):
+    def __init__(self, system: DaeSystem, tol: float = 1e-8):
         self.system = system
         self.tol = tol
-        self.max_iter = max_iter
-        self.refresh_iter = refresh_iter
-        self.max_halvings = max_halvings
         self._jinv: np.ndarray | None = None
         self._j_dt: float | None = None
         self.total_newton_iters = 0
@@ -334,17 +312,19 @@ class TrapezoidalIntegrator:
         x, v = self._unpack(z)
         a = np.zeros((sys.n_vars, sys.n_vars))
         a[:nx, :nx] = np.eye(nx)
+        a[nx:, nx:] = sys.voltage_jacobian(x, v)
         for dev, sl in zip(sys.devices, sys.slices):
+            if not dev.n_states:
+                continue
             vb = complex(v[dev.bus])
             u = nx + 2 * dev.bus
-            if dev.n_states:
-                df_dx, df_dv, di_dx = _device_fd_blocks(dev, x[sl], vb)
-                a[sl, sl] -= 0.5 * dt * df_dx
-                a[sl, u : u + 2] -= 0.5 * dt * df_dv
-                a[u, sl] += di_dx.real
-                a[u + 1, sl] += di_dx.imag
-            a[u : u + 2, u : u + 2] += _voltage_block(dev, x[sl], vb)
-        a[nx:, nx:] -= sys.yblk
+            df_dx, df_dv = _device_fd_blocks(dev, x[sl], vb)
+            a[sl, sl] -= 0.5 * dt * df_dx
+            a[sl, u : u + 2] -= 0.5 * dt * df_dv
+            # ∂ı/∂x: the current rate is linear in ẋ, so unit rates give the columns
+            di_dx = [dev.current_state_rate(x[sl], e_k, vb) for e_k in np.eye(dev.n_states)]
+            a[u, sl] = np.real(di_dx)
+            a[u + 1, sl] = np.imag(di_dx)
         return a
 
     def _refresh(self, z: np.ndarray, dt: float) -> None:
@@ -359,7 +339,7 @@ class TrapezoidalIntegrator:
         try:
             return self._newton_step(x, v, dt)
         except NewtonDivergence:
-            if _depth >= self.max_halvings:
+            if _depth >= MAX_HALVINGS:
                 raise
             self.invalidate_jacobian()
             x1, v1, n1 = self.step(x, v, 0.5 * dt, _depth + 1)
@@ -374,7 +354,7 @@ class TrapezoidalIntegrator:
         f_prev = sys.derivatives(x, v)
         z = self._pack(x, v)
         r0 = None
-        for it in range(self.max_iter):
+        for it in range(NEWTON_MAX_ITER):
             r = self._residual(z, x, f_prev, dt)
             if not np.all(np.isfinite(r)):
                 raise NewtonDivergence(f"non-finite residual at dt={dt:.3e}")
@@ -387,11 +367,11 @@ class TrapezoidalIntegrator:
                 r0 = norm
             elif norm > 1e3 * max(r0, 1.0):
                 raise NewtonDivergence(f"residual blew up to {norm:.3e} at dt={dt:.3e}")
-            if self._jinv is None or self._j_dt != dt or it == self.refresh_iter:
+            if self._jinv is None or self._j_dt != dt or it == NEWTON_REFRESH_ITER:
                 self._refresh(z, dt)
             z = z - self._jinv @ r
         raise NewtonDivergence(
-            f"no convergence in {self.max_iter} iterations at dt={dt:.3e}"
+            f"no convergence in {NEWTON_MAX_ITER} iterations at dt={dt:.3e}"
         )
 
     def solve_algebraic(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -399,19 +379,11 @@ class TrapezoidalIntegrator:
         after a discrete event)."""
         sys = self.system
         v = v.copy()
-        for it in range(50):
+        for _ in range(ALGEBRAIC_MAX_ITER):
             rn = sys.network_residual(x, v)
             if np.max(np.abs(rn)) < self.tol:
                 return v
-            a = -sys.yblk.copy()
-            for dev, sl in zip(sys.devices, sys.slices):
-                u = 2 * dev.bus
-                a[u : u + 2, u : u + 2] += _voltage_block(dev, x[sl], complex(v[dev.bus]))
-            rhs = np.empty(2 * sys.n_bus)
-            rhs[0::2] = rn.real
-            rhs[1::2] = rn.imag
-            du = np.linalg.solve(a, -rhs)
-            v = v + du[0::2] + 1j * du[1::2]
+            v = v + np.linalg.solve(sys.voltage_jacobian(x, v), -rn.view(float)).view(complex)
         raise NewtonDivergence("algebraic re-solve after event did not converge")
 
 
@@ -511,12 +483,15 @@ class Trajectory:
         return valid
 
 
-def run(scenario: Scenario, record_cf: bool = True) -> Trajectory:
+def run(scenario: Scenario) -> Trajectory:
     """Simulate the scenario and sample every step.
 
     Analytical CFs are evaluated from post-solve values, so samples that
-    coincide with an event carry the post-event state.
+    coincide with an event carry the post-event state.  Initialization and
+    events change device parameters, so the run works on a private copy and
+    leaves `scenario` as it was.
     """
+    scenario = copy.deepcopy(scenario)
     pf = power_flow(scenario)
     x, v, system = initialize(scenario, pf)
     dt = scenario.dt
@@ -538,9 +513,12 @@ def run(scenario: Scenario, record_cf: bool = True) -> Trajectory:
     states = {
         d.name: np.empty((n_steps + 1, d.n_states)) for d in scenario.devices if d.n_states
     }
-    cf_capable = [d for d in scenario.devices if d.has_analytic_cf] if record_cf else []
-    analytic_cf = {d.name: np.empty(n_steps + 1, dtype=complex) for d in cf_capable}
-    voltage_cf = np.empty((n_steps + 1 if record_cf else 0, system.n_bus), dtype=complex)
+    analytic_cf = {
+        d.name: np.empty(n_steps + 1, dtype=complex)
+        for d in scenario.devices
+        if d.has_analytic_cf
+    }
+    voltage_cf = np.empty((n_steps + 1, system.n_bus), dtype=complex)
     event_times: list[float] = []
     events_applied = 0
 
@@ -562,15 +540,14 @@ def run(scenario: Scenario, record_cf: bool = True) -> Trajectory:
             currents[k, idx] = d.injected_current(x[sl], complex(v[d.bus]))
             if d.n_states:
                 states[d.name][k] = x[sl]
-        if record_cf:
-            vdot = system.voltage_rates(x, v, xdot)
-            eta_v = system.voltage_cf(v, vdot)
-            voltage_cf[k] = eta_v
-            for d, sl in zip(scenario.devices, system.slices):
-                if d.has_analytic_cf:
-                    analytic_cf[d.name][k] = d.analytic_cf(
-                        x[sl], xdot[sl], complex(v[d.bus]), complex(eta_v[d.bus])
-                    )
+        vdot = system.voltage_rates(x, v, xdot)
+        eta_v = system.voltage_cf(v, vdot)
+        voltage_cf[k] = eta_v
+        for d, sl in zip(scenario.devices, system.slices):
+            if d.has_analytic_cf:
+                analytic_cf[d.name][k] = d.analytic_cf(
+                    x[sl], xdot[sl], complex(v[d.bus]), complex(eta_v[d.bus])
+                )
 
     if apply_events(0):
         v = integ.solve_algebraic(x, v)

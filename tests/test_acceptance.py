@@ -291,7 +291,7 @@ class TestCriterion7Properties:
         sc = load_scenario(bundled_scenario_path("ieee39"))
         sc.t_end = 2.0
         sc.tolerance = 1e-10
-        traj = run(sc, record_cf=False)
+        traj = run(sc)
         z = sc.network.impedance()
         worst = 0.0
         for pt in sc.analysis.observation_points:
@@ -318,7 +318,7 @@ class TestCriterion7Properties:
     def test_integrator_second_order(self):
         def endpoint(dt):
             sc = build_two_machine_scenario(0.3, 0.3, t_end=1.5, dt=dt)
-            traj = run(sc, record_cf=False)
+            traj = run(sc)
             return np.concatenate([traj.states["SM1"][-1], traj.states["SM2"][-1]])
 
         ref = endpoint(1e-4)

@@ -161,6 +161,38 @@ class TestClusterCommand:
         assert code == 1
         assert "--window" in capsys.readouterr().err
 
+    def test_window_past_horizon_exits_one(self, tmp_path, capsys, no_simulation):
+        scenario = str(bundled_scenario_path("twomachine"))
+        code = main(["--out", str(tmp_path / "o"), "--window", "5", "6", "cluster", scenario])
+        assert code == 1
+        assert "ends after t_end 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_file_window_past_horizon_exits_one(self, tmp_path, capsys, no_simulation):
+        doc = json.loads(bundled_scenario_path("twomachine").read_text())
+        doc["analysis"]["window"] = [1.5, 3.5]
+        path = tmp_path / "late_window.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--out", str(tmp_path / "o"), "cluster", str(path)]) == 1
+        assert "ends after t_end 3" in capsys.readouterr().err
+
+    def test_mixed_zip_load_clusters_on_estimator(self, tmp_path, capsys):
+        # a load mixing Z and P parts has no closed-form CF; it is clustered
+        # on the finite-difference estimate instead
+        doc = json.loads(bundled_scenario_path("twomachine").read_text())
+        doc["devices"][2].update(kz_p=0.5, kp_p=0.5)
+        doc["analysis"]["cluster_devices"] = ["SM1", "SM2", "LOAD"]
+        path = tmp_path / "mixed_load.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--t-end", "2", "cluster", str(path), "--k", "2"]) == 0
+        header = (out / "distance.csv").read_text().splitlines()[0]
+        assert header == "device,SM1,SM2,LOAD"
+        rows = (out / "partition.csv").read_text().strip().splitlines()[1:]
+        groups = dict(row.split(",") for row in rows)
+        # the identical machines stay together, the load on its own
+        assert groups["SM1"] == groups["SM2"] != groups["LOAD"]
+
 
 class TestClusterIeee39:
     def test_four_area_partition(self, tmp_path):
@@ -206,6 +238,30 @@ class TestSweepCommand:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "grid_args, flag",
+        [
+            (["--grid", "-1"], "--grid"),
+            (["--grid", "0"], "--grid"),
+            (["--alpha", "x,0.5", "--beta", "0.5"], "--alpha"),
+            (["--alpha", "0.5,", "--beta", "0.5"], "--alpha"),
+            (["--alpha", "", "--beta", "0.5"], "--alpha"),
+            (["--alpha", "nan", "--beta", "0.5"], "--alpha"),
+            (["--alpha", "0.5", "--beta", "0.5,inf"], "--beta"),
+            (["--alpha", "0.5"], "--alpha and --beta"),
+        ],
+    )
+    def test_bad_grid_exits_one(self, tmp_path, capsys, monkeypatch, grid_args, flag):
+        def fail(*args, **kwargs):
+            raise AssertionError("swept before checking the grid")
+
+        monkeypatch.setattr("cfcoherency.cli.alpha_beta_sweep", fail)
+        twomachine = str(bundled_scenario_path("twomachine"))
+        code = main(["--out", str(tmp_path / "o"), "sweep", twomachine] + grid_args)
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_wrong_template_rejected(self, small_scenario, tmp_path):
         code = main(["--out", str(tmp_path / "o"), "sweep", str(small_scenario)])

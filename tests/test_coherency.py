@@ -201,7 +201,7 @@ class TestComplexProportionality:
         # over the pulse transient of a perfectly coherent pair the squared
         # current magnitudes keep a fixed ratio
         sc = build_two_machine_scenario(0.3, 0.7, t_end=2.5)
-        traj = run(sc, record_cf=False)
+        traj = run(sc)
         i1 = np.abs(traj.device_current("SM1")) ** 2
         i2 = np.abs(traj.device_current("SM2")) ** 2
         ratio = i1 / i2
@@ -209,7 +209,7 @@ class TestComplexProportionality:
 
     def test_coherent_pair_power_ratio_constant_and_real(self):
         sc = build_two_machine_scenario(0.4, 0.6, t_end=2.5)
-        traj = run(sc, record_cf=False)
+        traj = run(sc)
         bus = traj.device_buses[0]
         v = traj.voltages[:, bus]
         s1 = v * np.conj(traj.device_current("SM1"))
@@ -240,6 +240,8 @@ class TestAlphaBetaSweep:
             alpha_beta_sweep([0.0, 0.5], [0.5])
         with pytest.raises(ValueError):
             alpha_beta_sweep([0.5], [1.0])
+        with pytest.raises(ValueError):
+            alpha_beta_sweep([float("nan")], [0.5])
 
     def test_failed_cells_marked_not_fatal(self, monkeypatch):
         import cfcoherency.coherency as coh
@@ -269,7 +271,7 @@ class TestDeviceCfHelpers:
 
     def test_default_window_follows_last_event(self):
         sc = mixed_scenario(t_end=2.0)
-        traj = run(sc, record_cf=False)
+        traj = run(sc)
         w = default_window(traj)
         assert w[0] == pytest.approx(1.01 + 5 * traj.dt)
         assert w[1] == pytest.approx(2.0)

@@ -119,6 +119,15 @@ class TestParse:
             parse_scenario(doc)
         assert "$.analysis.window" in str(err.value)
 
+    def test_window_must_end_within_horizon(self):
+        doc = minimal_doc()
+        doc["analysis"]["window"] = [1.0, 2.0]
+        assert parse_scenario(doc).analysis.window == (1.0, 2.0)
+        doc["analysis"]["window"] = [1.0, 2.5]
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(doc)
+        assert "analysis window [1, 2.5] ends after t_end 2" in str(err.value)
+
     def test_repeated_cluster_device_rejected(self):
         doc = minimal_doc()
         doc["analysis"]["cluster_devices"] = ["G1", "G1"]

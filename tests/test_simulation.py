@@ -6,7 +6,14 @@ import pytest
 from cfcoherency import Branch, Bus, Event, Network, Scenario, SynchronousMachine, ZipLoad
 from cfcoherency.coherency import build_two_machine_scenario
 from cfcoherency.errors import NewtonDivergence
-from cfcoherency.simulation import DaeSystem, TrapezoidalIntegrator, initialize, run
+from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
+from cfcoherency.simulation import (
+    DaeSystem,
+    TrapezoidalIntegrator,
+    _apply_event,
+    initialize,
+    run,
+)
 from tests.conftest import OMEGA_B, mixed_scenario, two_bus_scenario
 
 
@@ -78,7 +85,7 @@ class TestRun:
     def test_equilibrium_holds_ten_seconds(self):
         sc = build_two_machine_scenario(0.35, 0.55, t_end=10.0)
         sc.events.clear()
-        traj = run(sc, record_cf=False)
+        traj = run(sc)
         for name, arr in traj.states.items():
             assert np.max(np.abs(arr - arr[0])) < 1e-7, name
 
@@ -87,7 +94,7 @@ class TestRun:
         # final device parameters reproduce every accepted sample
         sc = mixed_scenario(t_end=1.5)
         traj = run(sc)
-        system = DaeSystem(sc.network, sc.devices, sc.omega_base)
+        _, _, system = initialize(sc)
         for k in range(0, traj.times.size, 100):
             if 0.999 <= traj.times[k] <= 1.011:
                 continue
@@ -101,7 +108,7 @@ class TestRun:
         # halving the step shrinks the endpoint error by about four
         def endpoint(dt):
             sc = build_two_machine_scenario(0.3, 0.3, t_end=1.5, dt=dt)
-            traj = run(sc, record_cf=False)
+            traj = run(sc)
             return np.concatenate([traj.states["SM1"][-1], traj.states["SM2"][-1]])
 
         ref = endpoint(1e-4)
@@ -113,7 +120,7 @@ class TestRun:
         # pulse applied and exactly inverted: damped system relaxes back
         # towards the pre-event equilibrium
         sc = mixed_scenario(t_end=10.0)
-        traj = run(sc, record_cf=False)
+        traj = run(sc)
         sm = traj.states["SM"]
         moved = np.max(np.abs(sm[:, 1] - 1.0))
         assert moved > 1e-5  # the pulse genuinely disturbed the machine
@@ -157,10 +164,11 @@ class TestRun:
         sc = two_bus_scenario(load_p=2.06, load_q=0.276)
         sc.t_end = 0.2
         sc.events = [Event(0.1, "load_disconnect_mw", bus=1, amount=100.0)]
+        assert run(sc).events_applied == 1
+        initialize(sc)
         load = sc.devices[1]
         q_ratio_before = load.q0 / load.p0
-        traj = run(sc)
-        assert traj.events_applied == 1
+        _apply_event(sc, sc.events[0])
         factor = 1.0 - 1.0 / 2.06
         assert load.nominal_p == pytest.approx(2.06 * factor, rel=1e-12)
         assert load.q0 / load.p0 == pytest.approx(q_ratio_before, rel=1e-12)
@@ -169,9 +177,22 @@ class TestRun:
         sc = two_bus_scenario(load_p=0.4)
         sc.t_end = 0.3
         sc.events = [Event(0.1, "set_parameter", device="SM", param="p_m", value=0.41)]
-        traj = run(sc, record_cf=False)
+        traj = run(sc)
         # extra mechanical power accelerates the machine
         assert traj.states["SM"][-1, 1] > 1.0 + 1e-6
+
+    def test_rerun_is_identical(self):
+        # events and initialization change device parameters; none of that
+        # may leak from one run of a scenario into the next
+        sc = load_scenario(bundled_scenario_path("ieee39"))
+        sc.t_end = 1.5
+        first, second = run(sc), run(sc)
+        assert first.events_applied == second.events_applied == 1
+        assert np.array_equal(first.voltages, second.voltages)
+        assert np.array_equal(first.currents, second.currents)
+        assert first.analytic_cf.keys() == second.analytic_cf.keys()
+        for name, cf in first.analytic_cf.items():
+            assert np.array_equal(cf, second.analytic_cf[name]), name
 
     def test_divergence_is_reported(self):
         # a constant-power load stepped far beyond the line's transfer limit
@@ -180,7 +201,7 @@ class TestRun:
         sc.t_end = 0.2
         sc.events = [Event(0.1, "load_scale", bus=1, factor=400.0)]
         with pytest.raises(NewtonDivergence):
-            run(sc, record_cf=False)
+            run(sc)
 
 
 class TestVoltageRates:
@@ -189,7 +210,7 @@ class TestVoltageRates:
         # finite differences of the simulated voltages on smooth segments
         sc = mixed_scenario(t_end=2.0)
         traj = run(sc)
-        system = DaeSystem(sc.network, sc.devices, sc.omega_base)
+        _, _, system = initialize(sc)
         k = traj.sample_index(1.5)
         xk = np.concatenate(
             [traj.states[d.name][k] if d.n_states else np.empty(0) for d in sc.devices]
@@ -198,3 +219,53 @@ class TestVoltageRates:
         vdot = system.voltage_rates(xk, traj.voltages[k], xdot)
         fd = (traj.voltages[k + 1] - traj.voltages[k - 1]) / (2 * traj.dt)
         assert np.max(np.abs(vdot - fd)) < 5e-4 * max(1.0, np.max(np.abs(fd)))
+
+
+def _off_equilibrium():
+    """The mixed grid moved off its operating point, so that every
+    sensitivity is generic; the S-load gives a nonzero conjugate part b."""
+    sc = mixed_scenario(with_pulse=False)
+    x0, v0, system = initialize(sc)
+    rng = np.random.default_rng(7)
+    x = x0 + 0.01 * rng.standard_normal(x0.size)
+    v = v0 * (1.0 + 0.02 * (rng.standard_normal(v0.size) + 1j * rng.standard_normal(v0.size)))
+    return sc, system, x, v
+
+
+class TestSensitivities:
+    H = 1e-6
+
+    def test_voltage_jacobian_matches_finite_differences(self):
+        sc, system, x, v = _off_equilibrium()
+        sl = sc.device("SL")
+        assert abs(sl.voltage_sensitivity(np.empty(0), complex(v[sl.bus]))[1]) > 0.1
+        jac = system.voltage_jacobian(x, v)
+        fd = np.empty_like(jac)
+        for col in range(2 * system.n_bus):
+            dv = np.zeros(system.n_bus, dtype=complex)
+            dv[col // 2] = self.H if col % 2 == 0 else 1j * self.H
+            diff = system.network_residual(x, v + dv) - system.network_residual(x, v - dv)
+            fd[0::2, col] = diff.real / (2 * self.H)
+            fd[1::2, col] = diff.imag / (2 * self.H)
+        assert np.max(np.abs(jac - fd)) < 1e-7 * np.max(np.abs(jac))
+
+    def test_state_columns_match_finite_differences(self):
+        # ∂ı/∂x_k is the current rate at the unit state rate e_k, both per
+        # device and in the network rows of the Newton matrix
+        sc, system, x, v = _off_equilibrium()
+        integ = TrapezoidalIntegrator(system)
+        newton = integ._jacobian(integ._pack(x, v), 1e-3)
+        nx = system.n_states
+        for dev, sl in zip(sc.devices, system.slices):
+            vb = complex(v[dev.bus])
+            for k in range(dev.n_states):
+                dx = np.zeros(dev.n_states)
+                dx[k] = self.H
+                fd = (
+                    dev.injected_current(x[sl] + dx, vb) - dev.injected_current(x[sl] - dx, vb)
+                ) / (2 * self.H)
+                exact = dev.current_state_rate(x[sl], np.eye(dev.n_states)[k], vb)
+                assert abs(exact - fd) < 1e-7 * max(1.0, abs(fd)), (dev.name, k)
+                col = newton[nx + 2 * dev.bus : nx + 2 * dev.bus + 2, sl.start + k]
+                assert np.array_equal(col, [exact.real, exact.imag]), (dev.name, k)
+        assert np.array_equal(newton[nx:, nx:], system.voltage_jacobian(x, v))
