@@ -101,7 +101,7 @@ def _cmd_run(args) -> int:
     n_steps = traj.times.size - 1
     print(
         f"run: {n_steps} steps, {traj.newton_iters} Newton iterations, "
-        f"{traj.events_applied} event(s) applied"
+        f"{traj.halvings} step halving(s), {traj.events_applied} event(s) applied"
     )
     print(f"wrote {out / 'trajectory.csv'} and {out / 'cf.csv'}")
     return EXIT_OK
@@ -182,6 +182,8 @@ def _cmd_sweep(args) -> int:
     if sm_count != 2 or scenario.network.n_bus != 1:
         raise SchemaError("$", "sweep needs the single-bus two-machine template scenario")
     alphas, betas = _parse_grid(args)
+    if args.workers < 1:
+        raise SchemaError("--workers", f"need at least 1 worker, got {args.workers}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = alpha_beta_sweep(

@@ -10,11 +10,18 @@ Conventions shared by every model:
 Each device exposes the same small surface the integrator relies on:
 `derivatives`, `injected_current`, the analytic current sensitivities used to
 recover exact voltage rates, and `analytic_cf`.
+
+The equations of each kind are written once, in an `_*Equations` mixin, and
+broadcast over devices.  A `Device` evaluates them with float parameters and
+states of shape (n_states,); the kind's `DeviceBlock` evaluates the same code
+with parameter arrays, states of shape (n, n_states) and one terminal voltage
+per device, so the simulator makes one numpy call per kind.
 """
 
 from __future__ import annotations
 
 import cmath
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +31,19 @@ from .primitives import MAGNITUDE_GUARD
 ZIP_FRACTION_TOL = 1e-12
 
 
-def _require_magnitude(value: float, what: str) -> None:
-    if value <= MAGNITUDE_GUARD:
-        raise MagnitudeUnderflow(f"|{what}| = {value:.3e} at or below guard")
+def _require_magnitude(value, what: str, owner) -> None:
+    """Raise for the first of `owner.names` whose |what| is at or below the guard."""
+    low = value <= MAGNITUDE_GUARD
+    if low.any():
+        k = int(np.argmax(low))
+        raise MagnitudeUnderflow(
+            f"|{what}({owner.names[k]})| = {np.atleast_1d(value)[k]:.3e} at or below guard"
+        )
+
+
+def _columns(*cols) -> np.ndarray:
+    """Stack per-device values along a new last axis, the state index."""
+    return np.array(cols).T
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +57,8 @@ def sm_current_cf(s, i_mag, xd_prime, omega_r, eta_v):
     `omega_r` the rotor speed in pu and `eta_v` the stationary-frame CF of
     the terminal voltage.  Broadcasts over numpy arrays.
     """
-    return s / (1j * xd_prime * i_mag**2) * (1j * omega_r - eta_v) + 1j * omega_r
+    j_omega = 1j * omega_r
+    return s / (1j * xd_prime * i_mag**2) * (j_omega - eta_v) + j_omega
 
 
 def ibr_current_cf(s, i_mag, z_f, y_f, eta_e, eta_v):
@@ -65,6 +83,38 @@ def s_load_cf(eta_v):
 
 
 # ---------------------------------------------------------------------------
+# Blocks: the devices of one kind, evaluated together
+# ---------------------------------------------------------------------------
+
+class DeviceBlock:
+    """The devices of one kind, evaluated with one numpy call per method.
+
+    `load_parameters` copies the attributes named in `params` from the
+    devices into arrays; it has to run again after anything changes a device
+    parameter.  `states` is the block's range of the system state vector,
+    which holds the devices' states one after another.  A block whose
+    `voltage_dependent` is False has a `voltage_sensitivity` that depends on
+    its parameters only.
+    """
+
+    params: tuple[str, ...] = ()
+    voltage_dependent = False
+
+    def __init__(self, devices: list[Device], start: int):
+        self.devices = list(devices)
+        self.names = [d.name for d in self.devices]
+        self.n = len(self.devices)
+        self.n_states = self.devices[0].n_states
+        self.bus = np.array([d.bus for d in self.devices], dtype=int)
+        self.states = slice(start, start + self.n * self.n_states)
+        self.load_parameters()
+
+    def load_parameters(self) -> None:
+        for name in self.params:
+            setattr(self, name, np.array([getattr(d, name) for d in self.devices]))
+
+
+# ---------------------------------------------------------------------------
 # Device models
 # ---------------------------------------------------------------------------
 
@@ -77,10 +127,15 @@ class Device:
     has_analytic_cf: bool = True
     is_load: bool = False
     settable_params: tuple[str, ...] = ()
+    block: type[DeviceBlock]  # evaluates all devices of this kind at once
 
     def __init__(self, name: str, bus: int):
         self.name = name
         self.bus = bus
+
+    @property
+    def names(self) -> list[str]:
+        return [self.name]
 
     def initial_state(self, v: complex, s: complex) -> np.ndarray:
         """Back-solve internal states and setpoints from the power-flow
@@ -117,7 +172,46 @@ class Device:
         return f"{type(self).__name__}(name={self.name!r}, bus={self.bus})"
 
 
-class SynchronousMachine(Device):
+class _SmEquations:
+    """Equations of `SynchronousMachine`, shared with `SmBlock`."""
+
+    def emf(self, x):
+        return self.e_field * np.exp(1j * x[..., 0])
+
+    def injected_current(self, x, v):
+        return (self.emf(x) - v) * (-1j / self.xd_prime)  # ÷ j·x'_d
+
+    def electrical_power(self, x, v):
+        e_vec = self.emf(x)
+        i = (e_vec - v) * (-1j / self.xd_prime)
+        return (e_vec * np.conj(i)).real
+
+    def derivatives(self, x, v):
+        slip = x[..., 1] - 1.0
+        p_e = self.electrical_power(x, v)
+        d_omega = (self.p_m - p_e - self.damping * slip) / self.inertia
+        return _columns(self.omega_base * slip, d_omega)
+
+    def voltage_sensitivity(self, x, v):
+        a = 1j / self.xd_prime
+        return a, 0.0 * a
+
+    def current_state_rate(self, x, xdot, v):
+        # dĒ/dt = j·δ̇·Ē
+        return 1j * xdot[..., 0] * self.emf(x) * (-1j / self.xd_prime)
+
+    def analytic_cf(self, x, xdot, v, eta_v):
+        i = self.injected_current(x, v)
+        i_mag = np.abs(i)
+        _require_magnitude(i_mag, "i", self)
+        return sm_current_cf(v * np.conj(i), i_mag, self.xd_prime, x[..., 1], eta_v)
+
+
+class SmBlock(_SmEquations, DeviceBlock):
+    params = ("e_field", "xd_prime", "p_m", "damping", "inertia", "omega_base")
+
+
+class SynchronousMachine(_SmEquations, Device):
     """Lossless classical model: constant EMF magnitude behind x'_d, swing
     dynamics in (rotor angle, speed)."""
 
@@ -125,6 +219,7 @@ class SynchronousMachine(Device):
     state_names = ("delta", "omega")
     kind = "sm"
     settable_params = ("p_m", "damping")
+    block = SmBlock
 
     def __init__(
         self,
@@ -162,39 +257,80 @@ class SynchronousMachine(Device):
         self.p_m = p_e
         return np.array([delta, 1.0])
 
-    def emf(self, x: np.ndarray) -> complex:
-        return self.e_field * cmath.exp(1j * x[0])
 
-    def injected_current(self, x: np.ndarray, v: complex) -> complex:
-        return (self.emf(x) - v) * (-1j / self.xd_prime)  # ÷ j·x'_d
+class ZipParts(NamedTuple):
+    """What the ZIP equations derive from the base powers and fractions."""
 
-    def electrical_power(self, x: np.ndarray, v: complex) -> float:
-        e_vec = self.emf(x)
-        i = (e_vec - v) * (-1j / self.xd_prime)
-        return (e_vec * i.conjugate()).real
+    sz: complex  # conjugate base power p - jq of the Z part
+    si: complex  # ... of the I part
+    sp: complex  # ... of the P part
+    voltage_dependent: bool  # some I or P part is drawn
+    pure_z: bool
+    pure_p: bool
 
-    def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
-        p_e = self.electrical_power(x, v)
-        d_delta = self.omega_base * (x[1] - 1.0)
-        d_omega = (self.p_m - p_e - self.damping * (x[1] - 1.0)) / self.inertia
-        return np.array([d_delta, d_omega])
+
+class _ZipEquations:
+    """Equations of `ZipLoad`, shared with `ZipBlock`."""
+
+    def zip_parts(self) -> ZipParts:
+        no_p, no_q = self.p0 == 0.0, self.q0 == 0.0
+        si = self.p0 * self.ki_p - 1j * (self.q0 * self.ki_q)
+        sp = self.p0 * self.kp_p - 1j * (self.q0 * self.kp_q)
+        return ZipParts(
+            sz=self.p0 * self.kz_p - 1j * (self.q0 * self.kz_q),
+            si=si,
+            sp=sp,
+            voltage_dependent=bool(np.any(si != 0.0) or np.any(sp != 0.0)),
+            pure_z=(no_p | (self.kz_p == 1.0)) & (no_q | (self.kz_q == 1.0)),
+            pure_p=(no_p | (self.kp_p == 1.0)) & (no_q | (self.kp_q == 1.0)),
+        )
+
+    def drawn_power(self, v_mag):
+        p = self.p0 * (self.kp_p + self.ki_p * v_mag + self.kz_p * v_mag**2)
+        q = self.q0 * (self.kp_q + self.ki_q * v_mag + self.kz_q * v_mag**2)
+        return p, q
+
+    def injected_current(self, x, v):
+        # Split per component: the Z term never divides by the voltage.
+        parts = self.parts
+        i = -parts.sz * v
+        if parts.voltage_dependent:
+            v_mag = np.abs(v)
+            _require_magnitude(v_mag, "v", self)
+            i = i - parts.si * v / v_mag - parts.sp / np.conj(v)
+        return i
 
     def voltage_sensitivity(self, x, v):
-        return 1j / self.xd_prime, 0.0 + 0.0j
-
-    def current_state_rate(self, x, xdot, v):
-        # dĒ/dt = j·δ̇·Ē
-        return 1j * xdot[0] * self.emf(x) * (-1j / self.xd_prime)
+        v_mag = np.abs(v)
+        p, q = self.drawn_power(v_mag)
+        _require_magnitude(v_mag, "v", self)
+        dp = self.p0 * (self.ki_p + 2.0 * self.kz_p * v_mag)
+        dq = self.q0 * (self.ki_q + 2.0 * self.kz_q * v_mag)
+        g = dp - 1j * dq
+        vc = np.conj(v)
+        a = -g / (2.0 * v_mag)
+        b = -g * v / (2.0 * v_mag * vc) + (p - 1j * q) / vc**2
+        return a, b
 
     def analytic_cf(self, x, xdot, v, eta_v):
-        i = self.injected_current(x, v)
-        i_mag = abs(i)
-        _require_magnitude(i_mag, f"i({self.name})")
-        s = v * i.conjugate()
-        return sm_current_cf(s, i_mag, self.xd_prime, x[1], eta_v)
+        """Closed form of pure Z and pure P loads; NaN for mixed loads."""
+        parts = self.parts
+        return np.where(
+            parts.pure_z, z_load_cf(eta_v), np.where(parts.pure_p, s_load_cf(eta_v), np.nan)
+        )
 
 
-class ZipLoad(Device):
+class ZipBlock(_ZipEquations, DeviceBlock):
+    params = ("p0", "q0", "kz_p", "ki_p", "kp_p", "kz_q", "ki_q", "kp_q")
+
+    def load_parameters(self) -> None:
+        super().load_parameters()
+        # derived once per parameter change instead of at every call
+        self.parts = self.zip_parts()
+        self.voltage_dependent = self.parts.voltage_dependent
+
+
+class ZipLoad(_ZipEquations, Device):
     """Static ZIP load: constant-impedance / constant-current / constant-power
     fractions of the base powers, as polynomials in the voltage magnitude."""
 
@@ -202,6 +338,7 @@ class ZipLoad(Device):
     kind = "zip"
     is_load = True
     settable_params = ("p0", "q0")
+    block = ZipBlock
 
     def __init__(
         self,
@@ -230,21 +367,13 @@ class ZipLoad(Device):
         self.kz_q, self.ki_q, self.kp_q = kz_q, ki_q, kp_q
 
     @property
-    def is_pure_impedance(self) -> bool:
-        return (self.p0 == 0.0 or self.kz_p == 1.0) and (self.q0 == 0.0 or self.kz_q == 1.0)
-
-    @property
-    def is_pure_power(self) -> bool:
-        return (self.p0 == 0.0 or self.kp_p == 1.0) and (self.q0 == 0.0 or self.kp_q == 1.0)
+    def parts(self) -> ZipParts:
+        return self.zip_parts()
 
     @property
     def has_analytic_cf(self) -> bool:  # type: ignore[override]
-        return self.is_pure_impedance or self.is_pure_power
-
-    def drawn_power(self, v_mag: float) -> tuple[float, float]:
-        p = self.p0 * (self.kp_p + self.ki_p * v_mag + self.kz_p * v_mag**2)
-        q = self.q0 * (self.kp_q + self.ki_q * v_mag + self.kz_q * v_mag**2)
-        return p, q
+        parts = self.parts
+        return bool(parts.pure_z or parts.pure_p)
 
     def rebase(self, v_mag: float) -> None:
         """Rescale the base powers so the drawn power at `v_mag` equals the
@@ -264,39 +393,12 @@ class ZipLoad(Device):
         self.rebase(abs(v))
         return np.empty(0)
 
-    def injected_current(self, x: np.ndarray, v: complex) -> complex:
-        # Split per component: the Z term never divides by the voltage.
-        sz = complex(self.p0 * self.kz_p, -self.q0 * self.kz_q)
-        i = -sz * v
-        si = complex(self.p0 * self.ki_p, -self.q0 * self.ki_q)
-        sp = complex(self.p0 * self.kp_p, -self.q0 * self.kp_q)
-        if si != 0.0 or sp != 0.0:
-            v_mag = abs(v)
-            _require_magnitude(v_mag, f"v({self.name})")
-            i -= si * v / v_mag
-            i -= sp / v.conjugate()
-        return i
-
-    def voltage_sensitivity(self, x, v):
-        v_mag = abs(v)
-        p, q = self.drawn_power(v_mag)
-        _require_magnitude(v_mag, f"v({self.name})")
-        dp = self.p0 * (self.ki_p + 2.0 * self.kz_p * v_mag)
-        dq = self.q0 * (self.ki_q + 2.0 * self.kz_q * v_mag)
-        g = complex(dp, -dq)
-        vc = v.conjugate()
-        a = -g / (2.0 * v_mag)
-        b = -g * v / (2.0 * v_mag * vc) + complex(p, -q) / vc**2
-        return a, b
-
     def analytic_cf(self, x, xdot, v, eta_v):
-        if self.is_pure_impedance:
-            return z_load_cf(eta_v)
-        if self.is_pure_power:
-            return s_load_cf(eta_v)
-        raise NotAnalytical(
-            f"load {self.name!r} mixes ZIP components; use the numerical estimator"
-        )
+        if not self.has_analytic_cf:
+            raise NotAnalytical(
+                f"load {self.name!r} mixes ZIP components; use the numerical estimator"
+            )
+        return complex(super().analytic_cf(x, xdot, v, eta_v))
 
 
 class IbrFilter:
@@ -312,8 +414,25 @@ class IbrFilter:
         self.through = 1.0 + self.z_f * self.y_f
 
 
+class _ConverterEquations:
+    """Shared filter algebra of both converter types."""
+
+    def injected_current(self, x, v):
+        return (self.internal_voltage(x) - self.through * v) / self.z_f
+
+    def voltage_sensitivity(self, x, v):
+        a = -self.through / self.z_f
+        return a, 0.0 * a
+
+    def _cf_from_internal(self, x, v, eta_v, eta_e):
+        i = self.injected_current(x, v)
+        i_mag = np.abs(i)
+        _require_magnitude(i_mag, "i", self)
+        return ibr_current_cf(v * np.conj(i), i_mag, self.z_f, self.y_f, eta_e, eta_v)
+
+
 class _ConverterBase(Device):
-    """Shared filter algebra for both converter types."""
+    """Scalar converter: the filter parameters read through to `filter`."""
 
     def __init__(self, name: str, bus: int, filter: IbrFilter, omega_base: float, p: float):
         super().__init__(name, bus)
@@ -321,26 +440,79 @@ class _ConverterBase(Device):
         self.omega_base = omega_base
         self.p = p
 
-    def internal_voltage(self, x: np.ndarray) -> complex:
-        raise NotImplementedError
-
-    def injected_current(self, x: np.ndarray, v: complex) -> complex:
-        f = self.filter
-        return (self.internal_voltage(x) - f.through * v) / f.z_f
-
-    def voltage_sensitivity(self, x, v):
-        f = self.filter
-        return -f.through / f.z_f, 0.0 + 0.0j
-
-    def _cf_from_internal(self, x, xdot, v, eta_v, eta_e):
-        i = self.injected_current(x, v)
-        i_mag = abs(i)
-        _require_magnitude(i_mag, f"i({self.name})")
-        s = v * i.conjugate()
-        return ibr_current_cf(s, i_mag, self.filter.z_f, self.filter.y_f, eta_e, eta_v)
+    z_f = property(lambda self: self.filter.z_f)
+    y_f = property(lambda self: self.filter.y_f)
+    v_dc = property(lambda self: self.filter.v_dc)
+    through = property(lambda self: self.filter.through)
 
 
-class GridFollowingConverter(_ConverterBase):
+_FILTER_PARAMS = ("z_f", "y_f", "v_dc", "through", "omega_base")
+
+
+class _GflEquations(_ConverterEquations):
+    """Equations of `GridFollowingConverter`, shared with `GflBlock`."""
+
+    def modulation(self, x):
+        err = self.i_ref - (x[..., 2] + 1j * x[..., 3])
+        return (x[..., 0] + 1j * x[..., 1]) + self.kp_current * err
+
+    def modulation_rate(self, xdot):
+        return (xdot[..., 0] + 1j * xdot[..., 1]) - self.kp_current * (
+            xdot[..., 2] + 1j * xdot[..., 3]
+        )
+
+    def internal_voltage(self, x):
+        return self.modulation(x) * self.v_dc * np.exp(1j * x[..., 5])
+
+    def derivatives(self, x, v):
+        rot = np.exp(-1j * x[..., 5])
+        i_dq = self.injected_current(x, v) * rot
+        v_q = (v * rot).imag
+        i_m = x[..., 2] + 1j * x[..., 3]
+        d_pi = self.ki_current * (self.i_ref - i_m)
+        d_im = (i_dq - i_m) / self.t_measure
+        d_omega_pll = self.kp_pll * v_q + x[..., 4]
+        return _columns(
+            d_pi.real,
+            d_pi.imag,
+            d_im.real,
+            d_im.imag,
+            self.ki_pll * v_q,
+            self.omega_base * d_omega_pll,
+        )
+
+    def current_state_rate(self, x, xdot, v):
+        e_vec = self.internal_voltage(x)
+        e_dot = (self.modulation_rate(xdot) / self.modulation(x) + 1j * xdot[..., 5]) * e_vec
+        return e_dot / self.z_f
+
+    def internal_cf(self, x, xdot, v):
+        """Stationary-frame CF of the modulated internal voltage: radial part
+        from the modulation magnitude, rotational part from the dq angle rate
+        plus the PLL frequency estimate."""
+        m_dq = self.modulation(x)
+        _require_magnitude(np.abs(m_dq), "m", self)
+        log_rate = self.modulation_rate(xdot) / m_dq  # ṁ/m + j·α̇, 1/s
+        v_q = (v * np.exp(-1j * x[..., 5])).imag
+        omega_est = self.kp_pll * v_q + x[..., 4] + self.omega_ref
+        return log_rate / self.omega_base + 1j * omega_est
+
+    def analytic_cf(self, x, xdot, v, eta_v):
+        return self._cf_from_internal(x, v, eta_v, self.internal_cf(x, xdot, v))
+
+
+class GflBlock(_GflEquations, DeviceBlock):
+    params = _FILTER_PARAMS + (
+        "kp_current", "ki_current", "t_measure", "kp_pll", "ki_pll", "omega_ref",
+        "iref_d", "iref_q",
+    )
+
+    def load_parameters(self) -> None:
+        super().load_parameters()
+        self.i_ref = self.iref_d + 1j * self.iref_q  # derived once per parameter change
+
+
+class GridFollowingConverter(_GflEquations, _ConverterBase):
     """PLL-synchronized current source: PI control of the measured dq current
     against fixed references, modulation applied to the fixed DC voltage."""
 
@@ -348,6 +520,7 @@ class GridFollowingConverter(_ConverterBase):
     state_names = ("pi_d", "pi_q", "im_d", "im_q", "x_pll", "theta")
     kind = "gfl"
     settable_params = ("iref_d", "iref_q")
+    block = GflBlock
 
     def __init__(
         self,
@@ -392,63 +565,49 @@ class GridFollowingConverter(_ConverterBase):
         self.iref_d, self.iref_q = i_dq.real, i_dq.imag
         return np.array([m_dq.real, m_dq.imag, i_dq.real, i_dq.imag, 0.0, theta])
 
-    def modulation(self, x: np.ndarray) -> complex:
-        err = self.i_ref - complex(x[2], x[3])
-        return complex(x[0], x[1]) + self.kp_current * err
 
-    def internal_voltage(self, x: np.ndarray) -> complex:
-        return self.modulation(x) * self.filter.v_dc * cmath.exp(1j * x[5])
+class _GfmEquations(_ConverterEquations):
+    """Equations of `GridFormingConverter`, shared with `GfmBlock`."""
 
-    def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
-        theta = x[5]
-        rot = cmath.exp(-1j * theta)
-        i_net = self.injected_current(x, v)
-        i_dq = i_net * rot
-        v_q = (v * rot).imag
-        i_m = complex(x[2], x[3])
-        err = self.i_ref - i_m
-        d_pi = self.ki_current * err
-        d_im = (i_dq - i_m) / self.t_measure
-        d_omega_pll = self.kp_pll * v_q + x[4]
-        return np.array(
-            [
-                d_pi.real,
-                d_pi.imag,
-                d_im.real,
-                d_im.imag,
-                self.ki_pll * v_q,
-                self.omega_base * d_omega_pll,
-            ]
+    def internal_voltage(self, x):
+        return x[..., 0] * np.exp(1j * x[..., 1])
+
+    def droop_frequency(self, x):
+        return self.droop * (self.p_ref - x[..., 3]) + 1.0
+
+    def derivatives(self, x, v):
+        v_mag = np.abs(v)
+        p_out = (v * np.conj(self.injected_current(x, v))).real
+        omega = self.droop_frequency(x)
+        d_e = self.ki_voltage * (self.v_ref - x[..., 2]) - self.kp_voltage / self.t_voltage * (
+            x[..., 2] - v_mag
+        )
+        return _columns(
+            d_e,
+            self.omega_base * (omega - 1.0),
+            (v_mag - x[..., 2]) / self.t_voltage,
+            (p_out - x[..., 3]) / self.t_power,
         )
 
     def current_state_rate(self, x, xdot, v):
-        e_vec = self.internal_voltage(x)
-        m_dq = self.modulation(x)
-        m_dot = complex(xdot[0], xdot[1]) - self.kp_current * complex(xdot[2], xdot[3])
-        e_dot = (m_dot / m_dq + 1j * xdot[5]) * e_vec
-        return e_dot / self.filter.z_f
+        e_dot = (xdot[..., 0] / x[..., 0] + 1j * xdot[..., 1]) * self.internal_voltage(x)
+        return e_dot / self.z_f
 
-    def internal_cf(self, x: np.ndarray, xdot: np.ndarray, v: complex) -> complex:
-        """Stationary-frame CF of the modulated internal voltage: radial part
-        from the modulation magnitude, rotational part from the dq angle rate
-        plus the PLL frequency estimate."""
-        m_dq = self.modulation(x)
-        _require_magnitude(abs(m_dq), f"m({self.name})")
-        m_dot = complex(xdot[0], xdot[1]) - self.kp_current * complex(xdot[2], xdot[3])
-        log_rate = m_dot / m_dq  # ṁ/m + j·α̇, 1/s
-        rot = cmath.exp(-1j * x[5])
-        v_q = (v * rot).imag
-        omega_est = self.kp_pll * v_q + x[4] + self.omega_ref
-        return complex(
-            log_rate.real / self.omega_base,
-            log_rate.imag / self.omega_base + omega_est,
-        )
+    def internal_cf(self, x, xdot):
+        _require_magnitude(x[..., 0], "e", self)
+        return xdot[..., 0] / (x[..., 0] * self.omega_base) + 1j * self.droop_frequency(x)
 
     def analytic_cf(self, x, xdot, v, eta_v):
-        return self._cf_from_internal(x, xdot, v, eta_v, self.internal_cf(x, xdot, v))
+        return self._cf_from_internal(x, v, eta_v, self.internal_cf(x, xdot))
 
 
-class GridFormingConverter(_ConverterBase):
+class GfmBlock(_GfmEquations, DeviceBlock):
+    params = _FILTER_PARAMS + (
+        "kp_voltage", "ki_voltage", "t_voltage", "t_power", "droop", "p_ref", "v_ref",
+    )
+
+
+class GridFormingConverter(_GfmEquations, _ConverterBase):
     """Droop-synchronized voltage source: PI loop on the measured voltage
     magnitude, power-frequency droop on the filtered output power."""
 
@@ -456,6 +615,7 @@ class GridFormingConverter(_ConverterBase):
     state_names = ("e", "delta", "v_m", "p_m")
     kind = "gfm"
     settable_params = ("p_ref", "v_ref")
+    block = GfmBlock
 
     def __init__(
         self,
@@ -494,38 +654,3 @@ class GridFormingConverter(_ConverterBase):
         self.p_ref = p_out
         self.v_ref = abs(v)
         return np.array([e_mag, cmath.phase(e_vec), abs(v), p_out])
-
-    def internal_voltage(self, x: np.ndarray) -> complex:
-        return x[0] * cmath.exp(1j * x[1])
-
-    def droop_frequency(self, x: np.ndarray) -> float:
-        return self.droop * (self.p_ref - x[3]) + 1.0
-
-    def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
-        v_mag = abs(v)
-        i = self.injected_current(x, v)
-        p_out = (v * i.conjugate()).real
-        omega = self.droop_frequency(x)
-        d_e = self.ki_voltage * (self.v_ref - x[2]) - self.kp_voltage / self.t_voltage * (
-            x[2] - v_mag
-        )
-        return np.array(
-            [
-                d_e,
-                self.omega_base * (omega - 1.0),
-                (v_mag - x[2]) / self.t_voltage,
-                (p_out - x[3]) / self.t_power,
-            ]
-        )
-
-    def current_state_rate(self, x, xdot, v):
-        e_vec = self.internal_voltage(x)
-        e_dot = (xdot[0] / x[0] + 1j * xdot[1]) * e_vec
-        return e_dot / self.filter.z_f
-
-    def internal_cf(self, x: np.ndarray, xdot: np.ndarray) -> complex:
-        _require_magnitude(x[0], f"e({self.name})")
-        return complex(xdot[0] / (x[0] * self.omega_base), self.droop_frequency(x))
-
-    def analytic_cf(self, x, xdot, v, eta_v):
-        return self._cf_from_internal(x, xdot, v, eta_v, self.internal_cf(x, xdot))

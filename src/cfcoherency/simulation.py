@@ -10,13 +10,16 @@ after each event before integration resumes.
 from __future__ import annotations
 
 import copy
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import Device, ZipLoad
+from .devices import Device, DeviceBlock, ZipLoad
 from .errors import InfeasibleInit, NewtonDivergence, NonConvergence
 from .network import Network
+
+log = logging.getLogger(__name__)
 
 EVENT_ACTIONS = ("load_scale", "load_disconnect_mw", "set_parameter")
 
@@ -182,7 +185,15 @@ def power_flow(scenario: Scenario) -> PowerFlowResult:
 # ---------------------------------------------------------------------------
 
 class DaeSystem:
-    """Flattened view of all device states coupled through the bus equations."""
+    """All device states coupled through the bus equations.
+
+    Devices are grouped by kind into blocks (`Device.block`), and each
+    system-level evaluation makes one call per block.  The state vector holds
+    the blocks one after another, so a block's states are one contiguous
+    (n, n_states) view; `slices` still maps each device to its states.  Block
+    results reach the buses through the bus/device `incidence` matrix, whose
+    columns follow the block order `order` (device indices).
+    """
 
     def __init__(self, network: Network, devices: list[Device], omega_base: float):
         self.network = network
@@ -190,26 +201,63 @@ class DaeSystem:
         self.omega_base = omega_base
         self.y = network.admittance()
         self.n_bus = network.n_bus
-        self.slices: list[slice] = []
+        members: dict[type, list[int]] = {}
+        for idx, d in enumerate(devices):
+            members.setdefault(d.block, []).append(idx)
+        self.blocks: list[DeviceBlock] = []
+        self.slices: list[slice] = [slice(0, 0)] * len(devices)
         off = 0
-        for d in devices:
-            self.slices.append(slice(off, off + d.n_states))
-            off += d.n_states
+        for block, idxs in members.items():
+            blk = block([devices[i] for i in idxs], off)
+            for j, i in enumerate(idxs):
+                self.slices[i] = slice(off + j * blk.n_states, off + (j + 1) * blk.n_states)
+            off = blk.states.stop
+            self.blocks.append(blk)
+        self.dynamic = [blk for blk in self.blocks if blk.n_states]
+        self.order = np.array([i for idxs in members.values() for i in idxs], dtype=int)
+        self.incidence = np.zeros((self.n_bus, len(devices)), dtype=complex)
+        self.incidence[[devices[i].bus for i in self.order], np.arange(len(devices))] = 1.0
+        # the columns of the devices with states, which alone have state-driven currents
+        self._dynamic_incidence = self.incidence[:, [devices[i].n_states > 0 for i in self.order]]
         self.n_states = off
         self.n_vars = off + 2 * self.n_bus
+        self.load_parameters()
+
+    def load_parameters(self) -> None:
+        """Copy the device parameters into the blocks and drop the voltage
+        Jacobian factor.  Needed after anything changes a device parameter:
+        initialization and every event."""
+        for blk in self.blocks:
+            blk.load_parameters()
+        self.voltage_dependent = any(blk.voltage_dependent for blk in self.blocks)
+        self._jv_inv: np.ndarray | None = None
+
+    def _local(self, blk: DeviceBlock, x: np.ndarray, v: np.ndarray):
+        """The block's states as (n, n_states) and its terminal voltages."""
+        return x[blk.states].reshape(blk.n, blk.n_states), v[blk.bus]
+
+    def _to_bus(self, parts: list[np.ndarray], incidence: np.ndarray | None = None) -> np.ndarray:
+        """Sum per-device values given in block order onto their buses."""
+        if not parts:
+            return np.zeros(self.n_bus, dtype=complex)
+        return (self.incidence if incidence is None else incidence) @ np.concatenate(parts)
 
     def derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty(self.n_states)
-        for d, sl in zip(self.devices, self.slices):
-            if d.n_states:
-                out[sl] = d.derivatives(x[sl], complex(v[d.bus]))
+        for blk in self.dynamic:
+            out[blk.states] = blk.derivatives(*self._local(blk, x, v)).ravel()
         return out
 
+    def device_currents(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Current injected by every device, in block order."""
+        return np.concatenate(
+            [blk.injected_current(*self._local(blk, x, v)) for blk in self.blocks]
+        )
+
     def injections(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        inj = np.zeros(self.n_bus, dtype=complex)
-        for d, sl in zip(self.devices, self.slices):
-            inj[d.bus] += d.injected_current(x[sl], complex(v[d.bus]))
-        return inj
+        return self._to_bus(
+            [blk.injected_current(*self._local(blk, x, v)) for blk in self.blocks]
+        )
 
     def network_residual(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.injections(x, v) - self.y @ v
@@ -218,12 +266,9 @@ class DaeSystem:
         """∂(ı - Ȳv)/∂(Re v, Im v) at fixed states, with rows and columns
         interleaved per bus as (Re, Im).  Each device contributes its
         closed-form dı = a·dv̄ + b·dv̄* to the diagonal of its bus."""
-        a_bus = np.zeros(self.n_bus, dtype=complex)
-        b_bus = np.zeros(self.n_bus, dtype=complex)
-        for d, sl in zip(self.devices, self.slices):
-            a, b = d.voltage_sensitivity(x[sl], complex(v[d.bus]))
-            a_bus[d.bus] += a
-            b_bus[d.bus] += b
+        ab = [blk.voltage_sensitivity(*self._local(blk, x, v)) for blk in self.blocks]
+        a_bus = self._to_bus([a for a, _ in ab])
+        b_bus = self._to_bus([b for _, b in ab])
         m = np.diag(a_bus) - self.y
         jac = np.empty((2 * self.n_bus, 2 * self.n_bus))
         jac[0::2, 0::2] = m.real + np.diag(b_bus.real)
@@ -232,13 +277,40 @@ class DaeSystem:
         jac[1::2, 1::2] = m.real - np.diag(b_bus.real)
         return jac
 
+    def solve_voltage(self, x: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """dv with voltage_jacobian(x, v)·dv = rhs, for complex bus vectors.
+
+        When no block's sensitivity depends on the voltage, the Jacobian
+        changes only with the parameters, so its inverse is kept until the
+        next `load_parameters`; otherwise it is assembled and solved anew."""
+        if self._jv_inv is None:
+            jac = self.voltage_jacobian(x, v)
+            if self.voltage_dependent:
+                return np.linalg.solve(jac, rhs.view(float)).view(complex)
+            self._jv_inv = np.linalg.inv(jac)
+        return (self._jv_inv @ rhs.view(float)).view(complex)
+
     def voltage_rates(self, x: np.ndarray, v: np.ndarray, xdot: np.ndarray) -> np.ndarray:
         """Exact bus-voltage time derivatives by implicit differentiation of
         the current balance ı(x, v) = Ȳv: J_v·v̇ = -Σ state-driven current rates."""
-        c = np.zeros(self.n_bus, dtype=complex)
-        for d, sl in zip(self.devices, self.slices):
-            c[d.bus] += d.current_state_rate(x[sl], xdot[sl], complex(v[d.bus]))
-        return np.linalg.solve(self.voltage_jacobian(x, v), -c.view(float)).view(complex)
+        rates = []
+        for blk in self.dynamic:
+            xb, vb = self._local(blk, x, v)
+            rates.append(blk.current_state_rate(xb, xdot[blk.states].reshape(xb.shape), vb))
+        return self.solve_voltage(x, v, -self._to_bus(rates, self._dynamic_incidence))
+
+    def analytic_cf(
+        self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, eta_v: np.ndarray
+    ) -> np.ndarray:
+        """Closed-form current CF of every device, in block order; NaN for a
+        device without one."""
+        out = []
+        for blk in self.blocks:
+            xb, vb = self._local(blk, x, v)
+            out.append(
+                blk.analytic_cf(xb, xdot[blk.states].reshape(xb.shape), vb, eta_v[blk.bus])
+            )
+        return np.concatenate(out)
 
     def voltage_cf(self, v: np.ndarray, vdot: np.ndarray) -> np.ndarray:
         """Stationary-frame CF of every bus voltage, per unit."""
@@ -276,35 +348,52 @@ class TrapezoidalIntegrator:
         self._jinv: np.ndarray | None = None
         self._j_dt: float | None = None
         self.total_newton_iters = 0
+        self.halvings = 0
+        # (x, v, f(x, v)) where the last step converged; run() samples that
+        # point and the next step starts there, so both reuse f
+        self._end: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def invalidate_jacobian(self) -> None:
+    def invalidate(self) -> None:
+        """Forget the Newton matrix and the rates of the last step; needed
+        after a parameter change."""
         self._jinv = None
+        self._end = None
+
+    def rates(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """System derivatives f(x, v), reused at the arrays the last step
+        returned.  The caller must not modify the result."""
+        end = self._end
+        if end is not None and x is end[0] and v is end[1]:
+            return end[2]
+        return self.system.derivatives(x, v)
 
     # -- residual/jacobian helpers ------------------------------------------
 
+    # z holds the states, then (Re v, Im v) per bus: the bus part is the
+    # float view of the complex voltage vector
+
     def _pack(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        nx = self.system.n_states
         z = np.empty(self.system.n_vars)
-        z[: self.system.n_states] = x
-        z[self.system.n_states :: 2][: self.system.n_bus] = v.real
-        z[self.system.n_states + 1 :: 2][: self.system.n_bus] = v.imag
+        z[:nx] = x
+        z[nx:] = v.view(float)
         return z
 
     def _unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nx = self.system.n_states
-        return z[:nx], z[nx::2] + 1j * z[nx + 1 :: 2]
+        return z[:nx], z[nx:].view(complex)
 
     def _residual(
         self, z: np.ndarray, x_prev: np.ndarray, f_prev: np.ndarray, dt: float
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The Newton residual at `z` and the derivatives it evaluated."""
         sys = self.system
         x, v = self._unpack(z)
         f = sys.derivatives(x, v)
         r = np.empty(sys.n_vars)
         r[: sys.n_states] = x - x_prev - 0.5 * dt * (f_prev + f)
-        rn = sys.network_residual(x, v)
-        r[sys.n_states :: 2][: sys.n_bus] = rn.real
-        r[sys.n_states + 1 :: 2][: sys.n_bus] = rn.imag
-        return r
+        r[sys.n_states :] = sys.network_residual(x, v).view(float)
+        return r, f
 
     def _jacobian(self, z: np.ndarray, dt: float) -> np.ndarray:
         sys = self.system
@@ -334,34 +423,38 @@ class TrapezoidalIntegrator:
     # -- stepping -------------------------------------------------------------
 
     def step(
-        self, x: np.ndarray, v: np.ndarray, dt: float, _depth: int = 0
+        self, x: np.ndarray, v: np.ndarray, dt: float, t: float = 0.0, _depth: int = 0
     ) -> tuple[np.ndarray, np.ndarray, int]:
+        """One step of length `dt` from time `t`; a step whose Newton solve
+        diverges is split into two halves, at most `MAX_HALVINGS` deep."""
         try:
             return self._newton_step(x, v, dt)
         except NewtonDivergence:
             if _depth >= MAX_HALVINGS:
                 raise
-            self.invalidate_jacobian()
-            x1, v1, n1 = self.step(x, v, 0.5 * dt, _depth + 1)
-            x2, v2, n2 = self.step(x1, v1, 0.5 * dt, _depth + 1)
-            self.invalidate_jacobian()
+            self.halvings += 1
+            log.warning("step at t=%.6g s halved to dt=%.3g s (depth %d)", t, 0.5 * dt, _depth + 1)
+            self.invalidate()
+            x1, v1, n1 = self.step(x, v, 0.5 * dt, t, _depth + 1)
+            x2, v2, n2 = self.step(x1, v1, 0.5 * dt, t + 0.5 * dt, _depth + 1)
+            self.invalidate()
             return x2, v2, n1 + n2
 
     def _newton_step(
         self, x: np.ndarray, v: np.ndarray, dt: float
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        sys = self.system
-        f_prev = sys.derivatives(x, v)
+        f_prev = self.rates(x, v)
         z = self._pack(x, v)
         r0 = None
         for it in range(NEWTON_MAX_ITER):
-            r = self._residual(z, x, f_prev, dt)
-            if not np.all(np.isfinite(r)):
+            r, f = self._residual(z, x, f_prev, dt)
+            if not np.isfinite(r).all():
                 raise NewtonDivergence(f"non-finite residual at dt={dt:.3e}")
-            norm = np.max(np.abs(r))
+            norm = np.abs(r).max()
             if norm < self.tol:
                 self.total_newton_iters += it
                 x1, v1 = self._unpack(z)
+                self._end = (x1, v1, f)
                 return x1, v1, it
             if r0 is None:
                 r0 = norm
@@ -383,7 +476,7 @@ class TrapezoidalIntegrator:
             rn = sys.network_residual(x, v)
             if np.max(np.abs(rn)) < self.tol:
                 return v
-            v = v + np.linalg.solve(sys.voltage_jacobian(x, v), -rn.view(float)).view(complex)
+            v = v + sys.solve_voltage(x, v, -rn)
         raise NewtonDivergence("algebraic re-solve after event did not converge")
 
 
@@ -432,6 +525,7 @@ def initialize(
         w_q = _share(d_q, q_weights, len(peers))
         x0[sl] = d.initial_state(vb, complex(w_p * s_bus.real, w_q * s_bus.imag))
 
+    system.load_parameters()
     f0 = system.derivatives(x0, v)
     worst = np.max(np.abs(f0)) if f0.size else 0.0
     if worst >= 1e-9:
@@ -461,6 +555,7 @@ class Trajectory:
     omega_base: float
     newton_iters: int = 0
     events_applied: int = 0
+    halvings: int = 0
 
     def device_index(self, name: str) -> int:
         return self.device_names.index(name)
@@ -507,18 +602,14 @@ def run(scenario: Scenario) -> Trajectory:
 
     integ = TrapezoidalIntegrator(system, tol=scenario.tolerance)
 
-    n_dev = len(scenario.devices)
+    devices = scenario.devices
     voltages = np.empty((n_steps + 1, system.n_bus), dtype=complex)
-    currents = np.empty((n_steps + 1, n_dev), dtype=complex)
-    states = {
-        d.name: np.empty((n_steps + 1, d.n_states)) for d in scenario.devices if d.n_states
-    }
-    analytic_cf = {
-        d.name: np.empty(n_steps + 1, dtype=complex)
-        for d in scenario.devices
-        if d.has_analytic_cf
-    }
+    currents = np.empty((n_steps + 1, len(devices)), dtype=complex)
+    xs = np.empty((n_steps + 1, system.n_states))
+    # one row per device, so every recorded CF series is contiguous
+    cfs = np.empty((len(devices), n_steps + 1), dtype=complex)
     voltage_cf = np.empty((n_steps + 1, system.n_bus), dtype=complex)
+    has_cf = [d.has_analytic_cf for d in devices]
     event_times: list[float] = []
     events_applied = 0
 
@@ -531,34 +622,28 @@ def run(scenario: Scenario) -> Trajectory:
             _apply_event(scenario, ev)
             events_applied += 1
             event_times.append(times[k])
+        system.load_parameters()
         return True
 
     def record(k: int) -> None:
         voltages[k] = v
-        xdot = system.derivatives(x, v)
-        for idx, (d, sl) in enumerate(zip(scenario.devices, system.slices)):
-            currents[k, idx] = d.injected_current(x[sl], complex(v[d.bus]))
-            if d.n_states:
-                states[d.name][k] = x[sl]
-        vdot = system.voltage_rates(x, v, xdot)
-        eta_v = system.voltage_cf(v, vdot)
+        xs[k] = x
+        xdot = integ.rates(x, v)
+        currents[k, system.order] = system.device_currents(x, v)
+        eta_v = system.voltage_cf(v, system.voltage_rates(x, v, xdot))
         voltage_cf[k] = eta_v
-        for d, sl in zip(scenario.devices, system.slices):
-            if d.has_analytic_cf:
-                analytic_cf[d.name][k] = d.analytic_cf(
-                    x[sl], xdot[sl], complex(v[d.bus]), complex(eta_v[d.bus])
-                )
+        cfs[system.order, k] = system.analytic_cf(x, xdot, v, eta_v)
 
     if apply_events(0):
         v = integ.solve_algebraic(x, v)
-        integ.invalidate_jacobian()
+        integ.invalidate()
     record(0)
 
     for k in range(1, n_steps + 1):
-        x, v, _ = integ.step(x, v, dt)
+        x, v, _ = integ.step(x, v, dt, t=times[k - 1])
         if apply_events(k):
             v = integ.solve_algebraic(x, v)
-            integ.invalidate_jacobian()
+            integ.invalidate()
         record(k)
 
     for label, arr in (("voltages", voltages), ("currents", currents)):
@@ -569,18 +654,19 @@ def run(scenario: Scenario) -> Trajectory:
         times=times,
         voltages=voltages,
         currents=currents,
-        states=states,
-        analytic_cf=analytic_cf,
+        states={d.name: xs[:, sl] for d, sl in zip(devices, system.slices) if d.n_states},
+        analytic_cf={d.name: cfs[i] for i, d in enumerate(devices) if has_cf[i]},
         voltage_cf=voltage_cf,
-        device_names=[d.name for d in scenario.devices],
-        device_buses=[d.bus for d in scenario.devices],
-        device_kinds=[d.kind for d in scenario.devices],
+        device_names=[d.name for d in devices],
+        device_buses=[d.bus for d in devices],
+        device_kinds=[d.kind for d in devices],
         bus_labels=[b.label for b in scenario.network.buses],
         event_times=event_times,
         dt=dt,
         omega_base=scenario.omega_base,
         newton_iters=integ.total_newton_iters,
         events_applied=events_applied,
+        halvings=integ.halvings,
     )
 
 

@@ -78,6 +78,16 @@ def mixed_scenario(t_end=3.0, with_pulse=True) -> Scenario:
     )
 
 
+def state_vector(system, traj, k) -> np.ndarray:
+    """The system state vector at sample k of a trajectory, placed through
+    `system.slices` (the system orders states by device kind)."""
+    x = np.empty(system.n_states)
+    for d, sl in zip(system.devices, system.slices):
+        if d.n_states:
+            x[sl] = traj.states[d.name][k]
+    return x
+
+
 @pytest.fixture(scope="session")
 def bundled_ieee39():
     from cfcoherency.scenario_io import bundled_scenario_path, load_scenario

@@ -49,6 +49,7 @@ class TestRunCommand:
         captured = capsys.readouterr().out
         assert "500 steps" in captured
         assert "2 event(s)" in captured
+        assert "0 step halving(s)" in captured
         header, data = read_csv(out / "trajectory.csv")
         assert header[0] == "time"
         assert data.shape[0] == 501
@@ -250,6 +251,8 @@ class TestSweepCommand:
             (["--alpha", "nan", "--beta", "0.5"], "--alpha"),
             (["--alpha", "0.5", "--beta", "0.5,inf"], "--beta"),
             (["--alpha", "0.5"], "--alpha and --beta"),
+            (["--grid", "3", "--workers", "0"], "--workers"),
+            (["--grid", "3", "--workers", "-3"], "--workers"),
         ],
     )
     def test_bad_grid_exits_one(self, tmp_path, capsys, monkeypatch, grid_args, flag):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cfcoherency import Branch, Bus, Event, Network, Scenario, SynchronousMachine, ZipLoad
+from cfcoherency import simulation
 from cfcoherency.coherency import build_two_machine_scenario
+from cfcoherency.devices import DeviceBlock
 from cfcoherency.errors import NewtonDivergence
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import (
@@ -14,37 +16,44 @@ from cfcoherency.simulation import (
     initialize,
     run,
 )
-from tests.conftest import OMEGA_B, mixed_scenario, two_bus_scenario
+from tests.conftest import OMEGA_B, mixed_scenario, state_vector, two_bus_scenario
 
 
-class _LinearTestDevice:
-    """Minimal device with dx/dt = lam * x and a fixed unit injection, used to
-    probe the integrator against the scalar trapezoidal formula."""
+class _LinearEquations:
+    """dx/dt = lam * x and a fixed unit injection, used to probe the
+    integrator against the scalar trapezoidal formula."""
 
+    def derivatives(self, x, v):
+        return (self.lam * x[..., 0])[..., None]
+
+    def injected_current(self, x, v):
+        return np.ones_like(v)
+
+    def voltage_sensitivity(self, x, v):
+        return 0.0j * v, 0.0j * v
+
+    def current_state_rate(self, x, xdot, v):
+        return 0.0j * v
+
+
+class _LinearTestBlock(_LinearEquations, DeviceBlock):
+    params = ("lam",)
+
+
+class _LinearTestDevice(_LinearEquations):
     n_states = 1
     state_names = ("x",)
     kind = "test"
     has_analytic_cf = False
     is_load = False
     settable_params = ()
+    block = _LinearTestBlock
 
     def __init__(self, lam):
         self.name = "lin"
         self.bus = 0
         self.lam = lam
         self.p = 0.0
-
-    def derivatives(self, x, v):
-        return np.array([self.lam * x[0]])
-
-    def injected_current(self, x, v):
-        return 1.0 + 0.0j
-
-    def voltage_sensitivity(self, x, v):
-        return 0.0j, 0.0j
-
-    def current_state_rate(self, x, xdot, v):
-        return 0.0j
 
 
 class TestTrapezoidalRule:
@@ -98,9 +107,7 @@ class TestRun:
         for k in range(0, traj.times.size, 100):
             if 0.999 <= traj.times[k] <= 1.011:
                 continue
-            xk = np.concatenate(
-                [traj.states[d.name][k] if d.n_states else np.empty(0) for d in sc.devices]
-            )
+            xk = state_vector(system, traj, k)
             r = system.network_residual(xk, traj.voltages[k])
             assert np.max(np.abs(r)) < 1e-8
 
@@ -203,6 +210,29 @@ class TestRun:
         with pytest.raises(NewtonDivergence):
             run(sc)
 
+    def test_halvings_are_counted_and_logged(self, monkeypatch, caplog):
+        # the first Newton solve diverges once: that step is halved, and
+        # both halves converge
+        newton_step = TrapezoidalIntegrator._newton_step
+        failed = []
+
+        def diverge_once(self, x, v, dt):
+            if not failed:
+                failed.append(dt)
+                raise NewtonDivergence("forced")
+            return newton_step(self, x, v, dt)
+
+        monkeypatch.setattr(TrapezoidalIntegrator, "_newton_step", diverge_once)
+        sc = two_bus_scenario(load_p=0.4)
+        sc.t_end = 0.01
+        with caplog.at_level("WARNING", logger=simulation.__name__):
+            traj = run(sc)
+        assert traj.halvings == 1
+        assert traj.times.size == 11
+        [record] = caplog.records
+        assert record.name == simulation.__name__
+        assert "t=0 s" in record.getMessage() and "depth 1" in record.getMessage()
+
 
 class TestVoltageRates:
     def test_match_trajectory_differences(self):
@@ -212,9 +242,7 @@ class TestVoltageRates:
         traj = run(sc)
         _, _, system = initialize(sc)
         k = traj.sample_index(1.5)
-        xk = np.concatenate(
-            [traj.states[d.name][k] if d.n_states else np.empty(0) for d in sc.devices]
-        )
+        xk = state_vector(system, traj, k)
         xdot = system.derivatives(xk, traj.voltages[k])
         vdot = system.voltage_rates(xk, traj.voltages[k], xdot)
         fd = (traj.voltages[k + 1] - traj.voltages[k - 1]) / (2 * traj.dt)
