@@ -8,8 +8,12 @@ Conventions shared by every model:
     the frame-relative log-derivative divided by omega_base plus j*1.
 
 Each device exposes the same small surface the integrator relies on:
+`initial_state`, which back-solves the states and setpoints from the
+power-flow terminal voltage and the device's complex-power share,
 `derivatives`, `injected_current`, the analytic current sensitivities used to
-recover exact voltage rates, and `analytic_cf`.
+recover exact voltage rates (`voltage_sensitivity`: (a, b) such that
+dı̄ = a·dv̄ + b·dv̄* at fixed states; `current_state_rate`, below) and
+`analytic_cf`.
 
 The equations of each kind are written once, in an `_*Equations` mixin, and
 broadcast over devices.  A `Device` evaluates them with float parameters and
@@ -20,7 +24,6 @@ per device, so the simulator makes one numpy call per kind.
 
 from __future__ import annotations
 
-import cmath
 from typing import NamedTuple
 
 import numpy as np
@@ -31,12 +34,12 @@ from .primitives import MAGNITUDE_GUARD
 ZIP_FRACTION_TOL = 1e-12
 
 
-def _require_magnitude(value, what: str, owner) -> None:
-    """Raise for the first of `owner.names` whose |what| is at or below the guard."""
+def _require_magnitude(value, what: str, owner, error=MagnitudeUnderflow) -> None:
+    """Raise `error` for the first of `owner.names` whose |what| is at or below the guard."""
     low = value <= MAGNITUDE_GUARD
     if low.any():
         k = int(np.argmax(low))
-        raise MagnitudeUnderflow(
+        raise error(
             f"|{what}({owner.names[k]})| = {np.atleast_1d(value)[k]:.3e} at or below guard"
         )
 
@@ -89,10 +92,12 @@ def s_load_cf(eta_v):
 class DeviceBlock:
     """The devices of one kind, evaluated with one numpy call per method.
 
-    `load_parameters` copies the attributes named in `params` from the
-    devices into arrays; it has to run again after anything changes a device
-    parameter.  `states` is the block's range of the system state vector,
-    which holds the devices' states one after another.  A block whose
+    A block is the only parameter store of a run: it copies the attributes
+    in `params` from its devices into arrays when it is built and keeps no
+    reference to them.  `initial_state` writes the operating point into the
+    arrays, events edit their rows, and `derive` has to run after either.
+    `states` is the block's range of the system state vector, which holds
+    the devices' states one after another.  A block whose
     `voltage_dependent` is False has a `voltage_sensitivity` that depends on
     its parameters only.
     """
@@ -101,17 +106,17 @@ class DeviceBlock:
     voltage_dependent = False
 
     def __init__(self, devices: list[Device], start: int):
-        self.devices = list(devices)
-        self.names = [d.name for d in self.devices]
-        self.n = len(self.devices)
-        self.n_states = self.devices[0].n_states
-        self.bus = np.array([d.bus for d in self.devices], dtype=int)
+        self.names = [d.name for d in devices]
+        self.n = len(devices)
+        self.n_states = devices[0].n_states
+        self.bus = np.array([d.bus for d in devices], dtype=int)
         self.states = slice(start, start + self.n * self.n_states)
-        self.load_parameters()
-
-    def load_parameters(self) -> None:
         for name in self.params:
-            setattr(self, name, np.array([getattr(d, name) for d in self.devices]))
+            values = [getattr(d, name) for d in devices]
+            setattr(self, name, np.array(values, dtype=np.result_type(float, *values)))
+
+    def derive(self) -> None:
+        """Recompute the values derived from the parameter arrays."""
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +124,12 @@ class DeviceBlock:
 # ---------------------------------------------------------------------------
 
 class Device:
-    """Base class; subclasses fill in the state layout and physics."""
+    """Base class; subclasses fill in the state layout and physics.
+
+    A device in a scenario is a read-only spec: a run copies its parameters
+    into the kind's block and changes only those.  The scalar methods
+    evaluate the same equations as the block, for one device.
+    """
 
     n_states: int = 0
     state_names: tuple[str, ...] = ()
@@ -137,20 +147,8 @@ class Device:
     def names(self) -> list[str]:
         return [self.name]
 
-    def initial_state(self, v: complex, s: complex) -> np.ndarray:
-        """Back-solve internal states and setpoints from the power-flow
-        terminal voltage and this device's complex-power share."""
-        raise NotImplementedError
-
     def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
         return np.empty(0)
-
-    def injected_current(self, x: np.ndarray, v: complex) -> complex:
-        raise NotImplementedError
-
-    def voltage_sensitivity(self, x: np.ndarray, v: complex) -> tuple[complex, complex]:
-        """(a, b) such that dı̄ = a·dv̄ + b·dv̄* at fixed states."""
-        raise NotImplementedError
 
     def current_state_rate(self, x: np.ndarray, xdot: np.ndarray, v: complex) -> complex:
         """State-driven part of dı̄/dt (the voltage-driven part comes from
@@ -158,22 +156,22 @@ class Device:
         gives ∂ı/∂x_k; the integrator builds its Newton matrix from that."""
         return 0.0 + 0.0j
 
-    def analytic_cf(
-        self, x: np.ndarray, xdot: np.ndarray, v: complex, eta_v: complex
-    ) -> complex:
-        raise NotImplementedError
-
-    def set_param(self, name: str, value: float) -> None:
-        if name not in self.settable_params:
-            raise ValueError(f"{self.kind} {self.name!r} has no settable parameter {name!r}")
-        setattr(self, name, float(value))
-
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r}, bus={self.bus})"
 
 
 class _SmEquations:
     """Equations of `SynchronousMachine`, shared with `SmBlock`."""
+
+    def initial_state(self, v, s):
+        """Fix the EMF magnitude and the mechanical power at the operating point."""
+        i = np.conj(s / v)
+        e_vec = v + 1j * self.xd_prime * i
+        _require_magnitude(np.abs(e_vec), "e", self, InfeasibleInit)
+        self.e_field = np.abs(e_vec)
+        self.p_m = (e_vec * np.conj(i)).real
+        delta = np.angle(e_vec)
+        return _columns(delta, np.ones_like(delta))
 
     def emf(self, x):
         return self.e_field * np.exp(1j * x[..., 0])
@@ -246,17 +244,6 @@ class SynchronousMachine(_SmEquations, Device):
         self.p_m = 0.0
         self.e_field = 1.0  # constant EMF magnitude e'_q, fixed at init
 
-    def initial_state(self, v: complex, s: complex) -> np.ndarray:
-        i = (s / v).conjugate()
-        e_vec = v + 1j * self.xd_prime * i
-        if abs(e_vec) <= MAGNITUDE_GUARD:
-            raise InfeasibleInit(f"machine {self.name!r} needs a zero internal EMF")
-        self.e_field = abs(e_vec)
-        delta = cmath.phase(e_vec)
-        p_e = (e_vec * i.conjugate()).real
-        self.p_m = p_e
-        return np.array([delta, 1.0])
-
 
 class ZipParts(NamedTuple):
     """What the ZIP equations derive from the base powers and fractions."""
@@ -271,6 +258,18 @@ class ZipParts(NamedTuple):
 
 class _ZipEquations:
     """Equations of `ZipLoad`, shared with `ZipBlock`."""
+
+    def initial_state(self, v, s):
+        """Keep the scheduled draw -s as `nominal_p`/`nominal_q` and rescale
+        the base powers so that the draw at |v| equals it."""
+        v_mag = np.abs(v)
+        self.nominal_p, self.nominal_q = -s.real, -s.imag
+        poly_p = self.kp_p + self.ki_p * v_mag + self.kz_p * v_mag**2
+        poly_q = self.kp_q + self.ki_q * v_mag + self.kz_q * v_mag**2
+        # no base power where a polynomial is 0 (x / inf, not a 0/0 warning)
+        self.p0 = self.nominal_p / np.where(poly_p == 0.0, np.inf, poly_p)
+        self.q0 = self.nominal_q / np.where(poly_q == 0.0, np.inf, poly_q)
+        return np.empty(np.shape(v) + (0,))
 
     def zip_parts(self) -> ZipParts:
         no_p, no_q = self.p0 == 0.0, self.q0 == 0.0
@@ -323,9 +322,8 @@ class _ZipEquations:
 class ZipBlock(_ZipEquations, DeviceBlock):
     params = ("p0", "q0", "kz_p", "ki_p", "kp_p", "kz_q", "ki_q", "kp_q")
 
-    def load_parameters(self) -> None:
-        super().load_parameters()
-        # derived once per parameter change instead of at every call
+    def derive(self) -> None:
+        # once per parameter change instead of at every call
         self.parts = self.zip_parts()
         self.voltage_dependent = self.parts.voltage_dependent
 
@@ -358,11 +356,8 @@ class ZipLoad(_ZipEquations, Device):
             raise ValueError(f"load {name!r}: active-power fractions must sum to 1")
         if abs(kz_q + ki_q + kp_q - 1.0) > ZIP_FRACTION_TOL:
             raise ValueError(f"load {name!r}: reactive-power fractions must sum to 1")
-        self.p0 = p0
+        self.p0 = p0  # scheduled draw at the power-flow point, pu
         self.q0 = q0
-        # scheduled draw at the power-flow point, pu; survives rebasing
-        self.nominal_p = p0
-        self.nominal_q = q0
         self.kz_p, self.ki_p, self.kp_p = kz_p, ki_p, kp_p
         self.kz_q, self.ki_q, self.kp_q = kz_q, ki_q, kp_q
 
@@ -372,26 +367,7 @@ class ZipLoad(_ZipEquations, Device):
 
     @property
     def has_analytic_cf(self) -> bool:  # type: ignore[override]
-        parts = self.parts
-        return bool(parts.pure_z or parts.pure_p)
-
-    def rebase(self, v_mag: float) -> None:
-        """Rescale the base powers so the drawn power at `v_mag` equals the
-        scheduled constant-power draw used by the power flow."""
-        poly_p = self.kp_p + self.ki_p * v_mag + self.kz_p * v_mag**2
-        poly_q = self.kp_q + self.ki_q * v_mag + self.kz_q * v_mag**2
-        self.p0 = self.nominal_p / poly_p if poly_p else 0.0
-        self.q0 = self.nominal_q / poly_q if poly_q else 0.0
-
-    def scale(self, factor: float) -> None:
-        self.p0 *= factor
-        self.q0 *= factor
-        self.nominal_p *= factor
-        self.nominal_q *= factor
-
-    def initial_state(self, v: complex, s: complex) -> np.ndarray:
-        self.rebase(abs(v))
-        return np.empty(0)
+        return bool(self.parts.pure_z or self.parts.pure_p)
 
     def analytic_cf(self, x, xdot, v, eta_v):
         if not self.has_analytic_cf:
@@ -452,6 +428,18 @@ _FILTER_PARAMS = ("z_f", "y_f", "v_dc", "through", "omega_base")
 class _GflEquations(_ConverterEquations):
     """Equations of `GridFollowingConverter`, shared with `GflBlock`."""
 
+    def initial_state(self, v, s):
+        """Fix the current references at the operating point, with the PLL
+        locked to the terminal voltage."""
+        i = np.conj(s / v)
+        theta = np.angle(v)
+        rot = np.exp(-1j * theta)
+        m_dq = (self.through * v + self.z_f * i) * rot / self.v_dc
+        _require_magnitude(np.abs(m_dq), "m", self, InfeasibleInit)
+        i_dq = i * rot
+        self.iref_d, self.iref_q = i_dq.real, i_dq.imag
+        return _columns(m_dq.real, m_dq.imag, i_dq.real, i_dq.imag, np.zeros_like(theta), theta)
+
     def modulation(self, x):
         err = self.i_ref - (x[..., 2] + 1j * x[..., 3])
         return (x[..., 0] + 1j * x[..., 1]) + self.kp_current * err
@@ -507,9 +495,8 @@ class GflBlock(_GflEquations, DeviceBlock):
         "iref_d", "iref_q",
     )
 
-    def load_parameters(self) -> None:
-        super().load_parameters()
-        self.i_ref = self.iref_d + 1j * self.iref_q  # derived once per parameter change
+    def derive(self) -> None:
+        self.i_ref = self.iref_d + 1j * self.iref_q
 
 
 class GridFollowingConverter(_GflEquations, _ConverterBase):
@@ -552,22 +539,19 @@ class GridFollowingConverter(_GflEquations, _ConverterBase):
     def i_ref(self) -> complex:
         return complex(self.iref_d, self.iref_q)
 
-    def initial_state(self, v: complex, s: complex) -> np.ndarray:
-        f = self.filter
-        i = (s / v).conjugate()
-        e_vec = f.through * v + f.z_f * i
-        theta = cmath.phase(v)
-        rot = cmath.exp(-1j * theta)
-        m_dq = e_vec * rot / f.v_dc
-        if abs(m_dq) <= MAGNITUDE_GUARD:
-            raise InfeasibleInit(f"converter {self.name!r} needs zero modulation")
-        i_dq = i * rot
-        self.iref_d, self.iref_q = i_dq.real, i_dq.imag
-        return np.array([m_dq.real, m_dq.imag, i_dq.real, i_dq.imag, 0.0, theta])
-
 
 class _GfmEquations(_ConverterEquations):
     """Equations of `GridFormingConverter`, shared with `GfmBlock`."""
+
+    def initial_state(self, v, s):
+        """Fix the power and voltage references at the operating point."""
+        i = np.conj(s / v)
+        e_vec = self.through * v + self.z_f * i
+        e_mag = np.abs(e_vec)
+        _require_magnitude(e_mag, "e", self, InfeasibleInit)
+        self.p_ref = (v * np.conj(i)).real
+        self.v_ref = np.abs(v)
+        return _columns(e_mag, np.angle(e_vec), self.v_ref, self.p_ref)
 
     def internal_voltage(self, x):
         return x[..., 0] * np.exp(1j * x[..., 1])
@@ -642,15 +626,3 @@ class GridFormingConverter(_GfmEquations, _ConverterBase):
         self.droop = droop
         self.p_ref = 0.0
         self.v_ref = 1.0
-
-    def initial_state(self, v: complex, s: complex) -> np.ndarray:
-        f = self.filter
-        i = (s / v).conjugate()
-        e_vec = f.through * v + f.z_f * i
-        e_mag = abs(e_vec)
-        if e_mag <= MAGNITUDE_GUARD:
-            raise InfeasibleInit(f"converter {self.name!r} needs zero internal voltage")
-        p_out = (v * i.conjugate()).real
-        self.p_ref = p_out
-        self.v_ref = abs(v)
-        return np.array([e_mag, cmath.phase(e_vec), abs(v), p_out])

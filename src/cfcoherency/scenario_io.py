@@ -25,7 +25,7 @@ from .devices import (
 )
 from .errors import SchemaError
 from .network import Branch, Bus, Network, Shunt
-from .simulation import AnalysisOptions, Event, Scenario
+from .simulation import EVENT_ACTIONS, AnalysisOptions, Event, Scenario
 
 _SYSTEM_KEYS = {"f_nominal": float, "s_base": float}
 _BUS_KEYS = {"id": int, "kind": str, "v_set": float}
@@ -256,8 +256,6 @@ def parse_scenario(doc: dict) -> Scenario:
         except (ValueError,) as exc:
             raise SchemaError(path, str(exc)) from exc
     names = [d.name for d in devices]
-    if len(set(names)) != len(names):
-        raise SchemaError("$.devices", "device names must be unique")
 
     # -- events -------------------------------------------------------------
     events = []
@@ -269,30 +267,14 @@ def parse_scenario(doc: dict) -> Scenario:
         if action not in _EVENT_KEYS:
             raise SchemaError(f"{path}.action", f"unknown action {action!r}")
         _check_keys(ev, _EVENT_KEYS[action], path, required=tuple(_EVENT_KEYS[action]))
-        time = _number(ev, "time", path)
-        if action == "load_scale":
-            bus = bus_ref(ev, "bus", path)
-            if not any(isinstance(d, ZipLoad) and d.bus == bus for d in devices):
-                raise SchemaError(f"{path}.bus", "no load device at this bus")
-            events.append(Event(time, action, bus=bus, factor=_number(ev, "factor", path)))
-        elif action == "load_disconnect_mw":
-            bus = bus_ref(ev, "bus", path)
-            if not any(isinstance(d, ZipLoad) and d.bus == bus for d in devices):
-                raise SchemaError(f"{path}.bus", "no load device at this bus")
-            events.append(Event(time, action, bus=bus, amount=_number(ev, "amount", path)))
+        if action == "set_parameter":
+            fields = {"device": _string(ev, "device", path), "param": _string(ev, "name", path)}
         else:
-            dev_name = _string(ev, "device", path)
-            if dev_name not in names:
-                raise SchemaError(f"{path}.device", f"unknown device {dev_name!r}")
-            param = _string(ev, "name", path)
-            target = devices[names.index(dev_name)]
-            if param not in target.settable_params:
-                raise SchemaError(
-                    f"{path}.name", f"{target.kind} has no settable parameter {param!r}"
-                )
-            events.append(
-                Event(time, action, device=dev_name, param=param, value=_number(ev, "value", path))
-            )
+            fields = {"bus": bus_ref(ev, "bus", path)}
+        number = EVENT_ACTIONS[action]  # factor, amount or value
+        fields[number] = _number(ev, number, path)
+        # the targets and the disconnected amounts are checked by `Scenario`
+        events.append(Event(_number(ev, "time", path), action, **fields))
 
     # -- simulation / analysis ---------------------------------------------------
     sim = doc["simulation"]

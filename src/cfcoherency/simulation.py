@@ -9,19 +9,20 @@ after each event before integration resumes.
 
 from __future__ import annotations
 
-import copy
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import Device, DeviceBlock, ZipLoad
+from .devices import Device, DeviceBlock, ZipBlock
 from .errors import InfeasibleInit, NewtonDivergence, NonConvergence
 from .network import Network
 
 log = logging.getLogger(__name__)
 
-EVENT_ACTIONS = ("load_scale", "load_disconnect_mw", "set_parameter")
+# each event action and the field that holds its value
+EVENT_ACTIONS = {"load_scale": "factor", "load_disconnect_mw": "amount", "set_parameter": "value"}
 
 POWER_FLOW_TOL = 1e-10  # largest P/Q mismatch accepted, pu
 POWER_FLOW_MAX_ITER = 50
@@ -47,6 +48,13 @@ class Event:
     def __post_init__(self):
         if self.action not in EVENT_ACTIONS:
             raise ValueError(f"unknown event action {self.action!r}")
+        field_name = EVENT_ACTIONS[self.action]
+        value = getattr(self, field_name)
+        if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+            raise ValueError(f"{self}: {field_name} must be a finite number, got {value!r}")
+
+    def __str__(self):
+        return f"{self.action} event at t={self.time:g}"
 
 
 @dataclass
@@ -80,18 +88,62 @@ class Scenario:
             raise ValueError(
                 f"analysis window [{window[0]:g}, {window[1]:g}] ends after t_end {self.t_end:g}"
             )
-        names = [d.name for d in self.devices]
-        if len(set(names)) != len(names):
+        self._check_references()
+
+    def _check_references(self) -> None:
+        """Device names are unique and every event's device or load bus
+        exists.  The load changes are replayed in the order `run` applies
+        them, so that no disconnect takes more load than is left at its bus."""
+        by_name = {d.name: d for d in self.devices}
+        if len(by_name) != len(self.devices):
             raise ValueError("device names must be unique")
+        labels = {b.index: b.label for b in self.network.buses}
+        load_p: dict[int, np.ndarray] = {}  # active power of each load, per bus
+        for d in self.devices:
+            if d.is_load:
+                load_p[d.bus] = np.append(load_p.get(d.bus, []), d.p0)
+        for _, ev in self.scheduled_events():
+            if ev.action == "set_parameter":
+                dev = by_name.get(ev.device)
+                if dev is None:
+                    raise ValueError(f"{ev}: unknown device {ev.device!r}")
+                if ev.param not in dev.settable_params:
+                    raise ValueError(f"{ev}: {dev.name!r} has no settable parameter {ev.param!r}")
+                continue
+            p = load_p.get(ev.bus)
+            bus = labels.get(ev.bus, ev.bus)
+            if p is None:
+                raise ValueError(f"{ev}: no load at bus {bus}")
+            factor = ev.factor
+            if ev.action == "load_disconnect_mw":
+                total = p.sum()
+                if total <= 0.0 or (factor := 1.0 - (ev.amount / self.s_base) / total) < 0.0:
+                    raise ValueError(
+                        f"{ev}: cannot disconnect {ev.amount:g} MW from the "
+                        f"{total * self.s_base:.1f} MW left at bus {bus}"
+                    )
+            p *= factor
+
+    @property
+    def n_steps(self) -> int:
+        """Steps of length dt that cover t_end."""
+        n = int(round(self.t_end / self.dt))
+        if abs(n * self.dt - self.t_end) > 1e-9:
+            n = int(np.ceil(self.t_end / self.dt - 1e-12))
+        return n
+
+    def scheduled_events(self) -> list[tuple[int, Event]]:
+        """(step, event) in the order `run` applies them: by the step the
+        event snaps to, then as listed."""
+        n = self.n_steps
+        steps = [min(max(int(round(ev.time / self.dt)), 0), n) for ev in self.events]
+        return sorted(zip(steps, self.events), key=lambda pair: pair[0])
 
     def device(self, name: str) -> Device:
         for d in self.devices:
             if d.name == name:
                 return d
         raise KeyError(name)
-
-    def loads_at(self, bus: int) -> list[ZipLoad]:
-        return [d for d in self.devices if isinstance(d, ZipLoad) and d.bus == bus]
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +178,9 @@ def power_flow(scenario: Scenario) -> PowerFlowResult:
     p_spec = np.zeros(n)
     q_spec = np.zeros(n)
     for d in scenario.devices:
-        if isinstance(d, ZipLoad):
-            p_spec[d.bus] -= d.nominal_p
-            q_spec[d.bus] -= d.nominal_q
+        if d.is_load:
+            p_spec[d.bus] -= d.p0
+            q_spec[d.bus] -= d.q0
         else:
             p_spec[d.bus] += d.p
 
@@ -188,16 +240,17 @@ class DaeSystem:
     """All device states coupled through the bus equations.
 
     Devices are grouped by kind into blocks (`Device.block`), and each
-    system-level evaluation makes one call per block.  The state vector holds
-    the blocks one after another, so a block's states are one contiguous
-    (n, n_states) view; `slices` still maps each device to its states.  Block
-    results reach the buses through the bus/device `incidence` matrix, whose
-    columns follow the block order `order` (device indices).
+    system-level evaluation makes one call per block.  The blocks hold the
+    parameters; the devices are read only while the blocks are built.  The
+    state vector holds the blocks one after another, so a block's states are
+    one contiguous (n, n_states) view; `slices` still maps each device to its
+    states.  Block results reach the buses through the bus/device
+    `incidence` matrix, whose columns follow the block order `order` (device
+    indices; `members` splits it by block).
     """
 
     def __init__(self, network: Network, devices: list[Device], omega_base: float):
         self.network = network
-        self.devices = devices
         self.omega_base = omega_base
         self.y = network.admittance()
         self.n_bus = network.n_bus
@@ -214,23 +267,30 @@ class DaeSystem:
             off = blk.states.stop
             self.blocks.append(blk)
         self.dynamic = [blk for blk in self.blocks if blk.n_states]
-        self.order = np.array([i for idxs in members.values() for i in idxs], dtype=int)
+        self.members = list(members.values())
+        self.order = np.array([i for idxs in self.members for i in idxs], dtype=int)
         self.incidence = np.zeros((self.n_bus, len(devices)), dtype=complex)
         self.incidence[[devices[i].bus for i in self.order], np.arange(len(devices))] = 1.0
         # the columns of the devices with states, which alone have state-driven currents
         self._dynamic_incidence = self.incidence[:, [devices[i].n_states > 0 for i in self.order]]
         self.n_states = off
         self.n_vars = off + 2 * self.n_bus
-        self.load_parameters()
+        self.derive()
 
-    def load_parameters(self) -> None:
-        """Copy the device parameters into the blocks and drop the voltage
-        Jacobian factor.  Needed after anything changes a device parameter:
-        initialization and every event."""
+    def derive(self) -> None:
+        """Re-derive the blocks' dependent values and drop the kept inverse of
+        the voltage Jacobian; needed after initialization and every event."""
         for blk in self.blocks:
-            blk.load_parameters()
+            blk.derive()
         self.voltage_dependent = any(blk.voltage_dependent for blk in self.blocks)
         self._jv_inv: np.ndarray | None = None
+
+    def row(self, name: str) -> tuple[DeviceBlock, int]:
+        """The block that holds device `name`, and its row there."""
+        for blk in self.blocks:
+            if name in blk.names:
+                return blk, blk.names.index(name)
+        raise KeyError(name)
 
     def _local(self, blk: DeviceBlock, x: np.ndarray, v: np.ndarray):
         """The block's states as (n, n_states) and its terminal voltages."""
@@ -282,7 +342,7 @@ class DaeSystem:
 
         When no block's sensitivity depends on the voltage, the Jacobian
         changes only with the parameters, so its inverse is kept until the
-        next `load_parameters`; otherwise it is assembled and solved anew."""
+        next `derive`; otherwise it is assembled and solved anew."""
         if self._jv_inv is None:
             jac = self.voltage_jacobian(x, v)
             if self.voltage_dependent:
@@ -320,22 +380,20 @@ class DaeSystem:
 FD_STEP = 1e-7
 
 
-def _device_fd_blocks(dev: Device, x_d: np.ndarray, vb: complex):
-    """Forward-difference sensitivities of the state derivatives with respect
-    to the own states and to the terminal voltage components."""
-    n = dev.n_states
-    f0 = dev.derivatives(x_d, vb)
-    df_dx = np.zeros((n, n))
-    for k in range(n):
-        h = FD_STEP * (1.0 + abs(x_d[k]))
-        xp = x_d.copy()
-        xp[k] += h
-        df_dx[:, k] = (dev.derivatives(xp, vb) - f0) / h
-    h = FD_STEP * (1.0 + abs(vb))
-    df_dv = np.zeros((n, 2))
-    for k, dv in enumerate((h, 1j * h)):
-        df_dv[:, k] = (dev.derivatives(x_d, vb + dv) - f0) / h
-    return df_dx, df_dv
+def _fd_sensitivities(blk: DeviceBlock, xb: np.ndarray, vb: np.ndarray):
+    """Forward differences of a block's state derivatives by each device's own
+    states, (n, n_states, n_states), and terminal voltage (Re, Im), (n,
+    n_states, 2); one block call per perturbed column serves all devices."""
+    f0 = blk.derivatives(xb, vb)
+    df_dx = np.empty(xb.shape + (blk.n_states,))
+    for k in range(blk.n_states):
+        h = FD_STEP * (1.0 + np.abs(xb[:, k]))
+        xp = xb.copy()
+        xp[:, k] += h
+        df_dx[:, :, k] = (blk.derivatives(xp, vb) - f0) / h[:, None]
+    h = FD_STEP * (1.0 + np.abs(vb))
+    df_dv = [(blk.derivatives(xb, vb + dv) - f0) / h[:, None] for dv in (h, 1j * h)]
+    return df_dx, np.stack(df_dv, axis=-1)
 
 
 class TrapezoidalIntegrator:
@@ -396,24 +454,26 @@ class TrapezoidalIntegrator:
         return r, f
 
     def _jacobian(self, z: np.ndarray, dt: float) -> np.ndarray:
+        """The Newton matrix, built per block: each device's ∂f/∂x and
+        ∂f/∂v sit on its own rows, and its ∂ı/∂x in its bus rows."""
         sys = self.system
         nx = sys.n_states
         x, v = self._unpack(z)
         a = np.zeros((sys.n_vars, sys.n_vars))
         a[:nx, :nx] = np.eye(nx)
         a[nx:, nx:] = sys.voltage_jacobian(x, v)
-        for dev, sl in zip(sys.devices, sys.slices):
-            if not dev.n_states:
-                continue
-            vb = complex(v[dev.bus])
-            u = nx + 2 * dev.bus
-            df_dx, df_dv = _device_fd_blocks(dev, x[sl], vb)
-            a[sl, sl] -= 0.5 * dt * df_dx
-            a[sl, u : u + 2] -= 0.5 * dt * df_dv
+        for blk in sys.dynamic:
+            xb, vb = sys._local(blk, x, v)
+            rows = np.arange(blk.states.start, blk.states.stop).reshape(xb.shape)
+            # the (Re v, Im v) variables of each device's bus
+            bus_vars = nx + 2 * blk.bus[:, None] + np.arange(2)
+            df_dx, df_dv = _fd_sensitivities(blk, xb, vb)
+            a[rows[:, :, None], rows[:, None, :]] -= 0.5 * dt * df_dx
+            a[rows[:, :, None], bus_vars[:, None, :]] -= 0.5 * dt * df_dv
             # ∂ı/∂x: the current rate is linear in ẋ, so unit rates give the columns
-            di_dx = [dev.current_state_rate(x[sl], e_k, vb) for e_k in np.eye(dev.n_states)]
-            a[u, sl] = np.real(di_dx)
-            a[u + 1, sl] = np.imag(di_dx)
+            di_dx = [blk.current_state_rate(xb, e_k, vb) for e_k in np.eye(blk.n_states)]
+            a[bus_vars[:, :1], rows] = np.real(di_dx).T
+            a[bus_vars[:, 1:], rows] = np.imag(di_dx).T
         return a
 
     def _refresh(self, z: np.ndarray, dt: float) -> None:
@@ -484,15 +544,15 @@ class TrapezoidalIntegrator:
 # Initialization and the main run loop
 # ---------------------------------------------------------------------------
 
-def _share(weight: float, weights: list[float], n: int) -> float:
+def _share(weight: float, weights: list[float]) -> float:
     total = sum(weights)
-    return weight / total if total else 1.0 / n
-
+    return weight / total if total else 1.0 / len(weights)
 
 def initialize(
     scenario: Scenario, pf: PowerFlowResult | None = None
 ) -> tuple[np.ndarray, np.ndarray, DaeSystem]:
-    """Back-solve every device to an exact equilibrium at the power-flow point."""
+    """Back-solve every device to an exact equilibrium at the power-flow
+    point, into the system's blocks; the scenario's devices are only read."""
     if pf is None:
         pf = power_flow(scenario)
     v = pf.voltages.copy()
@@ -506,26 +566,25 @@ def initialize(
         if b.kind in ("slack", "generation") and b.index not in gen_by_bus:
             raise InfeasibleInit(f"bus {b.label} is a source bus without a source device")
 
-    x0 = np.zeros(system.n_states)
-    for d, sl in zip(scenario.devices, system.slices):
-        vb = complex(v[d.bus])
+    loads = [d for d in scenario.devices if d.is_load]
+    s = np.empty(len(scenario.devices), dtype=complex)  # power share of each device
+    for idx, d in enumerate(scenario.devices):
         if d.is_load:
-            s = -complex(d.nominal_p, d.nominal_q)  # type: ignore[union-attr]
-            x0[sl] = d.initial_state(vb, s)
+            s[idx] = -complex(d.p0, d.q0)
             continue
         peers = gen_by_bus[d.bus]
-        load_draw = sum(complex(ld.nominal_p, ld.nominal_q) for ld in scenario.loads_at(d.bus))
+        load_draw = sum(complex(ld.p0, ld.q0) for ld in loads if ld.bus == d.bus)
         s_bus = complex(pf.bus_injection[d.bus]) + load_draw
-        p_weights = [g.p for g in peers]
-        q_weights = [
-            g.q_weight if getattr(g, "q_weight", None) is not None else g.p for g in peers
-        ]
-        w_p = _share(d.p, p_weights, len(peers))
-        d_q = d.q_weight if getattr(d, "q_weight", None) is not None else d.p
-        w_q = _share(d_q, q_weights, len(peers))
-        x0[sl] = d.initial_state(vb, complex(w_p * s_bus.real, w_q * s_bus.imag))
+        w_p = _share(d.p, [g.p for g in peers])
+        # reactive shares follow q_weight where a source has one, else p
+        q_weights = [g.p if getattr(g, "q_weight", None) is None else g.q_weight for g in peers]
+        w_q = _share(q_weights[peers.index(d)], q_weights)
+        s[idx] = complex(w_p * s_bus.real, w_q * s_bus.imag)
 
-    system.load_parameters()
+    x0 = np.empty(system.n_states)
+    for blk, idxs in zip(system.blocks, system.members):
+        x0[blk.states] = blk.initial_state(v[blk.bus], s[idxs]).ravel()
+    system.derive()
     f0 = system.derivatives(x0, v)
     worst = np.max(np.abs(f0)) if f0.size else 0.0
     if worst >= 1e-9:
@@ -583,21 +642,16 @@ def run(scenario: Scenario) -> Trajectory:
 
     Analytical CFs are evaluated from post-solve values, so samples that
     coincide with an event carry the post-event state.  Initialization and
-    events change device parameters, so the run works on a private copy and
-    leaves `scenario` as it was.
+    events change only the parameters in the system's blocks, so `scenario`
+    is left as it was.
     """
-    scenario = copy.deepcopy(scenario)
-    pf = power_flow(scenario)
-    x, v, system = initialize(scenario, pf)
+    x, v, system = initialize(scenario)
     dt = scenario.dt
-    n_steps = int(round(scenario.t_end / dt))
-    if abs(n_steps * dt - scenario.t_end) > 1e-9:
-        n_steps = int(np.ceil(scenario.t_end / dt - 1e-12))
+    n_steps = scenario.n_steps
     times = np.arange(n_steps + 1) * dt
 
     events_by_step: dict[int, list[Event]] = {}
-    for ev in scenario.events:
-        k = min(max(int(round(ev.time / dt)), 0), n_steps)
+    for k, ev in scenario.scheduled_events():
         events_by_step.setdefault(k, []).append(ev)
 
     integ = TrapezoidalIntegrator(system, tol=scenario.tolerance)
@@ -619,10 +673,10 @@ def run(scenario: Scenario) -> Trajectory:
         if not evs:
             return False
         for ev in evs:
-            _apply_event(scenario, ev)
+            _apply_event(system, ev, scenario.s_base)
             events_applied += 1
             event_times.append(times[k])
-        system.load_parameters()
+        system.derive()
         return True
 
     def record(k: int) -> None:
@@ -670,25 +724,16 @@ def run(scenario: Scenario) -> Trajectory:
     )
 
 
-def _apply_event(scenario: Scenario, ev: Event) -> None:
-    if ev.action == "load_scale":
-        loads = scenario.loads_at(ev.bus)
-        if not loads:
-            raise ValueError(f"event references bus {ev.bus} with no load")
-        for ld in loads:
-            ld.scale(ev.factor)
-    elif ev.action == "load_disconnect_mw":
-        loads = scenario.loads_at(ev.bus)
-        total = sum(ld.nominal_p for ld in loads)
-        if total <= 0.0:
-            raise ValueError(f"no disconnectable load at bus {ev.bus}")
-        factor = 1.0 - (ev.amount / scenario.s_base) / total
-        if factor < 0.0:
-            raise ValueError(
-                f"cannot disconnect {ev.amount} MW from "
-                f"{total * scenario.s_base:.1f} MW at bus {ev.bus}"
-            )
-        for ld in loads:
-            ld.scale(factor)
-    elif ev.action == "set_parameter":
-        scenario.device(ev.device).set_param(ev.param, ev.value)
+def _apply_event(system: DaeSystem, ev: Event, s_base: float) -> None:
+    """Edit the block rows `ev` changes (`Scenario` checked its target)."""
+    if ev.action == "set_parameter":
+        blk, row = system.row(ev.device)
+        getattr(blk, ev.param)[row] = ev.value
+        return
+    [loads] = [blk for blk in system.blocks if isinstance(blk, ZipBlock)]
+    rows = loads.bus == ev.bus
+    factor = ev.factor
+    if ev.action == "load_disconnect_mw":
+        factor = 1.0 - (ev.amount / s_base) / loads.nominal_p[rows].sum()
+    for name in ("p0", "q0", "nominal_p", "nominal_q"):
+        getattr(loads, name)[rows] *= factor

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from cfcoherency import (
     SynchronousMachine,
     ZipLoad,
 )
+from cfcoherency.simulation import FD_STEP
 
 OMEGA_B = 2.0 * np.pi * 60.0
 
@@ -82,10 +85,42 @@ def state_vector(system, traj, k) -> np.ndarray:
     """The system state vector at sample k of a trajectory, placed through
     `system.slices` (the system orders states by device kind)."""
     x = np.empty(system.n_states)
-    for d, sl in zip(system.devices, system.slices):
-        if d.n_states:
-            x[sl] = traj.states[d.name][k]
+    for name, sl in zip(traj.device_names, system.slices):
+        if name in traj.states:
+            x[sl] = traj.states[name][k]
     return x
+
+
+def reference_devices(system, devices) -> list:
+    """Copies of the scalar devices that hold the system's block parameters
+    as they are now (the filter of a converter is read through and never
+    changes)."""
+    refs = copy.deepcopy(devices)
+    for d in refs:
+        blk, row = system.row(d.name)
+        for name in blk.params:
+            if not isinstance(getattr(type(d), name, None), property):
+                setattr(d, name, getattr(blk, name)[row].item())
+    return refs
+
+
+def device_fd_blocks(dev, x_d: np.ndarray, vb: complex):
+    """Forward-difference sensitivities of one scalar device's state
+    derivatives with respect to its own states and to its terminal voltage
+    (Re, Im), the way the Newton matrix takes them for a whole block."""
+    n = dev.n_states
+    f0 = dev.derivatives(x_d, vb)
+    df_dx = np.zeros((n, n))
+    for k in range(n):
+        h = FD_STEP * (1.0 + abs(x_d[k]))
+        xp = x_d.copy()
+        xp[k] += h
+        df_dx[:, k] = (dev.derivatives(xp, vb) - f0) / h
+    h = FD_STEP * (1.0 + abs(vb))
+    df_dv = np.zeros((n, 2))
+    for k, dv in enumerate((h, 1j * h)):
+        df_dv[:, k] = (dev.derivatives(x_d, vb + dv) - f0) / h
+    return df_dx, df_dv
 
 
 @pytest.fixture(scope="session")

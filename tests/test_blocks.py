@@ -1,7 +1,8 @@
 """Device blocks against the scalar device methods they vectorize.
 
 The reference functions below are the per-device loops the blocks replaced:
-each sums the scalar `Device` methods onto the buses one device at a time.
+each sums the scalar `Device` methods of a list of reference devices, in the
+system's device order, onto the buses one device at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from cfcoherency import (
     ZipLoad,
 )
 from cfcoherency import simulation
-from cfcoherency.simulation import DaeSystem, _apply_event, initialize, run
-from tests.conftest import OMEGA_B, mixed_scenario, state_vector
+from cfcoherency.simulation import DaeSystem, initialize, run
+from tests.conftest import OMEGA_B, mixed_scenario, reference_devices, state_vector
 
 REL = 1e-12
 
@@ -38,32 +39,32 @@ def assert_close(got, want):
 # per-device reference
 # ---------------------------------------------------------------------------
 
-def ref_derivatives(system, x, v):
+def ref_derivatives(system, devices, x, v):
     out = np.empty(system.n_states)
-    for d, sl in zip(system.devices, system.slices):
+    for d, sl in zip(devices, system.slices):
         if d.n_states:
             out[sl] = d.derivatives(x[sl], complex(v[d.bus]))
     return out
 
 
-def ref_currents(system, x, v):
+def ref_currents(system, devices, x, v):
     return np.array(
         [complex(d.injected_current(x[sl], complex(v[d.bus])))
-         for d, sl in zip(system.devices, system.slices)]
+         for d, sl in zip(devices, system.slices)]
     )
 
 
-def ref_injections(system, x, v):
+def ref_injections(system, devices, x, v):
     inj = np.zeros(system.n_bus, dtype=complex)
-    for d, i in zip(system.devices, ref_currents(system, x, v)):
+    for d, i in zip(devices, ref_currents(system, devices, x, v)):
         inj[d.bus] += i
     return inj
 
 
-def ref_voltage_jacobian(system, x, v):
+def ref_voltage_jacobian(system, devices, x, v):
     a_bus = np.zeros(system.n_bus, dtype=complex)
     b_bus = np.zeros(system.n_bus, dtype=complex)
-    for d, sl in zip(system.devices, system.slices):
+    for d, sl in zip(devices, system.slices):
         a, b = d.voltage_sensitivity(x[sl], complex(v[d.bus]))
         a_bus[d.bus] += a
         b_bus[d.bus] += b
@@ -76,18 +77,18 @@ def ref_voltage_jacobian(system, x, v):
     return jac
 
 
-def ref_voltage_rates(system, x, v, xdot):
+def ref_voltage_rates(system, devices, x, v, xdot):
     c = np.zeros(system.n_bus, dtype=complex)
-    for d, sl in zip(system.devices, system.slices):
+    for d, sl in zip(devices, system.slices):
         c[d.bus] += d.current_state_rate(x[sl], xdot[sl], complex(v[d.bus]))
-    jac = ref_voltage_jacobian(system, x, v)
+    jac = ref_voltage_jacobian(system, devices, x, v)
     return np.linalg.solve(jac, -c.view(float)).view(complex)
 
 
-def ref_analytic_cf(system, x, xdot, v, eta_v):
+def ref_analytic_cf(system, devices, x, xdot, v, eta_v):
     """Device order; NaN for a device without a closed-form CF."""
-    out = np.full(len(system.devices), np.nan, dtype=complex)
-    for k, (d, sl) in enumerate(zip(system.devices, system.slices)):
+    out = np.full(len(devices), np.nan, dtype=complex)
+    for k, (d, sl) in enumerate(zip(devices, system.slices)):
         if d.has_analytic_cf:
             out[k] = d.analytic_cf(x[sl], xdot[sl], complex(v[d.bus]), complex(eta_v[d.bus]))
     return out
@@ -99,17 +100,18 @@ def in_device_order(system, values):
     return out
 
 
-def check_against_reference(system, x, v, xdot):
-    assert_close(system.derivatives(x, v), ref_derivatives(system, x, v))
-    assert_close(system.injections(x, v), ref_injections(system, x, v))
-    assert_close(system.voltage_jacobian(x, v), ref_voltage_jacobian(system, x, v))
-    vdot = ref_voltage_rates(system, x, v, xdot)
+def check_against_reference(system, devices, x, v, xdot):
+    assert_close(system.derivatives(x, v), ref_derivatives(system, devices, x, v))
+    assert_close(system.injections(x, v), ref_injections(system, devices, x, v))
+    assert_close(system.voltage_jacobian(x, v), ref_voltage_jacobian(system, devices, x, v))
+    vdot = ref_voltage_rates(system, devices, x, v, xdot)
     assert_close(system.voltage_rates(x, v, xdot), vdot)
     assert_close(
-        in_device_order(system, system.device_currents(x, v)), ref_currents(system, x, v)
+        in_device_order(system, system.device_currents(x, v)),
+        ref_currents(system, devices, x, v),
     )
     eta_v = system.voltage_cf(v, vdot)
-    want = ref_analytic_cf(system, x, xdot, v, eta_v)
+    want = ref_analytic_cf(system, devices, x, xdot, v, eta_v)
     got = in_device_order(system, system.analytic_cf(x, xdot, v, eta_v))
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert_close(got[~np.isnan(want)], want[~np.isnan(want)])
@@ -185,7 +187,23 @@ def random_grids(draw):
         x[sl] = x_d
     v = rng.uniform(0.9, 1.1, n_bus) * np.exp(1j * rng.uniform(-0.5, 0.5, n_bus))
     xdot = rng.standard_normal(system.n_states)
-    return system, x, v, xdot
+    return system, devices, x, v, xdot
+
+
+def apply_to_reference(devices, ev, nominal, s_base):
+    """`ev` applied to reference devices on their own, one device at a time;
+    `nominal` holds each load's scheduled active power and follows it."""
+    if ev.action == "set_parameter":
+        setattr(next(d for d in devices if d.name == ev.device), ev.param, ev.value)
+        return
+    loads = [d for d in devices if d.is_load and d.bus == ev.bus]
+    factor = ev.factor
+    if ev.action == "load_disconnect_mw":
+        factor = 1.0 - (ev.amount / s_base) / sum(nominal[d.name] for d in loads)
+    for d in loads:
+        d.p0 *= factor
+        d.q0 *= factor
+        nominal[d.name] *= factor
 
 
 class TestBlocksMatchDevices:
@@ -210,17 +228,19 @@ class TestBlocksMatchDevices:
         sc.events = [Event(0.015, "load_scale", bus=1, factor=1.2)]
         traj = run(sc)
         _, _, system = initialize(sc)
+        refs = reference_devices(system, sc.devices)
+        nominal = {d.name: d.p0 for d in sc.devices if d.is_load}
         k_event = traj.sample_index(0.015)
         for k in range(traj.times.size):
             if k == k_event:
-                _apply_event(sc, sc.events[0])
+                apply_to_reference(refs, sc.events[0], nominal, sc.s_base)
             x = state_vector(system, traj, k)
             v = traj.voltages[k]
-            assert_close(traj.currents[k], ref_currents(system, x, v))
-            xdot = ref_derivatives(system, x, v)
-            eta_v = system.voltage_cf(v, ref_voltage_rates(system, x, v, xdot))
-            cf = ref_analytic_cf(system, x, xdot, v, eta_v)
-            recorded = np.array([traj.analytic_cf[d.name][k] for d in system.devices])
+            assert_close(traj.currents[k], ref_currents(system, refs, x, v))
+            xdot = ref_derivatives(system, refs, x, v)
+            eta_v = system.voltage_cf(v, ref_voltage_rates(system, refs, x, v, xdot))
+            cf = ref_analytic_cf(system, refs, x, xdot, v, eta_v)
+            recorded = np.array([traj.analytic_cf[d.name][k] for d in refs])
             assert_close(recorded, cf)
 
 
@@ -236,13 +256,15 @@ class TestParametersAfterEvents:
     @pytest.mark.parametrize("pure_z", [False, True], ids=["s_load", "z_loads_only"])
     @pytest.mark.parametrize("event", EVENTS.values(), ids=EVENTS.keys())
     def test_blocks_and_factor_follow_the_event(self, monkeypatch, event, pure_z):
-        # run() keeps its system private: capture it to compare its blocks,
-        # after the event, with the scalar methods of its devices
-        systems = []
+        # run() keeps its system private: capture it, with reference devices
+        # that take its block values right after initialization and then
+        # apply the event on their own, to compare after the event
+        systems, refs = [], []
 
-        def capture(*args, **kwargs):
-            out = initialize(*args, **kwargs)
+        def capture(scenario, *args, **kwargs):
+            out = initialize(scenario, *args, **kwargs)
             systems.append(out[2])
+            refs.append(reference_devices(out[2], scenario.devices))
             return out
 
         monkeypatch.setattr(simulation, "initialize", capture)
@@ -253,12 +275,14 @@ class TestParametersAfterEvents:
             sl.kp_p = sl.kp_q = 0.0
         sc.events = [event]
         traj = run(sc)
-        [system] = systems
+        [system], [devices] = systems, refs
+        apply_to_reference(devices, event, {d.name: d.p0 for d in sc.devices if d.is_load},
+                           sc.s_base)
         assert traj.events_applied == 1
         assert system.voltage_dependent is not pure_z
         x = state_vector(system, traj, -1)
         v = traj.voltages[-1]
         # without I or P loads, the factor made after the event is still kept
         assert (system._jv_inv is not None) is pure_z
-        check_against_reference(system, x, v, ref_derivatives(system, x, v))
-        assert_close(traj.currents[-1], ref_currents(system, x, v))
+        check_against_reference(system, devices, x, v, ref_derivatives(system, devices, x, v))
+        assert_close(traj.currents[-1], ref_currents(system, devices, x, v))

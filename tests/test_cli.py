@@ -35,6 +35,14 @@ def small_scenario(tmp_path):
     return path
 
 
+@pytest.fixture()
+def no_simulation(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated before checking the arguments")
+
+    monkeypatch.setattr("cfcoherency.cli.run", fail)
+
+
 def read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -121,6 +129,17 @@ class TestRunCommand:
         assert "outside [0, 0.5]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_oversized_disconnect_exits_one(self, small_scenario, tmp_path, capsys, no_simulation):
+        # 50 MW at bus 2, scaled by 1.1 and back before the disconnect
+        doc = json.loads(small_scenario.read_text())
+        cut = {"time": 0.2, "action": "load_disconnect_mw", "bus": 2, "amount": 60.0}
+        doc["events"].append(cut)
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--out", str(tmp_path / "o"), "run", str(path)]) == 1
+        assert "cannot disconnect 60 MW from the 50.0 MW left at bus 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestClusterCommand:
     def test_small_system_single_group(self, small_scenario, tmp_path, capsys):
@@ -139,13 +158,6 @@ class TestClusterCommand:
         assert (out / "distance.csv").exists()
         assert (out / "dendrogram.csv").exists()
 
-
-    @pytest.fixture()
-    def no_simulation(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("simulated before checking the arguments")
-
-        monkeypatch.setattr("cfcoherency.cli.run", fail)
 
     @pytest.mark.parametrize(
         "name, k", [("twomachine", "5"), ("twomachine", "0"), ("ieee39", "11")]

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from cfcoherency import (
+    Bus,
+    Event,
     GridFollowingConverter,
     GridFormingConverter,
     IbrFilter,
+    Network,
+    Scenario,
     SynchronousMachine,
     ZipLoad,
     ibr_current_cf,
@@ -255,8 +259,13 @@ class TestGridForming:
         assert (i1 - i0) / h == pytest.approx(gfm.current_state_rate(x0, xdot, v), rel=1e-5)
 
     def test_settable_params_whitelist(self):
-        gfm = make_gfm()
-        gfm.set_param("p_ref", 0.7)
-        assert gfm.p_ref == 0.7
-        with pytest.raises(ValueError):
-            gfm.set_param("droop", 0.05)
+        # a scenario accepts set_parameter events on settable parameters only
+        net = Network([Bus(0, kind="slack")], [])
+
+        def set_event(param):
+            event = Event(1.0, "set_parameter", device="GFM", param=param, value=0.7)
+            return Scenario(network=net, devices=[make_gfm()], events=[event])
+
+        assert set_event("p_ref").events[0].value == 0.7
+        with pytest.raises(ValueError, match="no settable parameter 'droop'"):
+            set_event("droop")

@@ -29,13 +29,13 @@ class TestPowerFlow:
     def test_ieee39_converges_and_balances(self, bundled_ieee39):
         pf = power_flow(bundled_ieee39)
         assert pf.mismatch < 1e-8
-        total_load = sum(d.nominal_p for d in bundled_ieee39.devices if d.is_load)
+        total_load = sum(d.p0 for d in bundled_ieee39.devices if d.is_load)
         slack_bus = next(b.index for b in bundled_ieee39.network.buses if b.kind == "slack")
         gen_sched = sum(
             d.p for d in bundled_ieee39.devices if not d.is_load and d.bus != slack_bus
         )
         slack_load = sum(
-            d.nominal_p for d in bundled_ieee39.devices if d.is_load and d.bus == slack_bus
+            d.p0 for d in bundled_ieee39.devices if d.is_load and d.bus == slack_bus
         )
         slack_gen = pf.bus_injection[slack_bus].real + slack_load
         losses = pf.bus_injection.real.sum()
@@ -50,7 +50,7 @@ class TestPowerFlow:
         assert vm[20] == pytest.approx(0.9910, abs=2e-4)
         slack_bus = next(b.index for b in labels if b.kind == "slack")
         slack_load = sum(
-            d.nominal_p for d in bundled_ieee39.devices if d.is_load and d.bus == slack_bus
+            d.p0 for d in bundled_ieee39.devices if d.is_load and d.bus == slack_bus
         )
         p_slack = (pf.bus_injection[slack_bus].real + slack_load) * 100.0
         assert p_slack == pytest.approx(677.87, abs=0.5)
@@ -78,18 +78,18 @@ class TestInitialize:
         sc = two_bus_scenario(load_p=0.8, load_q=0.2)
         pf = power_flow(sc)
         x0, v0, system = initialize(sc, pf)
-        sm = sc.devices[0]
+        sm, row = system.row("SM")
         i = np.conj((pf.bus_injection[0] + 0j) / pf.voltages[0])
-        e_expected = pf.voltages[0] + 1j * sm.xd_prime * i
-        assert sm.e_field == pytest.approx(abs(e_expected), rel=1e-12)
+        e_expected = pf.voltages[0] + 1j * sm.xd_prime[row] * i
+        assert sm.e_field[row] == pytest.approx(abs(e_expected), rel=1e-12)
         assert x0[0] == pytest.approx(np.angle(e_expected), rel=1e-12)
         assert x0[1] == 1.0
 
     def test_zero_power_device(self):
         sc = two_bus_scenario(load_p=0.0)
         x0, v0, system = initialize(sc)
-        sm = sc.devices[0]
-        assert sm.e_field == pytest.approx(1.0, rel=1e-12)
+        sm, row = system.row("SM")
+        assert sm.e_field[row] == pytest.approx(1.0, rel=1e-12)
         assert x0[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_equilibrium_ieee39(self, bundled_ieee39):

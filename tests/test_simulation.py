@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfcoherency import Branch, Bus, Event, Network, Scenario, SynchronousMachine, ZipLoad
 from cfcoherency import simulation
@@ -16,7 +21,14 @@ from cfcoherency.simulation import (
     initialize,
     run,
 )
-from tests.conftest import OMEGA_B, mixed_scenario, state_vector, two_bus_scenario
+from tests.conftest import (
+    OMEGA_B,
+    device_fd_blocks,
+    mixed_scenario,
+    reference_devices,
+    state_vector,
+    two_bus_scenario,
+)
 
 
 class _LinearEquations:
@@ -172,13 +184,13 @@ class TestRun:
         sc.t_end = 0.2
         sc.events = [Event(0.1, "load_disconnect_mw", bus=1, amount=100.0)]
         assert run(sc).events_applied == 1
-        initialize(sc)
-        load = sc.devices[1]
-        q_ratio_before = load.q0 / load.p0
-        _apply_event(sc, sc.events[0])
+        _, _, system = initialize(sc)
+        blk, row = system.row("LOAD")
+        q_ratio_before = blk.q0[row] / blk.p0[row]
+        _apply_event(system, sc.events[0], sc.s_base)
         factor = 1.0 - 1.0 / 2.06
-        assert load.nominal_p == pytest.approx(2.06 * factor, rel=1e-12)
-        assert load.q0 / load.p0 == pytest.approx(q_ratio_before, rel=1e-12)
+        assert blk.nominal_p[row] == pytest.approx(2.06 * factor, rel=1e-12)
+        assert blk.q0[row] / blk.p0[row] == pytest.approx(q_ratio_before, rel=1e-12)
 
     def test_set_parameter_event(self):
         sc = two_bus_scenario(load_p=0.4)
@@ -189,8 +201,8 @@ class TestRun:
         assert traj.states["SM"][-1, 1] > 1.0 + 1e-6
 
     def test_rerun_is_identical(self):
-        # events and initialization change device parameters; none of that
-        # may leak from one run of a scenario into the next
+        # events and initialization change parameters; none of that may
+        # leak from one run of a scenario into the next
         sc = load_scenario(bundled_scenario_path("ieee39"))
         sc.t_end = 1.5
         first, second = run(sc), run(sc)
@@ -234,6 +246,104 @@ class TestRun:
         assert "t=0 s" in record.getMessage() and "depth 1" in record.getMessage()
 
 
+def spec_snapshot(sc) -> tuple[list[dict], list[Event]]:
+    """Every device's attributes (a converter's filter included) and every
+    event, copied."""
+    states = []
+    for d in sc.devices:
+        state = dict(vars(d))
+        if "filter" in state:
+            state["filter"] = dict(vars(state["filter"]))
+        states.append(copy.deepcopy(state))
+    return states, copy.deepcopy(sc.events)
+
+
+# parameter ranges the mixed grid rides through for a few tens of ms
+SETTABLE = {
+    "SM": {"p_m": (0.8, 1.2), "damping": (0.0, 4.0)},
+    "GFL": {"iref_d": (0.4, 0.8), "iref_q": (-0.2, 0.2)},
+    "GFM": {"p_ref": (0.3, 0.7), "v_ref": (0.95, 1.05)},
+    "ZL": {"p0": (0.7, 1.2), "q0": (0.1, 0.4)},
+    "SL": {"p0": (0.6, 1.0), "q0": (0.1, 0.3)},
+}
+
+
+@st.composite
+def mixed_events(draw):
+    """Up to four events of any action on the mixed grid, at step times in
+    [0, 30 ms]; the loads (bus 1 and 2) keep most of their power."""
+    events = []
+    for _ in range(draw(st.integers(0, 4))):
+        time = draw(st.integers(0, 30)) * 1e-3
+        action = draw(st.sampled_from(["load_scale", "load_disconnect_mw", "set_parameter"]))
+        if action == "set_parameter":
+            device = draw(st.sampled_from(sorted(SETTABLE)))
+            param = draw(st.sampled_from(sorted(SETTABLE[device])))
+            value = draw(st.floats(*SETTABLE[device][param]))
+            events.append(Event(time, action, device=device, param=param, value=value))
+        elif action == "load_scale":
+            factor = draw(st.floats(0.9, 1.1))
+            events.append(Event(time, action, bus=draw(st.sampled_from([1, 2])), factor=factor))
+        else:
+            amount = draw(st.floats(0.0, 5.0))
+            events.append(Event(time, action, bus=draw(st.sampled_from([1, 2])), amount=amount))
+    return events
+
+
+class TestRunLeavesScenario:
+    @settings(max_examples=20, deadline=None)
+    @given(mixed_events())
+    def test_run_never_writes_to_its_scenario(self, events):
+        sc = dataclasses.replace(mixed_scenario(t_end=0.03, with_pulse=False), events=events)
+        before = spec_snapshot(sc)
+        traj = run(sc)
+        assert traj.events_applied == len(events)
+        assert spec_snapshot(sc) == before
+
+
+class TestEventChecks:
+    """Events are checked when the scenario is built, not when they fire."""
+
+    def with_events(self, *events):
+        return dataclasses.replace(two_bus_scenario(load_p=0.4), events=list(events))
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (Event(0.1, "set_parameter", device="NOPE", param="p_m", value=1.0),
+             "unknown device 'NOPE'"),
+            (Event(0.1, "set_parameter", device="SM", param="inertia", value=1.0),
+             "no settable parameter 'inertia'"),
+            (Event(0.1, "load_scale", bus=0, factor=1.1), "no load at bus 1"),
+            (Event(0.1, "load_disconnect_mw", bus=1, amount=41.0),
+             "cannot disconnect 41 MW from the 40.0 MW left at bus 2"),
+        ],
+        ids=["unknown_device", "not_settable", "bus_without_load", "oversized_disconnect"],
+    )
+    def test_bad_target_raises_at_construction(self, event, message):
+        with pytest.raises(ValueError, match=message):
+            self.with_events(event)
+
+    @pytest.mark.parametrize(
+        "action, field_name",
+        [("load_scale", "factor"), ("load_disconnect_mw", "amount"), ("set_parameter", "value")],
+    )
+    def test_missing_or_nonfinite_value_raises(self, action, field_name):
+        for value in (None, float("nan"), float("inf"), "1.1"):
+            with pytest.raises(ValueError, match=f"{field_name} must be a finite number"):
+                Event(0.1, action, bus=1, device="SM", param="p_m", **{field_name: value})
+
+    def test_disconnects_replay_earlier_load_changes_in_run_order(self):
+        # 40 MW, halved at 0.1 s: 25 MW cannot go at 0.2 s, however the
+        # events are listed; doubled instead, 60 MW can
+        cut = Event(0.2, "load_disconnect_mw", bus=1, amount=25.0)
+        with pytest.raises(ValueError, match="from the 20.0 MW left"):
+            self.with_events(cut, Event(0.1, "load_scale", bus=1, factor=0.5))
+        self.with_events(cut, Event(0.1, "load_scale", bus=1, factor=2.0))
+        with pytest.raises(ValueError, match="from the 15.0 MW left"):
+            self.with_events(cut, Event(0.1, "load_disconnect_mw", bus=1, amount=25.0))
+
+
 class TestVoltageRates:
     def test_match_trajectory_differences(self):
         # implicit differentiation of the bus equations must agree with
@@ -251,21 +361,23 @@ class TestVoltageRates:
 
 def _off_equilibrium():
     """The mixed grid moved off its operating point, so that every
-    sensitivity is generic; the S-load gives a nonzero conjugate part b."""
+    sensitivity is generic; the S-load gives a nonzero conjugate part b.
+    Also scalar devices that hold the system's initialized parameters."""
     sc = mixed_scenario(with_pulse=False)
     x0, v0, system = initialize(sc)
     rng = np.random.default_rng(7)
     x = x0 + 0.01 * rng.standard_normal(x0.size)
     v = v0 * (1.0 + 0.02 * (rng.standard_normal(v0.size) + 1j * rng.standard_normal(v0.size)))
-    return sc, system, x, v
+    return reference_devices(system, sc.devices), system, x, v
 
 
 class TestSensitivities:
     H = 1e-6
+    DT = 1e-3
 
     def test_voltage_jacobian_matches_finite_differences(self):
-        sc, system, x, v = _off_equilibrium()
-        sl = sc.device("SL")
+        devices, system, x, v = _off_equilibrium()
+        sl = next(d for d in devices if d.name == "SL")
         assert abs(sl.voltage_sensitivity(np.empty(0), complex(v[sl.bus]))[1]) > 0.1
         jac = system.voltage_jacobian(x, v)
         fd = np.empty_like(jac)
@@ -277,14 +389,16 @@ class TestSensitivities:
             fd[1::2, col] = diff.imag / (2 * self.H)
         assert np.max(np.abs(jac - fd)) < 1e-7 * np.max(np.abs(jac))
 
-    def test_state_columns_match_finite_differences(self):
-        # ∂ı/∂x_k is the current rate at the unit state rate e_k, both per
-        # device and in the network rows of the Newton matrix
-        sc, system, x, v = _off_equilibrium()
+    def _newton(self, system, x, v):
         integ = TrapezoidalIntegrator(system)
-        newton = integ._jacobian(integ._pack(x, v), 1e-3)
-        nx = system.n_states
-        for dev, sl in zip(sc.devices, system.slices):
+        return integ._jacobian(integ._pack(x, v), self.DT)
+
+    def test_state_columns_match_finite_differences(self):
+        # ∂ı/∂x_k is the current rate at the unit state rate e_k: per scalar
+        # device against central differences, and per block in the network
+        # rows of the Newton matrix
+        devices, system, x, v = _off_equilibrium()
+        for dev, sl in zip(devices, system.slices):
             vb = complex(v[dev.bus])
             for k in range(dev.n_states):
                 dx = np.zeros(dev.n_states)
@@ -294,6 +408,32 @@ class TestSensitivities:
                 ) / (2 * self.H)
                 exact = dev.current_state_rate(x[sl], np.eye(dev.n_states)[k], vb)
                 assert abs(exact - fd) < 1e-7 * max(1.0, abs(fd)), (dev.name, k)
-                col = newton[nx + 2 * dev.bus : nx + 2 * dev.bus + 2, sl.start + k]
-                assert np.array_equal(col, [exact.real, exact.imag]), (dev.name, k)
+        newton = self._newton(system, x, v)
+        nx = system.n_states
+        names = [d.name for d in devices]
+        for blk in system.dynamic:
+            xb, vb = x[blk.states].reshape(blk.n, blk.n_states), v[blk.bus]
+            for k, e_k in enumerate(np.eye(blk.n_states)):
+                rate = blk.current_state_rate(xb, e_k, vb)
+                for row, name in enumerate(blk.names):
+                    u = nx + 2 * blk.bus[row]
+                    col = newton[u : u + 2, system.slices[names.index(name)].start + k]
+                    assert np.array_equal(col, [rate[row].real, rate[row].imag]), (name, k)
         assert np.array_equal(newton[nx:, nx:], system.voltage_jacobian(x, v))
+
+    def test_device_rows_match_scalar_finite_differences(self):
+        # the block-built ∂f/∂x and ∂f/∂v against per-device forward
+        # differences of the scalar equations; nothing else on the state rows
+        devices, system, x, v = _off_equilibrium()
+        newton = self._newton(system, x, v)
+        nx = system.n_states
+        got = np.zeros((nx, system.n_vars))
+        want = np.zeros_like(got)
+        for dev, sl in zip(devices, system.slices):
+            if not dev.n_states:
+                continue
+            u = nx + 2 * dev.bus
+            got[sl] = newton[sl] / (-0.5 * self.DT)
+            got[sl, sl] += np.eye(dev.n_states) / (0.5 * self.DT)
+            want[sl, sl], want[sl, u : u + 2] = device_fd_blocks(dev, x[sl], complex(v[dev.bus]))
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
