@@ -24,7 +24,7 @@ from .coherency import (
     source_devices,
 )
 from .errors import CfCoherencyError, SchemaError
-from .scenario_io import load_scenario, parse_window
+from .scenario_io import load_scenario, parse_window, scenario_error
 from .simulation import Scenario, Trajectory, run
 
 EXIT_OK = 0
@@ -268,7 +268,7 @@ def _load(args) -> Scenario:
     try:
         return dataclasses.replace(scenario, **changes)
     except ValueError as exc:
-        raise SchemaError("$", str(exc)) from exc
+        raise scenario_error(exc) from exc
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:

@@ -70,14 +70,14 @@ def device_cf_numerical(traj: Trajectory, name: str, pad: int = EVENT_MASK_PAD) 
     """Estimator CF of a device's injected current, shifted to the stationary
     frame and masked around events."""
     series = numerical_cf(traj.device_current(name), traj.dt, traj.omega_base)
-    return CfSeries(
-        traj.times.copy(), series.values + 1j, series.valid & traj.estimator_valid(pad)
-    )
+    return CfSeries(traj.times, series.values + 1j, series.valid & traj.estimator_valid(pad))
 
 
 def device_cf_analytic(traj: Trajectory, name: str) -> CfSeries:
+    """The recorded closed-form CF; shares the trajectory's arrays, since no
+    CfSeries is ever written to."""
     values = traj.analytic_cf[name]
-    return CfSeries(traj.times.copy(), values.copy(), np.ones(values.size, dtype=bool))
+    return CfSeries(traj.times, values, np.ones(values.size, dtype=bool))
 
 
 def device_cf(traj: Trajectory, name: str) -> CfSeries:
@@ -129,23 +129,62 @@ def distance_matrix(
     """Pairwise ∫|ε|dt over the window.
 
     `component` selects what is integrated: the full complex ε ("full") or a
-    single part ("rho" / "omega").
+    single part ("rho" / "omega").  The series are grouped by their validity
+    mask inside the window, so each pair of groups integrates over one joint
+    set of samples; each row is integrated against the rest of its partner
+    group in one call.
     """
     labels = list(cfs.keys())
     if len(labels) < 2:
         raise ValueError("need at least two devices")
     if component not in ("full", "rho", "omega"):
         raise ValueError(f"unknown component {component!r}")
+    times = cfs[labels[0]].times
+    for name in labels[1:]:
+        other = cfs[name].times
+        if other.shape != times.shape or not np.allclose(other, times, rtol=0.0, atol=1e-12):
+            raise TimeBaseMismatch("CF series are sampled on different time bases")
+    t_start, t_end = window
+    lo = np.searchsorted(times, t_start - 1e-12, side="left")
+    hi = np.searchsorted(times, t_end + 1e-12, side="right")
+    t_win = times[lo:hi]
+
+    members: dict[bytes, list[int]] = {}  # window mask -> rows, in label order
+    for i, name in enumerate(labels):
+        members.setdefault(cfs[name].valid[lo:hi].tobytes(), []).append(i)
+    groups = list(members.values())
+    masks = [cfs[labels[rows[0]]].valid[lo:hi] for rows in groups]
+    # stacked group by group, so the rows of one group are one contiguous block
+    v = np.stack([cfs[labels[i]].values[lo:hi] for rows in groups for i in rows])
+    if component == "rho":
+        v = v.real
+    elif component == "omega":
+        v = v.imag
+    first = np.cumsum([0] + [len(rows) for rows in groups])
+
     n = len(labels)
     d = np.zeros((n, n))
-    for ia in range(n):
-        for ib in range(ia + 1, n):
-            eps = coherency_function(cfs[labels[ia]], cfs[labels[ib]])
-            if component == "rho":
-                eps = CfSeries(eps.times, eps.values.real + 0j, eps.valid)
-            elif component == "omega":
-                eps = CfSeries(eps.times, 1j * eps.values.imag, eps.valid)
-            d[ia, ib] = d[ib, ia] = coherency_distance(eps, *window)
+    for g, rows_g in enumerate(groups):
+        for h in range(g, len(groups)):
+            rows_h = groups[h]
+            if g == h and len(rows_g) < 2:
+                continue
+            joint = masks[g] & masks[h]
+            count = int(np.count_nonzero(joint))
+            if count < 2:
+                raise EmptyWindow(
+                    f"window [{t_start}, {t_end}] holds {count} usable sample(s); need at least 2"
+                )
+            cols = slice(None) if count == joint.size else joint
+            t = t_win[cols]
+            vg = v[first[g] : first[g + 1], cols]
+            vh = v[first[h] : first[h + 1], cols]
+            for i, a in enumerate(rows_g):
+                rest = i + 1 if g == h else 0  # each pair of one group once
+                if rest == len(rows_h):
+                    continue
+                row = np.trapezoid(np.abs(vg[i] - vh[rest:]), t, axis=-1)
+                d[a, rows_h[rest:]] = d[rows_h[rest:], a] = row
     return CoherencyDistanceMatrix(d, labels)
 
 
@@ -178,28 +217,48 @@ def upgma_tree(matrix: CoherencyDistanceMatrix) -> ClusterTree:
     """Unweighted average linkage: repeatedly merge the cluster pair with the
     smallest mean pairwise distance.
 
-    Ties break on the lexicographically smallest pair of cluster ids, so the
-    result is identical across platforms and device orderings with equal
-    labels.
+    Cluster distances live in one (2n-1)² matrix and follow the
+    Lance–Williams update d(k, i∪j) = (|i|·d(k,i) + |j|·d(k,j)) / (|i|+|j|).
+    Each live cluster caches its nearest cluster among the larger ids, so a
+    merge rescans only the rows whose cached partner it consumed: O(n²)
+    overall.  Ties break on the lexicographically smallest pair of cluster
+    ids, so the result is identical across platforms and device orderings
+    with equal labels.
     """
-    d0 = matrix.values
-    n = d0.shape[0]
-    clusters: dict[int, list[int]] = {i: [i] for i in range(n)}
+    n = matrix.values.shape[0]
+    size = 2 * n - 1
+    d = np.full((size, size), np.inf)  # inf marks merged and unborn clusters
+    d[:n, :n] = matrix.values
+    count = np.zeros(size, dtype=int)  # leaves per live cluster, 0 once merged
+    count[:n] = 1
+    # each live cluster's nearest cluster among the larger ids; -1 for none yet
+    near = np.full(size, -1)
+    near_d = np.full(size, np.inf)
+
+    def rescan(k: int) -> None:
+        j = k + 1 + int(np.argmin(d[k, k + 1 :]))  # first of equal minima
+        near[k], near_d[k] = j, d[k, j]
+
+    for k in range(n - 1):
+        rescan(k)
     merges: list[tuple[int, int, float]] = []
-    next_id = n
-    while len(clusters) > 1:
-        best = None
-        ids = sorted(clusters)
-        for ii, ca in enumerate(ids):
-            for cb in ids[ii + 1 :]:
-                pairs = d0[np.ix_(clusters[ca], clusters[cb])]
-                dist = float(pairs.mean())
-                if best is None or dist < best[0]:
-                    best = (dist, ca, cb)
-        dist, ca, cb = best
-        clusters[next_id] = clusters.pop(ca) + clusters.pop(cb)
-        merges.append((ca, cb, dist))
-        next_id += 1
+    for new in range(n, size):
+        ca = int(np.argmin(near_d))  # first row with the smallest distance
+        cb = int(near[ca])
+        merges.append((ca, cb, float(near_d[ca])))
+        row = (count[ca] * d[ca] + count[cb] * d[cb]) / (count[ca] + count[cb])
+        row[[ca, cb]] = np.inf
+        d[:, [ca, cb]] = np.inf
+        d[new] = d[:, new] = row
+        count[new] = count[ca] + count[cb]
+        count[[ca, cb]] = 0
+        near_d[[ca, cb]] = np.inf
+        stale = np.flatnonzero(((near == ca) | (near == cb)) & (count > 0))
+        # the new id is the largest, so on a tie the cached partner stays
+        closer = row < near_d
+        near[closer], near_d[closer] = new, row[closer]
+        for k in stale:
+            rescan(k)
     return ClusterTree(n, merges, list(matrix.labels))
 
 

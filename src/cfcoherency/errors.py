@@ -49,6 +49,15 @@ class NotAnalytical(CfCoherencyError):
     """No closed-form complex frequency exists for this device configuration."""
 
 
+class EventError(ValueError):
+    """A scenario event that cannot be applied; `index` is its position in
+    `Scenario.events`."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
 class SchemaError(CfCoherencyError):
     """A scenario document violates the expected schema.
 

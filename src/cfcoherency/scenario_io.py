@@ -23,7 +23,7 @@ from .devices import (
     SynchronousMachine,
     ZipLoad,
 )
-from .errors import SchemaError
+from .errors import EventError, SchemaError
 from .network import Branch, Bus, Network, Shunt
 from .simulation import EVENT_ACTIONS, AnalysisOptions, Event, Scenario
 
@@ -273,7 +273,7 @@ def parse_scenario(doc: dict) -> Scenario:
             fields = {"bus": bus_ref(ev, "bus", path)}
         number = EVENT_ACTIONS[action]  # factor, amount or value
         fields[number] = _number(ev, number, path)
-        # the targets and the disconnected amounts are checked by `Scenario`
+        # the targets and the disconnected amounts are checked by `Scenario.check`
         events.append(Event(_number(ev, "time", path), action, **fields))
 
     # -- simulation / analysis ---------------------------------------------------
@@ -337,7 +337,14 @@ def parse_scenario(doc: dict) -> Scenario:
             analysis=analysis,
         )
     except ValueError as exc:
-        raise SchemaError("$", str(exc)) from exc
+        raise scenario_error(exc) from exc
+
+
+def scenario_error(exc: ValueError) -> SchemaError:
+    """The schema error for a scenario that failed its own checks: a bad
+    event is located by its index, anything else at the document root."""
+    path = f"$.events[{exc.index}]" if isinstance(exc, EventError) else "$"
+    return SchemaError(path, str(exc))
 
 
 def _build_device(

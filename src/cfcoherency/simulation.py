@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .devices import Device, DeviceBlock, ZipBlock
-from .errors import InfeasibleInit, NewtonDivergence, NonConvergence
+from .errors import EventError, InfeasibleInit, NewtonDivergence, NonConvergence
 from .network import Network
 
 log = logging.getLogger(__name__)
@@ -78,22 +78,26 @@ class Scenario:
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
 
     def __post_init__(self):
-        if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
-            raise ValueError("dt and t_end must be positive and finite")
-        for ev in self.events:
-            if not 0.0 <= ev.time <= self.t_end:
-                raise ValueError(f"event at t={ev.time} outside [0, {self.t_end}]")
+        self.check()
         window = self.analysis.window
         if window is not None and window[1] > self.t_end:
             raise ValueError(
                 f"analysis window [{window[0]:g}, {window[1]:g}] ends after t_end {self.t_end:g}"
             )
-        self._check_references()
 
-    def _check_references(self) -> None:
-        """Device names are unique and every event's device or load bus
-        exists.  The load changes are replayed in the order `run` applies
-        them, so that no disconnect takes more load than is left at its bus."""
+    def check(self) -> None:
+        """Raise `ValueError` unless the scenario can run: a positive finite
+        step and horizon, events inside the horizon, unique device names,
+        and every event's device or load bus present.  The load changes are
+        replayed in the order `run` applies them, so that no disconnect takes
+        more load than is left at its bus.  A bad event raises `EventError`,
+        which carries its index in `events`.  The analysis window, which
+        `run` does not read, is checked against the horizon at construction."""
+        if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
+            raise ValueError("dt and t_end must be positive and finite")
+        for i, ev in enumerate(self.events):
+            if not 0.0 <= ev.time <= self.t_end:
+                raise EventError(i, f"event at t={ev.time} outside [0, {self.t_end}]")
         by_name = {d.name: d for d in self.devices}
         if len(by_name) != len(self.devices):
             raise ValueError("device names must be unique")
@@ -102,25 +106,28 @@ class Scenario:
         for d in self.devices:
             if d.is_load:
                 load_p[d.bus] = np.append(load_p.get(d.bus, []), d.p0)
-        for _, ev in self.scheduled_events():
+        for _, i, ev in self.scheduled_events():
             if ev.action == "set_parameter":
                 dev = by_name.get(ev.device)
                 if dev is None:
-                    raise ValueError(f"{ev}: unknown device {ev.device!r}")
+                    raise EventError(i, f"{ev}: unknown device {ev.device!r}")
                 if ev.param not in dev.settable_params:
-                    raise ValueError(f"{ev}: {dev.name!r} has no settable parameter {ev.param!r}")
+                    raise EventError(
+                        i, f"{ev}: {dev.name!r} has no settable parameter {ev.param!r}"
+                    )
                 continue
             p = load_p.get(ev.bus)
             bus = labels.get(ev.bus, ev.bus)
             if p is None:
-                raise ValueError(f"{ev}: no load at bus {bus}")
+                raise EventError(i, f"{ev}: no load at bus {bus}")
             factor = ev.factor
             if ev.action == "load_disconnect_mw":
                 total = p.sum()
                 if total <= 0.0 or (factor := 1.0 - (ev.amount / self.s_base) / total) < 0.0:
-                    raise ValueError(
+                    raise EventError(
+                        i,
                         f"{ev}: cannot disconnect {ev.amount:g} MW from the "
-                        f"{total * self.s_base:.1f} MW left at bus {bus}"
+                        f"{total * self.s_base:.1f} MW left at bus {bus}",
                     )
             p *= factor
 
@@ -132,12 +139,12 @@ class Scenario:
             n = int(np.ceil(self.t_end / self.dt - 1e-12))
         return n
 
-    def scheduled_events(self) -> list[tuple[int, Event]]:
-        """(step, event) in the order `run` applies them: by the step the
-        event snaps to, then as listed."""
+    def scheduled_events(self) -> list[tuple[int, int, Event]]:
+        """(step, index in `events`, event) in the order `run` applies them:
+        by the step the event snaps to, then as listed."""
         n = self.n_steps
         steps = [min(max(int(round(ev.time / self.dt)), 0), n) for ev in self.events]
-        return sorted(zip(steps, self.events), key=lambda pair: pair[0])
+        return sorted(zip(steps, range(len(steps)), self.events), key=lambda item: item[0])
 
     def device(self, name: str) -> Device:
         for d in self.devices:
@@ -643,15 +650,17 @@ def run(scenario: Scenario) -> Trajectory:
     Analytical CFs are evaluated from post-solve values, so samples that
     coincide with an event carry the post-event state.  Initialization and
     events change only the parameters in the system's blocks, so `scenario`
-    is left as it was.
+    is left as it was.  The scenario is checked again first, because its
+    fields may have been assigned after construction.
     """
+    scenario.check()
     x, v, system = initialize(scenario)
     dt = scenario.dt
     n_steps = scenario.n_steps
     times = np.arange(n_steps + 1) * dt
 
     events_by_step: dict[int, list[Event]] = {}
-    for k, ev in scenario.scheduled_events():
+    for k, _, ev in scenario.scheduled_events():
         events_by_step.setdefault(k, []).append(ev)
 
     integ = TrapezoidalIntegrator(system, tol=scenario.tolerance)

@@ -137,7 +137,9 @@ class TestRunCommand:
         path = tmp_path / "cut.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["--out", str(tmp_path / "o"), "run", str(path)]) == 1
-        assert "cannot disconnect 60 MW from the 50.0 MW left at bus 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "$.events[2]: load_disconnect_mw event at t=0.2: cannot disconnect 60 MW" in err
+        assert "from the 50.0 MW left at bus 2" in err
         assert not (tmp_path / "o").exists()
 
 

@@ -5,8 +5,10 @@ import pytest
 
 from cfcoherency import (
     CfSeries,
+    ZipLoad,
     coherency_distance,
     coherency_function,
+    device_cf,
     device_cf_analytic,
     device_cf_numerical,
     distance_matrix,
@@ -147,7 +149,87 @@ class TestCoherencyDistance:
         assert coherency_distance(eps, 0.0, 1.0) == pytest.approx(0.01, rel=1e-6)
 
 
+def pairwise_distance_matrix(cfs, window, component="full"):
+    """Reference: one coherency function and one masked integral per pair."""
+    labels = list(cfs)
+    d = np.zeros((len(labels), len(labels)))
+    for ia, a in enumerate(labels):
+        for ib in range(ia + 1, len(labels)):
+            eps = coherency_function(cfs[a], cfs[labels[ib]])
+            if component == "rho":
+                eps = CfSeries(eps.times, eps.values.real + 0j, eps.valid)
+            elif component == "omega":
+                eps = CfSeries(eps.times, 1j * eps.values.imag, eps.valid)
+            d[ia, ib] = d[ib, ia] = coherency_distance(eps, *window)
+    return d
+
+
+@pytest.fixture(scope="module")
+def mixed_zip_trajectory():
+    # ZL becomes a mixed ZIP load, whose CF is the masked estimator
+    sc = mixed_scenario(t_end=1.2)
+    sc.devices[3] = ZipLoad("ZL", 1, p0=1.0, q0=0.3, kz_p=0.5, kp_p=0.5)
+    return run(sc)
+
+
+def masked_mix(traj):
+    """Analytic series, the mixed load's estimator, and estimators with two
+    other pads: four validity masks in interleaved label order."""
+    cfs = {}
+    for name in traj.device_names:
+        cfs[name] = device_cf(traj, name)
+        if name in traj.analytic_cf:
+            cfs[f"{name}~"] = device_cf_numerical(traj, name, pad=1 + len(cfs) % 3)
+    return cfs
+
+
 class TestDistanceMatrix:
+    @pytest.mark.parametrize("component", ["full", "rho", "omega"])
+    @pytest.mark.parametrize(
+        "window", [(0.9, 1.2), (1.0, 1.2), (0.95, 1.01), (1.013, 1.2)],
+        ids=["across_events", "opens_on_event", "closes_on_event", "opens_in_mask"],
+    )
+    def test_matches_pairwise_reference_on_masked_series(
+        self, mixed_zip_trajectory, window, component
+    ):
+        cfs = masked_mix(mixed_zip_trajectory)
+        assert "ZL" not in mixed_zip_trajectory.analytic_cf
+        assert len({cf.valid.tobytes() for cf in cfs.values()}) == 4
+        got = distance_matrix(cfs, window, component).values
+        want = pairwise_distance_matrix(cfs, window, component)
+        assert np.all(want[~np.eye(len(cfs), dtype=bool)] > 0.0)
+        assert np.max(np.abs(got - want) / np.where(want > 0.0, want, 1.0)) < 1e-12
+        assert np.array_equal(got, got.T)
+
+    def test_bit_identical_to_pairwise_reference_when_all_valid(self):
+        rng = np.random.default_rng(3)
+        cfs = {
+            f"s{i}": series(1j + 1e-3 * (rng.standard_normal(400) + 1j * rng.standard_normal(400)))
+            for i in range(12)
+        }
+        for component in ("full", "rho", "omega"):
+            got = distance_matrix(cfs, (0.05, 0.3), component).values
+            assert np.array_equal(got, pairwise_distance_matrix(cfs, (0.05, 0.3), component))
+
+    def test_empty_joint_mask_raises_like_reference(self, mixed_zip_trajectory):
+        # inside the estimators' event mask only the analytic pairs have samples
+        cfs = masked_mix(mixed_zip_trajectory)
+        window = (1.0, 1.002)
+        with pytest.raises(EmptyWindow) as want:
+            pairwise_distance_matrix(cfs, window)
+        with pytest.raises(EmptyWindow) as got:
+            distance_matrix(cfs, window)
+        assert str(got.value) == str(want.value)
+        assert "holds 0 usable sample(s)" in str(got.value)
+
+    def test_time_base_mismatch_on_any_series(self):
+        base = np.full(20, 1j)
+        cfs = {"a": series(base), "b": series(base), "c": series(base, dt=2e-3)}
+        with pytest.raises(TimeBaseMismatch):
+            pairwise_distance_matrix(cfs, (0.0, 0.01))
+        with pytest.raises(TimeBaseMismatch):
+            distance_matrix(cfs, (0.0, 0.01))
+
     def test_duplicate_devices_have_zero_distance(self):
         base = 0.01 * np.sin(np.linspace(0, 6, 200)) + 1j
         cfs = {

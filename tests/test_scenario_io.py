@@ -80,8 +80,10 @@ class TestParse:
     def test_event_without_load_rejected(self):
         doc = minimal_doc()
         doc["events"][0]["bus"] = 1
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             parse_scenario(doc)
+        assert err.value.path == "$.events[0]"
+        assert "no load at bus 1" in str(err.value)
 
     def test_event_unknown_parameter_rejected(self):
         doc = minimal_doc()

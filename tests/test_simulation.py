@@ -12,7 +12,7 @@ from cfcoherency import Branch, Bus, Event, Network, Scenario, SynchronousMachin
 from cfcoherency import simulation
 from cfcoherency.coherency import build_two_machine_scenario
 from cfcoherency.devices import DeviceBlock
-from cfcoherency.errors import NewtonDivergence
+from cfcoherency.errors import EventError, NewtonDivergence
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import (
     DaeSystem,
@@ -332,6 +332,28 @@ class TestEventChecks:
         for value in (None, float("nan"), float("inf"), "1.1"):
             with pytest.raises(ValueError, match=f"{field_name} must be a finite number"):
                 Event(0.1, action, bus=1, device="SM", param="p_m", **{field_name: value})
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (Event(0.1, "set_parameter", device="NOPE", param="p_m", value=1.0),
+             "unknown device 'NOPE'"),
+            (Event(0.1, "load_disconnect_mw", bus=1, amount=41.0),
+             "cannot disconnect 41 MW from the 40.0 MW left at bus 2"),
+        ],
+        ids=["unknown_device", "oversized_disconnect"],
+    )
+    def test_events_assigned_after_construction_checked_by_run(self, event, message, monkeypatch):
+        sc = two_bus_scenario(load_p=0.4)
+        sc.events = [Event(0.05, "set_parameter", device="SM", param="p_m", value=0.4), event]
+
+        def no_simulation(scenario):
+            raise AssertionError("simulated a scenario that failed its checks")
+
+        monkeypatch.setattr(simulation, "initialize", no_simulation)
+        with pytest.raises(EventError, match=message) as err:
+            run(sc)
+        assert err.value.index == 1
 
     def test_disconnects_replay_earlier_load_changes_in_run_order(self):
         # 40 MW, halved at 0.1 s: 25 MW cannot go at 0.2 s, however the
