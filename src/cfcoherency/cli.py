@@ -25,79 +25,52 @@ from .coherency import (
 )
 from .errors import CfCoherencyError, SchemaError
 from .scenario_io import load_scenario, parse_window, scenario_error
-from .simulation import Scenario, Trajectory, run
+from .simulation import Scenario, run
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_SOLVER = 2
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17e")
+FLOAT = "%.17e"  # format(x, ".17e"): exact and the same on every platform
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_csv(path: Path, header: list[str], rows, fmt: list[str] | None = None) -> None:
+    """Write `rows` under `header`, each cell in its column's %-format of
+    `fmt` (by default every cell as FLOAT)."""
+    line = ",".join(fmt or [FLOAT] * len(header)) + "\n"
+    text = ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    header = ["time"]
-    for lbl in traj.bus_labels:
-        header += [f"v{lbl}_re", f"v{lbl}_im"]
-    for name in traj.device_names:
-        header += [f"i_{name}_re", f"i_{name}_im"]
-    for name in traj.device_names:
-        header += [f"rho_{name}", f"omega_{name}"]
-    cf_columns = [device_cf(traj, name).values for name in traj.device_names]
-
-    def rows():
-        for k in range(traj.times.size):
-            row = [traj.times[k]]
-            for h in range(traj.voltages.shape[1]):
-                v = traj.voltages[k, h]
-                row += [v.real, v.imag]
-            for d in range(traj.currents.shape[1]):
-                i = traj.currents[k, d]
-                row += [i.real, i.imag]
-            for s in cf_columns:
-                row += [s[k].real, s[k].imag]
-            yield row
-
-    _write_csv(path, header, rows())
+def _table(*blocks: np.ndarray) -> list[list[float]]:
+    """The rows of arrays of shape (samples,) or (samples, k) set side by
+    side; a complex block gives its columns as interleaved (re, im) pairs."""
+    return np.column_stack([b.view(float) if b.dtype.kind == "c" else b for b in blocks]).tolist()
 
 
-def _write_cf_csv(traj: Trajectory, path: Path) -> None:
-    """Per-device stationary-frame CFs; `event_mask` flags the samples
-    adjacent to discrete events where finite-difference estimates are
-    impulsive."""
-    header = ["time"]
-    for name in traj.device_names:
-        header += [f"rho_{name}", f"omega_{name}"]
-    series = [device_cf(traj, name).values for name in traj.device_names]
-    header.append("event_mask")
-    valid = traj.estimator_valid()
-
-    def rows():
-        for k in range(traj.times.size):
-            row = [traj.times[k]]
-            for s in series:
-                row += [s[k].real, s[k].imag]
-            row.append("0" if valid[k] else "1")
-            yield row
-
-    _write_csv(path, header, rows())
+def _pairs(names: list, first: str, second: str) -> list[str]:
+    """Two column names per name, filled into the templates `first` and `second`."""
+    return [template.format(name) for name in names for template in (first, second)]
 
 
 def _cmd_run(args) -> int:
+    """Write trajectory.csv (voltages, currents and device CFs) and cf.csv
+    (the CFs with an `event_mask` that flags the samples adjacent to
+    discrete events, where finite-difference estimates are impulsive)."""
     scenario = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     traj = run(scenario)
-    _write_trajectory_csv(traj, out / "trajectory.csv")
-    _write_cf_csv(traj, out / "cf.csv")
+    names = traj.device_names
+    cf = np.stack([device_cf(traj, name).values for name in names], axis=-1)
+    cf_header = ["time"] + _pairs(names, "rho_{}", "omega_{}")
+    header = ["time"] + _pairs(traj.bus_labels, "v{}_re", "v{}_im")
+    header += _pairs(names, "i_{}_re", "i_{}_im") + cf_header[1:]
+    _write_csv(out / "trajectory.csv", header, _table(traj.times, traj.voltages, traj.currents, cf))
+    mask = ~traj.estimator_valid()
+    fmt = [FLOAT] * len(cf_header) + ["%d"]
+    _write_csv(out / "cf.csv", cf_header + ["event_mask"], _table(traj.times, cf, mask), fmt)
     n_steps = traj.times.size - 1
     print(
         f"run: {n_steps} steps, {traj.newton_iters} Newton iterations, "
@@ -125,21 +98,21 @@ def _cmd_cluster(args) -> int:
     _write_csv(
         out / "distance.csv",
         ["device"] + labels,
-        ([name] + list(matrix.values[i]) for i, name in enumerate(labels)),
+        ([name] + row for name, row in zip(labels, matrix.values.tolist())),
+        ["%s"] + [FLOAT] * len(labels),
     )
     by_name = {name: gid for gid, group in enumerate(groups) for name in group}
     _write_csv(
         out / "partition.csv",
         ["device", "group"],
-        ([name, str(by_name[name])] for name in labels),
+        ([name, by_name[name]] for name in labels),
+        ["%s", "%d"],
     )
     _write_csv(
         out / "dendrogram.csv",
         ["step", "left", "right", "height"],
-        (
-            [str(step), str(left), str(right), height]
-            for step, (left, right, height) in enumerate(tree.merges)
-        ),
+        ([step, *merge] for step, merge in enumerate(tree.merges)),
+        ["%d", "%d", "%d", FLOAT],
     )
     print(f"cluster: k={k}, window=[{window[0]:g}, {window[1]:g}]")
     for gid, group in enumerate(groups):
@@ -191,8 +164,8 @@ def _cmd_sweep(args) -> int:
     )
     _write_csv(
         out / "sweep.csv",
-        ["alpha\\beta"] + [_fmt(b) for b in betas],
-        ([_fmt(a)] + list(result.values[ia]) for ia, a in enumerate(alphas)),
+        ["alpha\\beta"] + [FLOAT % b for b in betas],
+        _table(alphas, result.values),
     )
     print(f"sweep: {alphas.size}x{betas.size} cells, {len(result.failures)} failed")
     for a, b, err in result.failures:
@@ -233,21 +206,12 @@ def _cmd_cf(args) -> int:
     omega_base = 2.0 * np.pi * args.f_nominal
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    header_out = ["time"]
-    columns = []
-    for name, c in pairs:
-        series = numerical_cf(data[:, c] + 1j * data[:, c + 1], dt, omega_base)
-        header_out += [f"rho_{name}", f"omega_{name}"]
-        columns.append(series.values)
-
-    def rows():
-        for k in range(times.size):
-            row = [times[k]]
-            for s in columns:
-                row += [s[k].real, s[k].imag]
-            yield row
-
-    _write_csv(out / "cf.csv", header_out, rows())
+    cf = [numerical_cf(data[:, c] + 1j * data[:, c + 1], dt, omega_base).values for _, c in pairs]
+    _write_csv(
+        out / "cf.csv",
+        ["time"] + _pairs([name for name, _ in pairs], "rho_{}", "omega_{}"),
+        _table(times, np.stack(cf, axis=-1)),
+    )
     print(f"cf: {len(pairs)} signal(s), {times.size} samples")
     print(f"wrote {out / 'cf.csv'}")
     return EXIT_OK

@@ -12,14 +12,14 @@ Each device exposes the same small surface the integrator relies on:
 power-flow terminal voltage and the device's complex-power share,
 `derivatives`, `injected_current`, the analytic current sensitivities used to
 recover exact voltage rates (`voltage_sensitivity`: (a, b) such that
-dı̄ = a·dv̄ + b·dv̄* at fixed states; `current_state_rate`, below) and
-`analytic_cf`.
+dı̄ = a·dv̄ + b·dv̄* at fixed states, one per terminal voltage;
+`current_state_rate`, below) and `analytic_cf`.
 
 The equations of each kind are written once, in an `_*Equations` mixin, and
 broadcast over devices.  A `Device` evaluates them with float parameters and
 states of shape (n_states,); the kind's `DeviceBlock` evaluates the same code
-with parameter arrays, states of shape (n, n_states) and one terminal voltage
-per device, so the simulator makes one numpy call per kind.
+with parameter arrays, states (..., n, n_states) and terminal voltages (...,
+n), so the simulator makes one numpy call per kind; leading axes are samples.
 """
 
 from __future__ import annotations
@@ -35,18 +35,25 @@ ZIP_FRACTION_TOL = 1e-12
 
 
 def _require_magnitude(value, what: str, owner, error=MagnitudeUnderflow) -> None:
-    """Raise `error` for the first of `owner.names` whose |what| is at or below the guard."""
+    """Raise `error` for the first entry of `value` whose |what| is at or below
+    the guard, naming its device, which the last axis of `value` indexes."""
+    value = np.atleast_1d(value)
     low = value <= MAGNITUDE_GUARD
     if low.any():
-        k = int(np.argmax(low))
-        raise error(
-            f"|{what}({owner.names[k]})| = {np.atleast_1d(value)[k]:.3e} at or below guard"
-        )
+        k = np.unravel_index(np.argmax(low), low.shape)
+        raise error(f"|{what}({owner.names[k[-1]]})| = {value[k]:.3e} at or below guard")
 
 
 def _columns(*cols) -> np.ndarray:
-    """Stack per-device values along a new last axis, the state index."""
-    return np.array(cols).T
+    """Stack per-device values of one shape along a new last axis, the state
+    index; only the stacking axis moves, so leading sample axes keep their order."""
+    stacked = np.array(cols)
+    return stacked.transpose(*range(1, stacked.ndim), 0)
+
+
+def _pair(x, k: int):
+    """The adjacent (Re, Im) states k and k+1 as one complex value."""
+    return x[..., k : k + 2].view(complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +198,7 @@ class _SmEquations:
         return _columns(self.omega_base * slip, d_omega)
 
     def voltage_sensitivity(self, x, v):
-        a = 1j / self.xd_prime
+        a = np.broadcast_to(1j / self.xd_prime, np.shape(v))  # the same at every sample
         return a, 0.0 * a
 
     def current_state_rate(self, x, xdot, v):
@@ -397,7 +404,7 @@ class _ConverterEquations:
         return (self.internal_voltage(x) - self.through * v) / self.z_f
 
     def voltage_sensitivity(self, x, v):
-        a = -self.through / self.z_f
+        a = np.broadcast_to(-self.through / self.z_f, np.shape(v))  # the same at every sample
         return a, 0.0 * a
 
     def _cf_from_internal(self, x, v, eta_v, eta_e):
@@ -441,13 +448,10 @@ class _GflEquations(_ConverterEquations):
         return _columns(m_dq.real, m_dq.imag, i_dq.real, i_dq.imag, np.zeros_like(theta), theta)
 
     def modulation(self, x):
-        err = self.i_ref - (x[..., 2] + 1j * x[..., 3])
-        return (x[..., 0] + 1j * x[..., 1]) + self.kp_current * err
+        return _pair(x, 0) + self.kp_current * (self.i_ref - _pair(x, 2))
 
     def modulation_rate(self, xdot):
-        return (xdot[..., 0] + 1j * xdot[..., 1]) - self.kp_current * (
-            xdot[..., 2] + 1j * xdot[..., 3]
-        )
+        return _pair(xdot, 0) - self.kp_current * _pair(xdot, 2)
 
     def internal_voltage(self, x):
         return self.modulation(x) * self.v_dc * np.exp(1j * x[..., 5])
@@ -456,7 +460,7 @@ class _GflEquations(_ConverterEquations):
         rot = np.exp(-1j * x[..., 5])
         i_dq = self.injected_current(x, v) * rot
         v_q = (v * rot).imag
-        i_m = x[..., 2] + 1j * x[..., 3]
+        i_m = _pair(x, 2)
         d_pi = self.ki_current * (self.i_ref - i_m)
         d_im = (i_dq - i_m) / self.t_measure
         d_omega_pll = self.kp_pll * v_q + x[..., 4]

@@ -30,6 +30,7 @@ NEWTON_MAX_ITER = 25  # per integration step
 NEWTON_REFRESH_ITER = 8  # rebuild the chord matrix at this iteration of a step
 MAX_HALVINGS = 4  # nested step halvings before a divergence is reported
 ALGEBRAIC_MAX_ITER = 50  # post-event re-solve of the bus equations
+RECORD_CHUNK = 64  # samples evaluated together when a segment is recorded; bounds the temporaries
 
 
 @dataclass
@@ -90,7 +91,8 @@ class Scenario:
         step and horizon, events inside the horizon, unique device names,
         and every event's device or load bus present.  The load changes are
         replayed in the order `run` applies them, so that no disconnect takes
-        more load than is left at its bus.  A bad event raises `EventError`,
+        more load than is left at its bus and no load's draw is set where it
+        has none to rescale.  A bad event raises `EventError`,
         which carries its index in `events`.  The analysis window, which
         `run` does not read, is checked against the horizon at construction."""
         if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
@@ -102,10 +104,8 @@ class Scenario:
         if len(by_name) != len(self.devices):
             raise ValueError("device names must be unique")
         labels = {b.index: b.label for b in self.network.buses}
-        load_p: dict[int, np.ndarray] = {}  # active power of each load, per bus
-        for d in self.devices:
-            if d.is_load:
-                load_p[d.bus] = np.append(load_p.get(d.bus, []), d.p0)
+        # the scheduled draw (p0, q0) of each load
+        draws = {d.name: np.array([d.p0, d.q0]) for d in self.devices if d.is_load}
         for _, i, ev in self.scheduled_events():
             if ev.action == "set_parameter":
                 dev = by_name.get(ev.device)
@@ -115,21 +115,27 @@ class Scenario:
                     raise EventError(
                         i, f"{ev}: {dev.name!r} has no settable parameter {ev.param!r}"
                     )
+                if dev.is_load:
+                    draw, k = draws[dev.name], ("p0", "q0").index(ev.param)
+                    if draw[k] == 0.0:
+                        raise EventError(i, f"{ev}: load {dev.name!r} has no {ev.param} to rescale")
+                    draw[k] = ev.value
                 continue
-            p = load_p.get(ev.bus)
+            at_bus = [draws[d.name] for d in self.devices if d.is_load and d.bus == ev.bus]
             bus = labels.get(ev.bus, ev.bus)
-            if p is None:
+            if not at_bus:
                 raise EventError(i, f"{ev}: no load at bus {bus}")
             factor = ev.factor
             if ev.action == "load_disconnect_mw":
-                total = p.sum()
+                total = np.sum([draw[0] for draw in at_bus])
                 if total <= 0.0 or (factor := 1.0 - (ev.amount / self.s_base) / total) < 0.0:
                     raise EventError(
                         i,
                         f"{ev}: cannot disconnect {ev.amount:g} MW from the "
                         f"{total * self.s_base:.1f} MW left at bus {bus}",
                     )
-            p *= factor
+            for draw in at_bus:
+                draw *= factor
 
     @property
     def n_steps(self) -> int:
@@ -253,7 +259,9 @@ class DaeSystem:
     one contiguous (n, n_states) view; `slices` still maps each device to its
     states.  Block results reach the buses through the bus/device
     `incidence` matrix, whose columns follow the block order `order` (device
-    indices; `members` splits it by block).
+    indices; `members` splits it by block).  Every evaluation also takes
+    leading sample axes on the states and voltages, and returns one result
+    per sample.
     """
 
     def __init__(self, network: Network, devices: list[Device], omega_base: float):
@@ -300,48 +308,55 @@ class DaeSystem:
         raise KeyError(name)
 
     def _local(self, blk: DeviceBlock, x: np.ndarray, v: np.ndarray):
-        """The block's states as (n, n_states) and its terminal voltages."""
-        return x[blk.states].reshape(blk.n, blk.n_states), v[blk.bus]
+        """The block's states as (..., n, n_states) and its terminal voltages."""
+        return x[..., blk.states].reshape(x.shape[:-1] + (blk.n, blk.n_states)), v[..., blk.bus]
 
-    def _to_bus(self, parts: list[np.ndarray], incidence: np.ndarray | None = None) -> np.ndarray:
-        """Sum per-device values given in block order onto their buses."""
+    def _to_bus(
+        self, parts: list[np.ndarray], v: np.ndarray, incidence: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Sum per-device values given in block order onto their buses, in
+        the shape of the bus voltages `v`."""
         if not parts:
-            return np.zeros(self.n_bus, dtype=complex)
-        return (self.incidence if incidence is None else incidence) @ np.concatenate(parts)
+            return np.zeros_like(v)
+        return _matvec(
+            self.incidence if incidence is None else incidence, np.concatenate(parts, axis=-1)
+        )
 
     def derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_states)
+        out = np.empty(x.shape)
         for blk in self.dynamic:
-            out[blk.states] = blk.derivatives(*self._local(blk, x, v)).ravel()
+            out[..., blk.states] = blk.derivatives(*self._local(blk, x, v)).reshape(
+                x.shape[:-1] + (-1,)
+            )
         return out
 
     def device_currents(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Current injected by every device, in block order."""
         return np.concatenate(
-            [blk.injected_current(*self._local(blk, x, v)) for blk in self.blocks]
+            [blk.injected_current(*self._local(blk, x, v)) for blk in self.blocks], axis=-1
         )
 
     def injections(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self._to_bus(
-            [blk.injected_current(*self._local(blk, x, v)) for blk in self.blocks]
+            [blk.injected_current(*self._local(blk, x, v)) for blk in self.blocks], v
         )
 
     def network_residual(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.injections(x, v) - self.y @ v
+        return self.injections(x, v) - _matvec(self.y, v)
 
     def voltage_jacobian(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """∂(ı - Ȳv)/∂(Re v, Im v) at fixed states, with rows and columns
         interleaved per bus as (Re, Im).  Each device contributes its
         closed-form dı = a·dv̄ + b·dv̄* to the diagonal of its bus."""
         ab = [blk.voltage_sensitivity(*self._local(blk, x, v)) for blk in self.blocks]
-        a_bus = self._to_bus([a for a, _ in ab])
-        b_bus = self._to_bus([b for _, b in ab])
-        m = np.diag(a_bus) - self.y
-        jac = np.empty((2 * self.n_bus, 2 * self.n_bus))
-        jac[0::2, 0::2] = m.real + np.diag(b_bus.real)
-        jac[0::2, 1::2] = np.diag(b_bus.imag) - m.imag
-        jac[1::2, 0::2] = m.imag + np.diag(b_bus.imag)
-        jac[1::2, 1::2] = m.real - np.diag(b_bus.real)
+        a_bus = self._to_bus([a for a, _ in ab], v)
+        b_bus = self._to_bus([b for _, b in ab], v)
+        m = _diag(a_bus) - self.y
+        jac = np.empty(v.shape[:-1] + (2 * self.n_bus, 2 * self.n_bus))
+        jac[..., 0::2, 0::2] = m.real + _diag(b_bus.real)
+        jac[..., 0::2, 1::2] = _diag(b_bus.imag) - m.imag
+        jac[..., 1::2, 0::2] = m.imag + _diag(b_bus.imag)
+        jac[..., 1::2, 1::2] = m.real - _diag(b_bus.real)
         return jac
 
     def solve_voltage(self, x: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -349,13 +364,17 @@ class DaeSystem:
 
         When no block's sensitivity depends on the voltage, the Jacobian
         changes only with the parameters, so its inverse is kept until the
-        next `derive`; otherwise it is assembled and solved anew."""
-        if self._jv_inv is None:
+        next `derive` and applied to every sample; otherwise it is assembled
+        and solved anew for each sample."""
+        rhs = rhs.view(float)
+        if self.voltage_dependent:
             jac = self.voltage_jacobian(x, v)
-            if self.voltage_dependent:
-                return np.linalg.solve(jac, rhs.view(float)).view(complex)
-            self._jv_inv = np.linalg.inv(jac)
-        return (self._jv_inv @ rhs.view(float)).view(complex)
+            return np.linalg.solve(jac, rhs[..., None])[..., 0].view(complex)
+        if self._jv_inv is None:
+            # at the first sample; the Jacobian does not depend on it
+            first = (0,) * (x.ndim - 1)
+            self._jv_inv = np.linalg.inv(self.voltage_jacobian(x[first], v[first]))
+        return _matvec(self._jv_inv, rhs).view(complex)
 
     def voltage_rates(self, x: np.ndarray, v: np.ndarray, xdot: np.ndarray) -> np.ndarray:
         """Exact bus-voltage time derivatives by implicit differentiation of
@@ -363,8 +382,8 @@ class DaeSystem:
         rates = []
         for blk in self.dynamic:
             xb, vb = self._local(blk, x, v)
-            rates.append(blk.current_state_rate(xb, xdot[blk.states].reshape(xb.shape), vb))
-        return self.solve_voltage(x, v, -self._to_bus(rates, self._dynamic_incidence))
+            rates.append(blk.current_state_rate(xb, xdot[..., blk.states].reshape(xb.shape), vb))
+        return self.solve_voltage(x, v, -self._to_bus(rates, v, self._dynamic_incidence))
 
     def analytic_cf(
         self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, eta_v: np.ndarray
@@ -374,14 +393,26 @@ class DaeSystem:
         out = []
         for blk in self.blocks:
             xb, vb = self._local(blk, x, v)
-            out.append(
-                blk.analytic_cf(xb, xdot[blk.states].reshape(xb.shape), vb, eta_v[blk.bus])
-            )
-        return np.concatenate(out)
+            xdot_b = xdot[..., blk.states].reshape(xb.shape)
+            out.append(blk.analytic_cf(xb, xdot_b, vb, eta_v[..., blk.bus]))
+        return np.concatenate(out, axis=-1)
 
     def voltage_cf(self, v: np.ndarray, vdot: np.ndarray) -> np.ndarray:
         """Stationary-frame CF of every bus voltage, per unit."""
         return vdot / v / self.omega_base + 1j
+
+
+def _matvec(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """m @ v for every vector v along the last axis of `vecs`; one matrix-vector
+    product per vector, so each result equals the unbatched one bit for bit."""
+    return np.matmul(m, vecs[..., None])[..., 0]
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    """Square matrices with `d` (..., n) on the diagonal and zeros elsewhere."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=d.dtype)
+    out[..., range(d.shape[-1]), range(d.shape[-1])] = d
+    return out
 
 
 FD_STEP = 1e-7
@@ -414,8 +445,8 @@ class TrapezoidalIntegrator:
         self._j_dt: float | None = None
         self.total_newton_iters = 0
         self.halvings = 0
-        # (x, v, f(x, v)) where the last step converged; run() samples that
-        # point and the next step starts there, so both reuse f
+        # (x, v, f(x, v)) where the last step converged; the next step
+        # starts there and reuses f
         self._end: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def invalidate(self) -> None:
@@ -423,14 +454,6 @@ class TrapezoidalIntegrator:
         after a parameter change."""
         self._jinv = None
         self._end = None
-
-    def rates(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """System derivatives f(x, v), reused at the arrays the last step
-        returned.  The caller must not modify the result."""
-        end = self._end
-        if end is not None and x is end[0] and v is end[1]:
-            return end[2]
-        return self.system.derivatives(x, v)
 
     # -- residual/jacobian helpers ------------------------------------------
 
@@ -510,7 +533,8 @@ class TrapezoidalIntegrator:
     def _newton_step(
         self, x: np.ndarray, v: np.ndarray, dt: float
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        f_prev = self.rates(x, v)
+        end = self._end
+        f_prev = end[2] if end and x is end[0] and v is end[1] else self.system.derivatives(x, v)
         z = self._pack(x, v)
         r0 = None
         for it in range(NEWTON_MAX_ITER):
@@ -647,11 +671,14 @@ class Trajectory:
 def run(scenario: Scenario) -> Trajectory:
     """Simulate the scenario and sample every step.
 
-    Analytical CFs are evaluated from post-solve values, so samples that
-    coincide with an event carry the post-event state.  Initialization and
-    events change only the parameters in the system's blocks, so `scenario`
-    is left as it was.  The scenario is checked again first, because its
-    fields may have been assigned after construction.
+    The solve stores only the states and bus voltages.  The currents and
+    CFs of an event segment, the samples under one set of parameters, are
+    evaluated when it ends: before the events that end it, and at t_end.  A
+    sample at an event carries the post-event state and opens the next
+    segment.  Initialization and events change only the parameters in the
+    system's blocks, so `scenario` is left as it was.  The scenario is
+    checked again first, because its fields may have been assigned after
+    construction.
     """
     scenario.check()
     x, v, system = initialize(scenario)
@@ -672,42 +699,24 @@ def run(scenario: Scenario) -> Trajectory:
     # one row per device, so every recorded CF series is contiguous
     cfs = np.empty((len(devices), n_steps + 1), dtype=complex)
     voltage_cf = np.empty((n_steps + 1, system.n_bus), dtype=complex)
-    has_cf = [d.has_analytic_cf for d in devices]
-    event_times: list[float] = []
-    events_applied = 0
+    event_times: list[float] = []  # one per applied event
+    start = 0  # first sample of the current event segment
 
-    def apply_events(k: int) -> bool:
-        nonlocal events_applied
-        evs = events_by_step.get(k)
-        if not evs:
-            return False
-        for ev in evs:
-            _apply_event(system, ev, scenario.s_base)
-            events_applied += 1
-            event_times.append(times[k])
-        system.derive()
-        return True
-
-    def record(k: int) -> None:
-        voltages[k] = v
-        xs[k] = x
-        xdot = integ.rates(x, v)
-        currents[k, system.order] = system.device_currents(x, v)
-        eta_v = system.voltage_cf(v, system.voltage_rates(x, v, xdot))
-        voltage_cf[k] = eta_v
-        cfs[system.order, k] = system.analytic_cf(x, xdot, v, eta_v)
-
-    if apply_events(0):
-        v = integ.solve_algebraic(x, v)
-        integ.invalidate()
-    record(0)
-
-    for k in range(1, n_steps + 1):
-        x, v, _ = integ.step(x, v, dt, t=times[k - 1])
-        if apply_events(k):
+    for k in range(n_steps + 1):
+        if k:
+            x, v, _ = integ.step(x, v, dt, t=times[k - 1])
+        if k in events_by_step:
+            _record(system, slice(start, k), xs, voltages, currents, voltage_cf, cfs)
+            start = k
+            for ev in events_by_step[k]:
+                _apply_event(system, ev, scenario.s_base)
+                event_times.append(times[k])
+            system.derive()
             v = integ.solve_algebraic(x, v)
             integ.invalidate()
-        record(k)
+        xs[k] = x
+        voltages[k] = v
+    _record(system, slice(start, n_steps + 1), xs, voltages, currents, voltage_cf, cfs)
 
     for label, arr in (("voltages", voltages), ("currents", currents)):
         if not np.all(np.isfinite(arr.view(float))):
@@ -718,7 +727,7 @@ def run(scenario: Scenario) -> Trajectory:
         voltages=voltages,
         currents=currents,
         states={d.name: xs[:, sl] for d, sl in zip(devices, system.slices) if d.n_states},
-        analytic_cf={d.name: cfs[i] for i, d in enumerate(devices) if has_cf[i]},
+        analytic_cf={d.name: cfs[i] for i, d in enumerate(devices) if d.has_analytic_cf},
         voltage_cf=voltage_cf,
         device_names=[d.name for d in devices],
         device_buses=[d.bus for d in devices],
@@ -728,16 +737,37 @@ def run(scenario: Scenario) -> Trajectory:
         dt=dt,
         omega_base=scenario.omega_base,
         newton_iters=integ.total_newton_iters,
-        events_applied=events_applied,
+        events_applied=len(event_times),
         halvings=integ.halvings,
     )
 
 
+def _record(system: DaeSystem, seg: slice, xs, voltages, currents, voltage_cf, cfs) -> None:
+    """Fill the rows `seg` of the device currents, bus voltage CFs and (in
+    the columns) analytic device CFs from those of the states and voltages,
+    under the system's present parameters, `RECORD_CHUNK` samples per call."""
+    for c in range(seg.start, seg.stop, RECORD_CHUNK):
+        chunk = slice(c, min(c + RECORD_CHUNK, seg.stop))
+        x, v = xs[chunk], voltages[chunk]
+        xdot = system.derivatives(x, v)
+        currents[chunk, system.order] = system.device_currents(x, v)
+        eta_v = system.voltage_cf(v, system.voltage_rates(x, v, xdot))
+        voltage_cf[chunk] = eta_v
+        cfs[system.order, chunk] = system.analytic_cf(x, xdot, v, eta_v).T
+
+
 def _apply_event(system: DaeSystem, ev: Event, s_base: float) -> None:
-    """Edit the block rows `ev` changes (`Scenario` checked its target)."""
+    """Edit the block rows `ev` changes (`Scenario` checked its target).  The
+    value of a load's p0 or q0 is its new scheduled draw, so the base power
+    that the ZIP polynomial scales is rescaled with it."""
     if ev.action == "set_parameter":
         blk, row = system.row(ev.device)
-        getattr(blk, ev.param)[row] = ev.value
+        if isinstance(blk, ZipBlock):
+            nominal = getattr(blk, "nominal_" + ev.param[0])
+            getattr(blk, ev.param)[row] *= ev.value / nominal[row]
+            nominal[row] = ev.value
+        else:
+            getattr(blk, ev.param)[row] = ev.value
         return
     [loads] = [blk for blk in system.blocks if isinstance(blk, ZipBlock)]
     rows = loads.bus == ev.bus

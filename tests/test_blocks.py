@@ -7,6 +7,8 @@ system's device order, onto the buses one device at a time.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,10 @@ from cfcoherency import (
     ZipLoad,
 )
 from cfcoherency import simulation
-from cfcoherency.simulation import DaeSystem, initialize, run
+from cfcoherency.devices import GfmBlock
+from cfcoherency.errors import EventError, MagnitudeUnderflow
+from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
+from cfcoherency.simulation import RECORD_CHUNK, DaeSystem, initialize, run
 from tests.conftest import OMEGA_B, mixed_scenario, reference_devices, state_vector
 
 REL = 1e-12
@@ -190,20 +195,33 @@ def random_grids(draw):
     return system, devices, x, v, xdot
 
 
+def scheduled_draws(devices):
+    """{load name: {"p0": p, "q0": q}}, the draws the scenario schedules."""
+    return {d.name: {"p0": d.p0, "q0": d.q0} for d in devices if d.is_load}
+
+
 def apply_to_reference(devices, ev, nominal, s_base):
     """`ev` applied to reference devices on their own, one device at a time;
-    `nominal` holds each load's scheduled active power and follows it."""
+    `nominal` holds each load's scheduled draw (`scheduled_draws`) and
+    follows it.  A load's p0 and q0 on a reference device are the base
+    powers, so setting the draw rescales them."""
     if ev.action == "set_parameter":
-        setattr(next(d for d in devices if d.name == ev.device), ev.param, ev.value)
+        d = next(d for d in devices if d.name == ev.device)
+        value = ev.value
+        if d.is_load:
+            value = getattr(d, ev.param) * (ev.value / nominal[d.name][ev.param])
+            nominal[d.name][ev.param] = ev.value
+        setattr(d, ev.param, value)
         return
     loads = [d for d in devices if d.is_load and d.bus == ev.bus]
     factor = ev.factor
     if ev.action == "load_disconnect_mw":
-        factor = 1.0 - (ev.amount / s_base) / sum(nominal[d.name] for d in loads)
+        factor = 1.0 - (ev.amount / s_base) / sum(nominal[d.name]["p0"] for d in loads)
     for d in loads:
         d.p0 *= factor
         d.q0 *= factor
-        nominal[d.name] *= factor
+        nominal[d.name]["p0"] *= factor
+        nominal[d.name]["q0"] *= factor
 
 
 class TestBlocksMatchDevices:
@@ -229,7 +247,7 @@ class TestBlocksMatchDevices:
         traj = run(sc)
         _, _, system = initialize(sc)
         refs = reference_devices(system, sc.devices)
-        nominal = {d.name: d.p0 for d in sc.devices if d.is_load}
+        nominal = scheduled_draws(sc.devices)
         k_event = traj.sample_index(0.015)
         for k in range(traj.times.size):
             if k == k_event:
@@ -243,12 +261,68 @@ class TestBlocksMatchDevices:
             recorded = np.array([traj.analytic_cf[d.name][k] for d in refs])
             assert_close(recorded, cf)
 
+    @pytest.mark.parametrize("pure_z", [False, True], ids=["s_load", "z_loads_only"])
+    def test_segments_recorded_in_chunks(self, monkeypatch, pure_z):
+        # more than two chunks of samples; the events at the first and the
+        # last step leave an empty segment and a one-sample segment
+        n = 2 * RECORD_CHUNK + 20
+        sc = mixed_scenario(t_end=n * 1e-3, with_pulse=False)
+        if pure_z:
+            sl = sc.device("SL")
+            sl.kz_p = sl.kz_q = 1.0
+            sl.kp_p = sl.kp_q = 0.0
+        sc.events = [
+            Event(0.0, "load_scale", bus=1, factor=1.2),
+            Event(sc.t_end, "load_disconnect_mw", bus=2, amount=20.0),
+            Event(sc.t_end, "set_parameter", device="SM", param="p_m", value=1.1),
+        ]
+        calls = []
+        rates = DaeSystem.voltage_rates
+
+        def counted(system, x, v, xdot):
+            calls.append(x.shape[:-1])
+            return rates(system, x, v, xdot)
+
+        monkeypatch.setattr(DaeSystem, "voltage_rates", counted)
+        traj = run(sc)
+        # chunks of the segments [0, n) and [n, n]; no call per sample
+        assert calls == [(RECORD_CHUNK,)] * 2 + [(n - 2 * RECORD_CHUNK,), (1,)]
+        _, _, system = initialize(sc)
+        assert system.voltage_dependent is not pure_z
+        refs = reference_devices(system, sc.devices)
+        nominal = scheduled_draws(sc.devices)
+        for k in range(traj.times.size):
+            for step, _, ev in sc.scheduled_events():
+                if step == k:
+                    apply_to_reference(refs, ev, nominal, sc.s_base)
+            x = state_vector(system, traj, k)
+            v = traj.voltages[k]
+            assert_close(traj.currents[k], ref_currents(system, refs, x, v))
+            xdot = ref_derivatives(system, refs, x, v)
+            eta_v = system.voltage_cf(v, ref_voltage_rates(system, refs, x, v, xdot))
+            assert_close(traj.voltage_cf[k], eta_v)
+            cf = ref_analytic_cf(system, refs, x, xdot, v, eta_v)
+            recorded = np.array([traj.analytic_cf[d.name][k] for d in refs])
+            assert_close(recorded, cf)
+
+
+def test_guard_names_the_device_of_a_sample():
+    # (samples, devices) states of three converters; one e at the guard
+    filt = IbrFilter(0.005 + 0.15j, 0.0, v_dc=2.0)
+    blk = GfmBlock([GridFormingConverter(f"GFM{k}", 0, filt, OMEGA_B) for k in range(3)], 0)
+    x = np.tile([1.0, 0.1, 1.0, 0.5], (4, 3, 1))
+    x[2, 1, 0] = 5e-10
+    with pytest.raises(MagnitudeUnderflow, match=r"\|e\(GFM1\)\| = 5\.000e-10 at or below"):
+        blk.internal_cf(x, np.zeros_like(x))
+
 
 EVENTS = {
     "load_scale": Event(0.02, "load_scale", bus=1, factor=1.3),
     "load_disconnect_mw": Event(0.02, "load_disconnect_mw", bus=2, amount=20.0),
     "p_m": Event(0.02, "set_parameter", device="SM", param="p_m", value=1.2),
     "iref_d": Event(0.02, "set_parameter", device="GFL", param="iref_d", value=0.7),
+    "p0": Event(0.02, "set_parameter", device="SL", param="p0", value=0.6),
+    "q0": Event(0.02, "set_parameter", device="ZL", param="q0", value=0.5),
 }
 
 
@@ -276,8 +350,7 @@ class TestParametersAfterEvents:
         sc.events = [event]
         traj = run(sc)
         [system], [devices] = systems, refs
-        apply_to_reference(devices, event, {d.name: d.p0 for d in sc.devices if d.is_load},
-                           sc.s_base)
+        apply_to_reference(devices, event, scheduled_draws(sc.devices), sc.s_base)
         assert traj.events_applied == 1
         assert system.voltage_dependent is not pure_z
         x = state_vector(system, traj, -1)
@@ -286,3 +359,45 @@ class TestParametersAfterEvents:
         assert (system._jv_inv is not None) is pure_z
         check_against_reference(system, devices, x, v, ref_derivatives(system, devices, x, v))
         assert_close(traj.currents[-1], ref_currents(system, devices, x, v))
+
+
+class TestLoadDrawEvents:
+    """A load's p0 or q0 event sets its scheduled draw, which a later
+    disconnect takes from."""
+
+    def scenario(self, *events):
+        sc = load_scenario(bundled_scenario_path("twomachine"))
+        return dataclasses.replace(sc, t_end=0.1, events=list(events))
+
+    def test_disconnect_after_setting_the_draw(self, monkeypatch):
+        # 90 MW set to 45 MW, then 40 MW disconnected: 5 MW are left
+        systems = []
+
+        def capture(scenario, *args, **kwargs):
+            out = initialize(scenario, *args, **kwargs)
+            systems.append(out[2])
+            return out
+
+        monkeypatch.setattr(simulation, "initialize", capture)
+        sc = self.scenario(
+            Event(0.02, "set_parameter", device="LOAD", param="p0", value=0.45),
+            Event(0.05, "load_disconnect_mw", bus=0, amount=40.0),
+        )
+        _, _, ref = initialize(sc)
+        run(sc)
+        [system] = systems
+        load, row = system.row("LOAD")
+        base, _ = ref.row("LOAD")
+        assert load.nominal_p[row] * sc.s_base == pytest.approx(5.0, rel=1e-12)
+        # the base power keeps its ratio to the draw, the pure Z part's 1/|v0|^2
+        assert load.p0[row] / load.nominal_p[row] == pytest.approx(
+            base.p0[row] / base.nominal_p[row], rel=1e-12
+        )
+
+    def test_check_replays_the_draw(self):
+        # set to 30 MW, 60 MW cannot be disconnected
+        with pytest.raises(EventError, match="cannot disconnect 60 MW from the 30.0 MW left"):
+            self.scenario(
+                Event(0.02, "set_parameter", device="LOAD", param="p0", value=0.3),
+                Event(0.05, "load_disconnect_mw", bus=0, amount=60.0),
+            )

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cfcoherency.cli import main
-from cfcoherency.scenario_io import bundled_scenario_path
+from cfcoherency.coherency import device_cf, numerical_cf
+from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
+from cfcoherency.simulation import run
 
 
 @pytest.fixture()
@@ -291,6 +297,96 @@ class TestSweepCommand:
         assert main(["--out", str(out1)] + args + ["--workers", "1"]) == 0
         assert main(["--out", str(out2)] + args + ["--workers", "2"]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def csv_cells(path):
+    """The header and the rows of a CSV file, as the strings written."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def expected_rows(columns, samples):
+    return [[format(float(c[k]), ".17e") for c in columns] for k in range(samples)]
+
+
+def pairs(names, re, im, values):
+    """Header and columns of complex series; `re` and `im` name the two
+    parts of each series."""
+    header, columns = [], []
+    for name, series in zip(names, values):
+        header += [re.format(name), im.format(name)]
+        columns += [series.real, series.imag]
+    return header, columns
+
+
+class TestCsvCells:
+    """Every number in a written CSV is format(value, ".17e") of the array
+    it comes from, in the documented column order."""
+
+    def test_run_and_cf_outputs(self, small_scenario, tmp_path):
+        doc = json.loads(small_scenario.read_text())
+        doc["devices"][1].update(kz_p=0.5, kp_p=0.5)  # one CF from the estimator
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "run", str(path)]) == 0
+        traj = run(load_scenario(path))
+        n = traj.times.size
+        names = traj.device_names
+        cf = [device_cf(traj, name).values for name in names]
+
+        v_head, v_cols = pairs(traj.bus_labels, "v{}_re", "v{}_im", traj.voltages.T)
+        i_head, i_cols = pairs(names, "i_{}_re", "i_{}_im", traj.currents.T)
+        cf_head, cf_cols = pairs(names, "rho_{}", "omega_{}", cf)
+        header, rows = csv_cells(out / "trajectory.csv")
+        assert header == ["time"] + v_head + i_head + cf_head
+        assert rows == expected_rows([traj.times] + v_cols + i_cols + cf_cols, n)
+
+        header, rows = csv_cells(out / "cf.csv")
+        assert header == ["time"] + cf_head + ["event_mask"]
+        assert [row[:-1] for row in rows] == expected_rows([traj.times] + cf_cols, n)
+        valid = traj.estimator_valid()
+        assert [row[-1] for row in rows] == ["0" if ok else "1" for ok in valid]
+        assert not valid.all()
+
+        cf_out = tmp_path / "cfout"
+        assert main(["--out", str(cf_out), "cf", str(out / "trajectory.csv")]) == 0
+        data = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        times = data[:, 0]
+        dt = float(times[-1] - times[0]) / (times.size - 1)
+        signals = [h[:-3] for h in v_head[::2] + i_head[::2]]
+        estimates = [
+            numerical_cf(data[:, c] + 1j * data[:, c + 1], dt, 2.0 * np.pi * 60.0).values
+            for c in range(1, 1 + 2 * len(signals), 2)
+        ]
+        est_head, est_cols = pairs(signals, "rho_{}", "omega_{}", estimates)
+        header, rows = csv_cells(cf_out / "cf.csv")
+        assert header == ["time"] + est_head
+        assert rows == expected_rows([times] + est_cols, n)
+
+
+class TestRuntimeImports:
+    def test_cli_runs_without_scipy(self, tmp_path):
+        # the runtime needs numpy only; scipy is a test dependency
+        doc = json.loads(bundled_scenario_path("twomachine").read_text())
+        doc.pop("events")
+        path = tmp_path / "quiet.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = (
+            "import sys\n"
+            "from cfcoherency.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        argv = ["--out", str(tmp_path / "o"), "--t-end", "0.2", "run", str(path)]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestCfCommand:

@@ -317,8 +317,13 @@ class TestEventChecks:
             (Event(0.1, "load_scale", bus=0, factor=1.1), "no load at bus 1"),
             (Event(0.1, "load_disconnect_mw", bus=1, amount=41.0),
              "cannot disconnect 41 MW from the 40.0 MW left at bus 2"),
+            (Event(0.1, "set_parameter", device="LOAD", param="q0", value=0.1),
+             "load 'LOAD' has no q0 to rescale"),
         ],
-        ids=["unknown_device", "not_settable", "bus_without_load", "oversized_disconnect"],
+        ids=[
+            "unknown_device", "not_settable", "bus_without_load", "oversized_disconnect",
+            "draw_without_base",
+        ],
     )
     def test_bad_target_raises_at_construction(self, event, message):
         with pytest.raises(ValueError, match=message):
