@@ -13,13 +13,12 @@ from .devices import SynchronousMachine, ZipLoad
 from .errors import EmptyWindow, MagnitudeUnderflow, TimeBaseMismatch
 from .network import Bus, Network, power_contribution
 from .primitives import MAGNITUDE_GUARD, unwrap_phase
-from .simulation import AnalysisOptions, Event, Scenario, Trajectory, run
-
-# Samples around an event instant excluded from finite-difference estimates.
-EVENT_MASK_PAD = 2
+from .simulation import EVENT_MASK_PAD, AnalysisOptions, Event, Scenario, Trajectory, run
 
 # The distance window opens this many samples after the last event.
 WINDOW_START_SAMPLES = 5
+
+WINDOW_TOL = 1e-12  # s; a window holds samples this close outside it, as k·dt is off by ulps
 
 
 @dataclass
@@ -98,15 +97,23 @@ def coherency_function(eta1: CfSeries, eta2: CfSeries) -> CfSeries:
     return CfSeries(eta1.times.copy(), eta1.values - eta2.values, eta1.valid & eta2.valid)
 
 
+def _window_slice(times: np.ndarray, window: tuple[float, float]) -> slice:
+    """The samples of the ascending `times` inside the window, ± `WINDOW_TOL`."""
+    lo = np.searchsorted(times, window[0] - WINDOW_TOL, side="left")
+    hi = np.searchsorted(times, window[1] + WINDOW_TOL, side="right")
+    return slice(lo, hi)
+
+
 def coherency_distance(eps: CfSeries, t_start: float, t_end: float) -> float:
     """Time integral of |ε| over the valid samples inside [t_start, t_end]."""
-    sel = (eps.times >= t_start - 1e-12) & (eps.times <= t_end + 1e-12) & eps.valid
+    win = _window_slice(eps.times, (t_start, t_end))
+    sel = eps.valid[win]
     n = int(np.count_nonzero(sel))
     if n < 2:
         raise EmptyWindow(
             f"window [{t_start}, {t_end}] holds {n} usable sample(s); need at least 2"
         )
-    return float(np.trapezoid(np.abs(eps.values[sel]), eps.times[sel]))
+    return float(np.trapezoid(np.abs(eps.values[win][sel]), eps.times[win][sel]))
 
 
 @dataclass
@@ -145,17 +152,16 @@ def distance_matrix(
         if other.shape != times.shape or not np.allclose(other, times, rtol=0.0, atol=1e-12):
             raise TimeBaseMismatch("CF series are sampled on different time bases")
     t_start, t_end = window
-    lo = np.searchsorted(times, t_start - 1e-12, side="left")
-    hi = np.searchsorted(times, t_end + 1e-12, side="right")
-    t_win = times[lo:hi]
+    win = _window_slice(times, window)
+    t_win = times[win]
 
     members: dict[bytes, list[int]] = {}  # window mask -> rows, in label order
     for i, name in enumerate(labels):
-        members.setdefault(cfs[name].valid[lo:hi].tobytes(), []).append(i)
+        members.setdefault(cfs[name].valid[win].tobytes(), []).append(i)
     groups = list(members.values())
-    masks = [cfs[labels[rows[0]]].valid[lo:hi] for rows in groups]
+    masks = [cfs[labels[rows[0]]].valid[win] for rows in groups]
     # stacked group by group, so the rows of one group are one contiguous block
-    v = np.stack([cfs[labels[i]].values[lo:hi] for rows in groups for i in rows])
+    v = np.stack([cfs[labels[i]].values[win] for rows in groups for i in rows])
     if component == "rho":
         v = v.real
     elif component == "omega":
@@ -280,11 +286,10 @@ class ObservationPoint:
             raise ValueError("specify exactly one of towards_bus / device")
 
 
-def default_window(traj: Trajectory, t_end: float | None = None) -> tuple[float, float]:
+def default_window(traj: Trajectory) -> tuple[float, float]:
     """Analysis window: a few samples past the last event, through the end."""
     t_last = max(traj.event_times) if traj.event_times else 0.0
-    start = t_last + WINDOW_START_SAMPLES * traj.dt
-    return start, t_end if t_end is not None else float(traj.times[-1])
+    return t_last + WINDOW_START_SAMPLES * traj.dt, float(traj.times[-1])
 
 
 def observer_independence_check(
@@ -327,10 +332,11 @@ def observer_independence_check(
             cf_s1.valid & cf_s2.valid & traj.estimator_valid(),
         )
         dev = coherency_function(eps_obs, eps_direct)
-        sel = (dev.times >= window[0]) & (dev.times <= window[1]) & dev.valid
+        win = _window_slice(dev.times, window)
+        sel = dev.valid[win]
         if not np.any(sel):
             raise EmptyWindow("no valid samples in the observation window")
-        worst = max(worst, float(np.max(np.abs(dev.values[sel]))))
+        worst = max(worst, float(np.max(np.abs(dev.values[win][sel]))))
     return worst
 
 

@@ -236,7 +236,6 @@ class SynchronousMachine(_SmEquations, Device):
         damping: float = 0.0,
         p: float = 0.0,
         q_weight: float | None = None,
-        v_set: float | None = None,
     ):
         super().__init__(name, bus)
         if inertia <= 0.0 or xd_prime <= 0.0:
@@ -247,14 +246,15 @@ class SynchronousMachine(_SmEquations, Device):
         self.omega_base = omega_base
         self.p = p  # dispatch weight / setpoint, pu
         self.q_weight = q_weight  # reactive share among same-bus sources; defaults to p
-        self.v_set = v_set
         self.p_m = 0.0
         self.e_field = 1.0  # constant EMF magnitude e'_q, fixed at init
 
 
 class ZipParts(NamedTuple):
-    """What the ZIP equations derive from the base powers and fractions."""
+    """What the ZIP equations derive from the draws, the fractions and `v0`."""
 
+    base_p: float  # base powers: the draw at |v| = 1 pu
+    base_q: float
     sz: complex  # conjugate base power p - jq of the Z part
     si: complex  # ... of the I part
     sp: complex  # ... of the P part
@@ -267,23 +267,24 @@ class _ZipEquations:
     """Equations of `ZipLoad`, shared with `ZipBlock`."""
 
     def initial_state(self, v, s):
-        """Keep the scheduled draw -s as `nominal_p`/`nominal_q` and rescale
-        the base powers so that the draw at |v| equals it."""
-        v_mag = np.abs(v)
-        self.nominal_p, self.nominal_q = -s.real, -s.imag
-        poly_p = self.kp_p + self.ki_p * v_mag + self.kz_p * v_mag**2
-        poly_q = self.kp_q + self.ki_q * v_mag + self.kz_q * v_mag**2
-        # no base power where a polynomial is 0 (x / inf, not a 0/0 warning)
-        self.p0 = self.nominal_p / np.where(poly_p == 0.0, np.inf, poly_p)
-        self.q0 = self.nominal_q / np.where(poly_q == 0.0, np.inf, poly_q)
+        """Record the power-flow voltage magnitude, at which the load draws
+        its scheduled p0 + jq0."""
+        self.v0 = np.abs(v)
         return np.empty(np.shape(v) + (0,))
 
     def zip_parts(self) -> ZipParts:
-        no_p, no_q = self.p0 == 0.0, self.q0 == 0.0
-        si = self.p0 * self.ki_p - 1j * (self.q0 * self.ki_q)
-        sp = self.p0 * self.kp_p - 1j * (self.q0 * self.kp_q)
+        poly_p = self.kp_p + self.ki_p * self.v0 + self.kz_p * self.v0**2
+        poly_q = self.kp_q + self.ki_q * self.v0 + self.kz_q * self.v0**2
+        # no base power where a polynomial is 0 (x / inf, not a 0/0 warning)
+        base_p = self.p0 / np.where(poly_p == 0.0, np.inf, poly_p)
+        base_q = self.q0 / np.where(poly_q == 0.0, np.inf, poly_q)
+        no_p, no_q = base_p == 0.0, base_q == 0.0
+        si = base_p * self.ki_p - 1j * (base_q * self.ki_q)
+        sp = base_p * self.kp_p - 1j * (base_q * self.kp_q)
         return ZipParts(
-            sz=self.p0 * self.kz_p - 1j * (self.q0 * self.kz_q),
+            base_p=base_p,
+            base_q=base_q,
+            sz=base_p * self.kz_p - 1j * (base_q * self.kz_q),
             si=si,
             sp=sp,
             voltage_dependent=bool(np.any(si != 0.0) or np.any(sp != 0.0)),
@@ -292,8 +293,9 @@ class _ZipEquations:
         )
 
     def drawn_power(self, v_mag):
-        p = self.p0 * (self.kp_p + self.ki_p * v_mag + self.kz_p * v_mag**2)
-        q = self.q0 * (self.kp_q + self.ki_q * v_mag + self.kz_q * v_mag**2)
+        parts = self.parts
+        p = parts.base_p * (self.kp_p + self.ki_p * v_mag + self.kz_p * v_mag**2)
+        q = parts.base_q * (self.kp_q + self.ki_q * v_mag + self.kz_q * v_mag**2)
         return p, q
 
     def injected_current(self, x, v):
@@ -310,8 +312,8 @@ class _ZipEquations:
         v_mag = np.abs(v)
         p, q = self.drawn_power(v_mag)
         _require_magnitude(v_mag, "v", self)
-        dp = self.p0 * (self.ki_p + 2.0 * self.kz_p * v_mag)
-        dq = self.q0 * (self.ki_q + 2.0 * self.kz_q * v_mag)
+        dp = self.parts.base_p * (self.ki_p + 2.0 * self.kz_p * v_mag)
+        dq = self.parts.base_q * (self.ki_q + 2.0 * self.kz_q * v_mag)
         g = dp - 1j * dq
         vc = np.conj(v)
         a = -g / (2.0 * v_mag)
@@ -327,7 +329,7 @@ class _ZipEquations:
 
 
 class ZipBlock(_ZipEquations, DeviceBlock):
-    params = ("p0", "q0", "kz_p", "ki_p", "kp_p", "kz_q", "ki_q", "kp_q")
+    params = ("p0", "q0", "v0", "kz_p", "ki_p", "kp_p", "kz_q", "ki_q", "kp_q")
 
     def derive(self) -> None:
         # once per parameter change instead of at every call
@@ -363,8 +365,9 @@ class ZipLoad(_ZipEquations, Device):
             raise ValueError(f"load {name!r}: active-power fractions must sum to 1")
         if abs(kz_q + ki_q + kp_q - 1.0) > ZIP_FRACTION_TOL:
             raise ValueError(f"load {name!r}: reactive-power fractions must sum to 1")
-        self.p0 = p0  # scheduled draw at the power-flow point, pu
+        self.p0 = p0  # scheduled draw at |v| = v0, pu
         self.q0 = q0
+        self.v0 = 1.0  # a run's block holds the power-flow voltage magnitude
         self.kz_p, self.ki_p, self.kp_p = kz_p, ki_p, kp_p
         self.kz_q, self.ki_q, self.kp_q = kz_q, ki_q, kp_q
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import Device, DeviceBlock, ZipBlock
+from .devices import Device, DeviceBlock
 from .errors import EventError, InfeasibleInit, NewtonDivergence, NonConvergence
 from .network import Network
 
@@ -31,6 +31,7 @@ NEWTON_REFRESH_ITER = 8  # rebuild the chord matrix at this iteration of a step
 MAX_HALVINGS = 4  # nested step halvings before a divergence is reported
 ALGEBRAIC_MAX_ITER = 50  # post-event re-solve of the bus equations
 RECORD_CHUNK = 64  # samples evaluated together when a segment is recorded; bounds the temporaries
+EVENT_MASK_PAD = 2  # samples on each side of an event where finite-difference CFs are masked
 
 
 @dataclass
@@ -86,15 +87,19 @@ class Scenario:
                 f"analysis window [{window[0]:g}, {window[1]:g}] ends after t_end {self.t_end:g}"
             )
 
-    def check(self) -> None:
-        """Raise `ValueError` unless the scenario can run: a positive finite
-        step and horizon, events inside the horizon, unique device names,
-        and every event's device or load bus present.  The load changes are
-        replayed in the order `run` applies them, so that no disconnect takes
-        more load than is left at its bus and no load's draw is set where it
-        has none to rescale.  A bad event raises `EventError`,
-        which carries its index in `events`.  The analysis window, which
-        `run` does not read, is checked against the horizon at construction."""
+    def check(self) -> dict[int, list[tuple[str, str, float]]]:
+        """The writes the events make, as {step: [(device, parameter,
+        value)]} in the order `run` applies them; the only code that
+        interprets events.  A load event writes the new draw (p0, q0) of
+        each load at its bus.  Raises `ValueError` unless the scenario can
+        run: a positive finite step and horizon, events inside the horizon,
+        unique device names, every event's device or load bus present, no
+        disconnect of more load than is left at its bus, and no load draw
+        set where that part is zero (the load would gain or lose its
+        closed-form CF during the run, while `run` picks the CFs it records
+        from the spec).  A bad event raises `EventError`, which carries its
+        index in `events`.  The analysis window, which `run` does not read,
+        is checked against the horizon at construction."""
         if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
             raise ValueError("dt and t_end must be positive and finite")
         for i, ev in enumerate(self.events):
@@ -105,8 +110,10 @@ class Scenario:
             raise ValueError("device names must be unique")
         labels = {b.index: b.label for b in self.network.buses}
         # the scheduled draw (p0, q0) of each load
-        draws = {d.name: np.array([d.p0, d.q0]) for d in self.devices if d.is_load}
-        for _, i, ev in self.scheduled_events():
+        draws = {d.name: np.array([d.p0, d.q0], dtype=float) for d in self.devices if d.is_load}
+        writes: dict[int, list[tuple[str, str, float]]] = {}
+        for step, i, ev in self.scheduled_events():
+            out = writes.setdefault(step, [])
             if ev.action == "set_parameter":
                 dev = by_name.get(ev.device)
                 if dev is None:
@@ -118,24 +125,30 @@ class Scenario:
                 if dev.is_load:
                     draw, k = draws[dev.name], ("p0", "q0").index(ev.param)
                     if draw[k] == 0.0:
-                        raise EventError(i, f"{ev}: load {dev.name!r} has no {ev.param} to rescale")
+                        raise EventError(
+                            i, f"{ev}: load {dev.name!r} draws no {ev.param}, so setting it "
+                            "would change whether the load has a closed-form CF"
+                        )
                     draw[k] = ev.value
+                out.append((ev.device, ev.param, ev.value))
                 continue
-            at_bus = [draws[d.name] for d in self.devices if d.is_load and d.bus == ev.bus]
+            at_bus = [d.name for d in self.devices if d.is_load and d.bus == ev.bus]
             bus = labels.get(ev.bus, ev.bus)
             if not at_bus:
                 raise EventError(i, f"{ev}: no load at bus {bus}")
             factor = ev.factor
             if ev.action == "load_disconnect_mw":
-                total = np.sum([draw[0] for draw in at_bus])
+                total = np.sum([draws[name][0] for name in at_bus])
                 if total <= 0.0 or (factor := 1.0 - (ev.amount / self.s_base) / total) < 0.0:
                     raise EventError(
                         i,
                         f"{ev}: cannot disconnect {ev.amount:g} MW from the "
                         f"{total * self.s_base:.1f} MW left at bus {bus}",
                     )
-            for draw in at_bus:
-                draw *= factor
+            for name in at_bus:
+                draws[name] *= factor
+                out += [(name, "p0", float(draws[name][0])), (name, "q0", float(draws[name][1]))]
+        return writes
 
     @property
     def n_steps(self) -> int:
@@ -445,15 +458,10 @@ class TrapezoidalIntegrator:
         self._j_dt: float | None = None
         self.total_newton_iters = 0
         self.halvings = 0
-        # (x, v, f(x, v)) where the last step converged; the next step
-        # starts there and reuses f
-        self._end: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def invalidate(self) -> None:
-        """Forget the Newton matrix and the rates of the last step; needed
-        after a parameter change."""
+        """Forget the Newton matrix; needed after a parameter change."""
         self._jinv = None
-        self._end = None
 
     # -- residual/jacobian helpers ------------------------------------------
 
@@ -513,28 +521,27 @@ class TrapezoidalIntegrator:
     # -- stepping -------------------------------------------------------------
 
     def step(
-        self, x: np.ndarray, v: np.ndarray, dt: float, t: float = 0.0, _depth: int = 0
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """One step of length `dt` from time `t`; a step whose Newton solve
-        diverges is split into two halves, at most `MAX_HALVINGS` deep."""
+        self, x: np.ndarray, v: np.ndarray, f: np.ndarray, dt: float, t: float = 0.0, _depth=0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """One step of length `dt` from time `t`, where `f` holds the state
+        derivatives at (x, v); returns the new states, voltages and
+        derivatives and the Newton iterations.  A step whose Newton solve
+        diverges is split into two halves, at most `MAX_HALVINGS` deep; a
+        half has another length, so it builds its own Newton matrix."""
         try:
-            return self._newton_step(x, v, dt)
+            return self._newton_step(x, v, f, dt)
         except NewtonDivergence:
             if _depth >= MAX_HALVINGS:
                 raise
             self.halvings += 1
             log.warning("step at t=%.6g s halved to dt=%.3g s (depth %d)", t, 0.5 * dt, _depth + 1)
-            self.invalidate()
-            x1, v1, n1 = self.step(x, v, 0.5 * dt, t, _depth + 1)
-            x2, v2, n2 = self.step(x1, v1, 0.5 * dt, t + 0.5 * dt, _depth + 1)
-            self.invalidate()
-            return x2, v2, n1 + n2
+            x1, v1, f1, n1 = self.step(x, v, f, 0.5 * dt, t, _depth + 1)
+            x2, v2, f2, n2 = self.step(x1, v1, f1, 0.5 * dt, t + 0.5 * dt, _depth + 1)
+            return x2, v2, f2, n1 + n2
 
     def _newton_step(
-        self, x: np.ndarray, v: np.ndarray, dt: float
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        end = self._end
-        f_prev = end[2] if end and x is end[0] and v is end[1] else self.system.derivatives(x, v)
+        self, x: np.ndarray, v: np.ndarray, f_prev: np.ndarray, dt: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         z = self._pack(x, v)
         r0 = None
         for it in range(NEWTON_MAX_ITER):
@@ -544,9 +551,7 @@ class TrapezoidalIntegrator:
             norm = np.abs(r).max()
             if norm < self.tol:
                 self.total_newton_iters += it
-                x1, v1 = self._unpack(z)
-                self._end = (x1, v1, f)
-                return x1, v1, it
+                return *self._unpack(z), f, it
             if r0 is None:
                 r0 = norm
             elif norm > 1e3 * max(r0, 1.0):
@@ -656,7 +661,7 @@ class Trajectory:
     def sample_index(self, t: float) -> int:
         return int(round(t / self.dt))
 
-    def estimator_valid(self, pad: int = 2) -> np.ndarray:
+    def estimator_valid(self, pad: int = EVENT_MASK_PAD) -> np.ndarray:
         """True where finite-difference CF estimates are trustworthy: away
         from event instants by more than `pad` samples."""
         valid = np.ones(self.times.size, dtype=bool)
@@ -680,15 +685,13 @@ def run(scenario: Scenario) -> Trajectory:
     checked again first, because its fields may have been assigned after
     construction.
     """
-    scenario.check()
+    writes = scenario.check()
     x, v, system = initialize(scenario)
+    f = system.derivatives(x, v)
     dt = scenario.dt
     n_steps = scenario.n_steps
     times = np.arange(n_steps + 1) * dt
-
-    events_by_step: dict[int, list[Event]] = {}
-    for k, _, ev in scenario.scheduled_events():
-        events_by_step.setdefault(k, []).append(ev)
+    event_times = [times[k] for k, _, _ in scenario.scheduled_events()]
 
     integ = TrapezoidalIntegrator(system, tol=scenario.tolerance)
 
@@ -699,20 +702,20 @@ def run(scenario: Scenario) -> Trajectory:
     # one row per device, so every recorded CF series is contiguous
     cfs = np.empty((len(devices), n_steps + 1), dtype=complex)
     voltage_cf = np.empty((n_steps + 1, system.n_bus), dtype=complex)
-    event_times: list[float] = []  # one per applied event
     start = 0  # first sample of the current event segment
 
     for k in range(n_steps + 1):
         if k:
-            x, v, _ = integ.step(x, v, dt, t=times[k - 1])
-        if k in events_by_step:
+            x, v, f, _ = integ.step(x, v, f, dt, t=times[k - 1])
+        if k in writes:
             _record(system, slice(start, k), xs, voltages, currents, voltage_cf, cfs)
             start = k
-            for ev in events_by_step[k]:
-                _apply_event(system, ev, scenario.s_base)
-                event_times.append(times[k])
+            for name, param, value in writes[k]:
+                blk, row = system.row(name)
+                getattr(blk, param)[row] = value
             system.derive()
             v = integ.solve_algebraic(x, v)
+            f = system.derivatives(x, v)
             integ.invalidate()
         xs[k] = x
         voltages[k] = v
@@ -754,25 +757,3 @@ def _record(system: DaeSystem, seg: slice, xs, voltages, currents, voltage_cf, c
         eta_v = system.voltage_cf(v, system.voltage_rates(x, v, xdot))
         voltage_cf[chunk] = eta_v
         cfs[system.order, chunk] = system.analytic_cf(x, xdot, v, eta_v).T
-
-
-def _apply_event(system: DaeSystem, ev: Event, s_base: float) -> None:
-    """Edit the block rows `ev` changes (`Scenario` checked its target).  The
-    value of a load's p0 or q0 is its new scheduled draw, so the base power
-    that the ZIP polynomial scales is rescaled with it."""
-    if ev.action == "set_parameter":
-        blk, row = system.row(ev.device)
-        if isinstance(blk, ZipBlock):
-            nominal = getattr(blk, "nominal_" + ev.param[0])
-            getattr(blk, ev.param)[row] *= ev.value / nominal[row]
-            nominal[row] = ev.value
-        else:
-            getattr(blk, ev.param)[row] = ev.value
-        return
-    [loads] = [blk for blk in system.blocks if isinstance(blk, ZipBlock)]
-    rows = loads.bus == ev.bus
-    factor = ev.factor
-    if ev.action == "load_disconnect_mw":
-        factor = 1.0 - (ev.amount / s_base) / loads.nominal_p[rows].sum()
-    for name in ("p0", "q0", "nominal_p", "nominal_q"):
-        getattr(loads, name)[rows] *= factor

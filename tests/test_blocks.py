@@ -195,33 +195,19 @@ def random_grids(draw):
     return system, devices, x, v, xdot
 
 
-def scheduled_draws(devices):
-    """{load name: {"p0": p, "q0": q}}, the draws the scenario schedules."""
-    return {d.name: {"p0": d.p0, "q0": d.q0} for d in devices if d.is_load}
-
-
-def apply_to_reference(devices, ev, nominal, s_base):
+def apply_to_reference(devices, ev, s_base):
     """`ev` applied to reference devices on their own, one device at a time;
-    `nominal` holds each load's scheduled draw (`scheduled_draws`) and
-    follows it.  A load's p0 and q0 on a reference device are the base
-    powers, so setting the draw rescales them."""
+    a load's p0 and q0 are its draw, which the event sets or scales."""
     if ev.action == "set_parameter":
-        d = next(d for d in devices if d.name == ev.device)
-        value = ev.value
-        if d.is_load:
-            value = getattr(d, ev.param) * (ev.value / nominal[d.name][ev.param])
-            nominal[d.name][ev.param] = ev.value
-        setattr(d, ev.param, value)
+        setattr(next(d for d in devices if d.name == ev.device), ev.param, ev.value)
         return
     loads = [d for d in devices if d.is_load and d.bus == ev.bus]
     factor = ev.factor
     if ev.action == "load_disconnect_mw":
-        factor = 1.0 - (ev.amount / s_base) / sum(nominal[d.name]["p0"] for d in loads)
+        factor = 1.0 - (ev.amount / s_base) / sum(d.p0 for d in loads)
     for d in loads:
         d.p0 *= factor
         d.q0 *= factor
-        nominal[d.name]["p0"] *= factor
-        nominal[d.name]["q0"] *= factor
 
 
 class TestBlocksMatchDevices:
@@ -247,11 +233,10 @@ class TestBlocksMatchDevices:
         traj = run(sc)
         _, _, system = initialize(sc)
         refs = reference_devices(system, sc.devices)
-        nominal = scheduled_draws(sc.devices)
         k_event = traj.sample_index(0.015)
         for k in range(traj.times.size):
             if k == k_event:
-                apply_to_reference(refs, sc.events[0], nominal, sc.s_base)
+                apply_to_reference(refs, sc.events[0], sc.s_base)
             x = state_vector(system, traj, k)
             v = traj.voltages[k]
             assert_close(traj.currents[k], ref_currents(system, refs, x, v))
@@ -290,11 +275,10 @@ class TestBlocksMatchDevices:
         _, _, system = initialize(sc)
         assert system.voltage_dependent is not pure_z
         refs = reference_devices(system, sc.devices)
-        nominal = scheduled_draws(sc.devices)
         for k in range(traj.times.size):
             for step, _, ev in sc.scheduled_events():
                 if step == k:
-                    apply_to_reference(refs, ev, nominal, sc.s_base)
+                    apply_to_reference(refs, ev, sc.s_base)
             x = state_vector(system, traj, k)
             v = traj.voltages[k]
             assert_close(traj.currents[k], ref_currents(system, refs, x, v))
@@ -350,7 +334,7 @@ class TestParametersAfterEvents:
         sc.events = [event]
         traj = run(sc)
         [system], [devices] = systems, refs
-        apply_to_reference(devices, event, scheduled_draws(sc.devices), sc.s_base)
+        apply_to_reference(devices, event, sc.s_base)
         assert traj.events_applied == 1
         assert system.voltage_dependent is not pure_z
         x = state_vector(system, traj, -1)
@@ -365,9 +349,29 @@ class TestLoadDrawEvents:
     """A load's p0 or q0 event sets its scheduled draw, which a later
     disconnect takes from."""
 
-    def scenario(self, *events):
+    def scenario(self, *events, t_end=0.1):
         sc = load_scenario(bundled_scenario_path("twomachine"))
-        return dataclasses.replace(sc, t_end=0.1, events=list(events))
+        return dataclasses.replace(sc, t_end=t_end, events=list(events))
+
+    def test_check_returns_the_writes(self):
+        # absolute values by step, in run order: set to 45 MW, 40 MW
+        # disconnected, then scaled by 1.3 next to a machine setpoint
+        sc = self.scenario(
+            Event(0.3, "load_scale", bus=0, factor=1.3),
+            Event(0.2, "load_disconnect_mw", bus=0, amount=40.0),
+            Event(0.1, "set_parameter", device="LOAD", param="p0", value=0.45),
+            Event(0.3, "set_parameter", device="SM1", param="p_m", value=0.6),
+            t_end=0.5,
+        )
+        q = sc.device("LOAD").q0
+        factor = 1.0 - 0.4 / 0.45
+        p2, q2 = 0.45 * factor, q * factor
+        assert sc.check() == {
+            100: [("LOAD", "p0", 0.45)],
+            200: [("LOAD", "p0", p2), ("LOAD", "q0", q2)],
+            300: [("LOAD", "p0", p2 * 1.3), ("LOAD", "q0", q2 * 1.3), ("SM1", "p_m", 0.6)],
+        }
+        assert p2 * sc.s_base == pytest.approx(5.0, rel=1e-12)
 
     def test_disconnect_after_setting_the_draw(self, monkeypatch):
         # 90 MW set to 45 MW, then 40 MW disconnected: 5 MW are left
@@ -388,10 +392,10 @@ class TestLoadDrawEvents:
         [system] = systems
         load, row = system.row("LOAD")
         base, _ = ref.row("LOAD")
-        assert load.nominal_p[row] * sc.s_base == pytest.approx(5.0, rel=1e-12)
+        assert load.p0[row] * sc.s_base == pytest.approx(5.0, rel=1e-12)
         # the base power keeps its ratio to the draw, the pure Z part's 1/|v0|^2
-        assert load.p0[row] / load.nominal_p[row] == pytest.approx(
-            base.p0[row] / base.nominal_p[row], rel=1e-12
+        assert load.parts.base_p[row] / load.p0[row] == pytest.approx(
+            base.parts.base_p[row] / base.p0[row], rel=1e-12
         )
 
     def test_check_replays_the_draw(self):

@@ -3,6 +3,8 @@ two-bus system with prescribed current waveforms and on simulated runs."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,21 @@ class TestSimulatedRuns:
             ObservationPoint(0)
         with pytest.raises(ValueError):
             ObservationPoint(0, towards_bus=1, device="ZL")
+
+
+def test_window_bounds_allow_for_sample_times_off_by_an_ulp(bundled_ieee39):
+    # sample 26 is at 0.026000000000000002 s; a window on 0.026 s holds it,
+    # as it does for the distance functions
+    sc = dataclasses.replace(
+        bundled_ieee39,
+        t_end=0.1,
+        events=[],
+        analysis=dataclasses.replace(bundled_ieee39.analysis, window=None),
+    )
+    traj = run(sc)
+    assert traj.times[26] > 0.026
+    d1, d2 = sc.analysis.cluster_devices[:2]
+    dev = observer_independence_check(
+        traj, sc.network, d1, d2, sc.analysis.observation_points, window=(0.026, 0.026)
+    )
+    assert np.isfinite(dev)

@@ -17,7 +17,6 @@ from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import (
     DaeSystem,
     TrapezoidalIntegrator,
-    _apply_event,
     initialize,
     run,
 )
@@ -79,17 +78,20 @@ class TestTrapezoidalRule:
         net = Network([Bus(0, kind="slack")], [], [Shunt(0, conductance=1.0)])
         system = DaeSystem(net, [dev], OMEGA_B)
         integ = TrapezoidalIntegrator(system, tol=1e-12)
-        v = np.array([1.0 + 0.0j])
-        x1, v1, _ = integ.step(np.array([x0]), v, h)
+        x, v = np.array([x0]), np.array([1.0 + 0.0j])
+        x1, v1, f1, _ = integ.step(x, v, system.derivatives(x, v), h)
         expected = x0 * (1 + lam * h / 2) / (1 - lam * h / 2)
         assert x1[0] == pytest.approx(expected, rel=1e-12)
+        assert np.array_equal(f1, system.derivatives(x1, v1))
 
     def test_equilibrium_state_unchanged(self):
         sc = two_bus_scenario(load_p=0.5, load_q=0.1)
         x0, v0, system = initialize(sc)
         integ = TrapezoidalIntegrator(system)
-        x1, v1, iters = integ.step(x0, v0, 1e-3)
+        f0 = system.derivatives(x0, v0)
+        x1, v1, f1, iters = integ.step(x0, v0, f0, 1e-3)
         assert iters == 0
+        assert np.array_equal(f1, f0)
         assert np.array_equal(x1, x0)
         assert np.array_equal(v1, v0)
 
@@ -179,18 +181,24 @@ class TestRun:
         assert valid[k - 3] and valid[k + 3]
         assert traj.estimator_valid(pad=2).mean() > 0.95
 
-    def test_load_disconnect_mw_scales_both_components(self):
+    def test_load_disconnect_mw_scales_both_components(self, monkeypatch):
+        systems = []
+
+        def capture(scenario):
+            out = initialize(scenario)
+            systems.append(out[2])
+            return out
+
+        monkeypatch.setattr(simulation, "initialize", capture)
         sc = two_bus_scenario(load_p=2.06, load_q=0.276)
         sc.t_end = 0.2
         sc.events = [Event(0.1, "load_disconnect_mw", bus=1, amount=100.0)]
         assert run(sc).events_applied == 1
-        _, _, system = initialize(sc)
+        [system] = systems
         blk, row = system.row("LOAD")
-        q_ratio_before = blk.q0[row] / blk.p0[row]
-        _apply_event(system, sc.events[0], sc.s_base)
         factor = 1.0 - 1.0 / 2.06
-        assert blk.nominal_p[row] == pytest.approx(2.06 * factor, rel=1e-12)
-        assert blk.q0[row] / blk.p0[row] == pytest.approx(q_ratio_before, rel=1e-12)
+        assert blk.p0[row] == pytest.approx(2.06 * factor, rel=1e-12)
+        assert blk.q0[row] / blk.p0[row] == pytest.approx(0.276 / 2.06, rel=1e-12)
 
     def test_set_parameter_event(self):
         sc = two_bus_scenario(load_p=0.4)
@@ -228,11 +236,11 @@ class TestRun:
         newton_step = TrapezoidalIntegrator._newton_step
         failed = []
 
-        def diverge_once(self, x, v, dt):
+        def diverge_once(self, x, v, f, dt):
             if not failed:
                 failed.append(dt)
                 raise NewtonDivergence("forced")
-            return newton_step(self, x, v, dt)
+            return newton_step(self, x, v, f, dt)
 
         monkeypatch.setattr(TrapezoidalIntegrator, "_newton_step", diverge_once)
         sc = two_bus_scenario(load_p=0.4)
@@ -318,7 +326,8 @@ class TestEventChecks:
             (Event(0.1, "load_disconnect_mw", bus=1, amount=41.0),
              "cannot disconnect 41 MW from the 40.0 MW left at bus 2"),
             (Event(0.1, "set_parameter", device="LOAD", param="q0", value=0.1),
-             "load 'LOAD' has no q0 to rescale"),
+             "load 'LOAD' draws no q0, so setting it would change whether the load has "
+             "a closed-form CF"),
         ],
         ids=[
             "unknown_device", "not_settable", "bus_without_load", "oversized_disconnect",
@@ -359,6 +368,12 @@ class TestEventChecks:
         with pytest.raises(EventError, match=message) as err:
             run(sc)
         assert err.value.index == 1
+
+    def test_integer_draws_are_replayed_as_floats(self):
+        sc = two_bus_scenario(load_p=0.4)
+        sc.devices[1] = ZipLoad("LOAD", 1, p0=1, q0=0)
+        sc.events = [Event(0.1, "load_scale", bus=1, factor=1.1)]
+        assert sc.check() == {100: [("LOAD", "p0", 1.1), ("LOAD", "q0", 0.0)]}
 
     def test_disconnects_replay_earlier_load_changes_in_run_order(self):
         # 40 MW, halved at 0.1 s: 25 MW cannot go at 0.2 s, however the
