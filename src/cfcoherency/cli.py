@@ -176,11 +176,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_cf(args) -> int:
     path = Path(args.trajectory)
-    if not path.exists():
-        raise SchemaError("$", f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise SchemaError("$", f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, a cell that is not a number, or a ragged row
+        raise SchemaError("$", f"malformed CSV: {exc}") from exc
     if header[0] != "time":
         raise SchemaError("$.header", "first column must be 'time'")
     # consume leading <name>_re/<name>_im pairs; trailing extra columns (for

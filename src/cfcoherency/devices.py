@@ -352,7 +352,7 @@ class ZipLoad(_ZipEquations, Device):
         name: str,
         bus: int,
         p0: float,
-        q0: float,
+        q0: float = 0.0,
         kz_p: float = 1.0,
         ki_p: float = 0.0,
         kp_p: float = 0.0,
@@ -388,14 +388,21 @@ class ZipLoad(_ZipEquations, Device):
 
 
 class IbrFilter:
-    """Output filter of a converter: series impedance, shunt admittance and
-    the fixed DC-side voltage."""
+    """Output filter of a converter: series impedance z_f = r + jx, shunt
+    admittance y_f = g + jb and the fixed DC-side voltage."""
 
-    def __init__(self, z_f: complex, y_f: complex = 0j, v_dc: float = 1.0):
-        if abs(z_f) == 0.0:
+    def __init__(
+        self,
+        x_filter: float,
+        r_filter: float = 0.0,
+        g_filter: float = 0.0,
+        b_filter: float = 0.0,
+        v_dc: float = 1.0,
+    ):
+        self.z_f = complex(r_filter, x_filter)
+        if abs(self.z_f) == 0.0:
             raise ValueError("filter series impedance must be nonzero")
-        self.z_f = complex(z_f)
-        self.y_f = complex(y_f)
+        self.y_f = complex(g_filter, b_filter)
         self.v_dc = v_dc
         self.through = 1.0 + self.z_f * self.y_f
 

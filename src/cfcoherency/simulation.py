@@ -92,16 +92,19 @@ class Scenario:
         value)]} in the order `run` applies them; the only code that
         interprets events.  A load event writes the new draw (p0, q0) of
         each load at its bus.  Raises `ValueError` unless the scenario can
-        run: a positive finite step and horizon, events inside the horizon,
-        unique device names, every event's device or load bus present, no
-        disconnect of more load than is left at its bus, and no load draw
-        set where that part is zero (the load would gain or lose its
-        closed-form CF during the run, while `run` picks the CFs it records
-        from the spec).  A bad event raises `EventError`, which carries its
-        index in `events`.  The analysis window, which `run` does not read,
-        is checked against the horizon at construction."""
+        run: a positive finite step, horizon and Newton tolerance, events
+        inside the horizon, unique device names, every event's device or
+        load bus present, no disconnect of more load than is left at its
+        bus, and no load draw set where that part is zero (the load would
+        gain or lose its closed-form CF during the run, while `run` picks
+        the CFs it records from the spec).  A bad event raises `EventError`,
+        which carries its index in `events`.  The analysis window, which
+        `run` does not read, is checked against the horizon at
+        construction."""
         if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
             raise ValueError("dt and t_end must be positive and finite")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"Newton tolerance {self.tolerance!r} must be positive and finite")
         for i, ev in enumerate(self.events):
             if not 0.0 <= ev.time <= self.t_end:
                 raise EventError(i, f"event at t={ev.time} outside [0, {self.t_end}]")

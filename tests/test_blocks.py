@@ -149,7 +149,9 @@ def make_device(kind, name, bus, rng):
         d = ZipLoad(name, bus, p0=u(0.1, 1), q0=u(-0.3, 0.5), kz_p=kz_p, ki_p=ki_p,
                     kp_p=kp_p, kz_q=kz_q, ki_q=ki_q, kp_q=kp_q)
         return d, []
-    filt = IbrFilter(complex(u(0.001, 0.01), u(0.1, 0.2)), 1j * u(0, 0.05), v_dc=u(1.5, 2.5))
+    filt = IbrFilter(
+        r_filter=u(0.001, 0.01), x_filter=u(0.1, 0.2), b_filter=u(0, 0.05), v_dc=u(1.5, 2.5)
+    )
     if kind == "gfl":
         d = GridFollowingConverter(
             name, bus, filt, OMEGA_B, kp_current=u(0.1, 0.5), ki_current=u(1, 10),
@@ -225,7 +227,7 @@ class TestBlocksMatchDevices:
         sc.devices += [
             ZipLoad("ZL0", 0, p0=0.3, q0=0.1),
             GridFollowingConverter(
-                "GFL2", 2, IbrFilter(0.004 + 0.12j, 0.0, v_dc=2.0), OMEGA_B, p=0.2
+                "GFL2", 2, IbrFilter(0.12, 0.004, v_dc=2.0), OMEGA_B, p=0.2
             ),
         ]
         sc.devices = [sc.devices[i] for i in order]
@@ -292,7 +294,7 @@ class TestBlocksMatchDevices:
 
 def test_guard_names_the_device_of_a_sample():
     # (samples, devices) states of three converters; one e at the guard
-    filt = IbrFilter(0.005 + 0.15j, 0.0, v_dc=2.0)
+    filt = IbrFilter(0.15, 0.005, v_dc=2.0)
     blk = GfmBlock([GridFormingConverter(f"GFM{k}", 0, filt, OMEGA_B) for k in range(3)], 0)
     x = np.tile([1.0, 0.1, 1.0, 0.5], (4, 3, 1))
     x[2, 1, 0] = 5e-10

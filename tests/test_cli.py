@@ -135,6 +135,49 @@ class TestRunCommand:
         assert "outside [0, 0.5]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_network_error_in_file_exits_one(self, small_scenario, tmp_path, capsys):
+        doc = json.loads(small_scenario.read_text())
+        doc["branches"][0]["tap"] = 0.0
+        path = tmp_path / "tap.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--out", str(tmp_path / "o"), "run", str(path)]) == 1
+        assert "$.branches[0]: tap ratio must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", [0, -1])
+    def test_nonpositive_tolerance_exits_one(
+        self, small_scenario, tmp_path, capsys, no_simulation, tolerance
+    ):
+        doc = json.loads(small_scenario.read_text())
+        doc["simulation"]["tolerance"] = tolerance
+        path = tmp_path / "tolerance.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--out", str(tmp_path / "o"), "run", str(path)]) == 1
+        assert "error: $: Newton tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "cluster", "sweep"])
+    @pytest.mark.parametrize(
+        "name, content, reason",
+        [
+            pytest.param("missing.json", None, "No such file or directory", id="missing"),
+            pytest.param("folder", "dir", "Is a directory", id="directory"),
+            pytest.param(
+                "latin1.json", b'{"system": "\xe9"}', "can't decode byte 0xe9", id="not-utf8"
+            ),
+        ],
+    )
+    def test_unreadable_scenario_exits_one(
+        self, tmp_path, capsys, no_simulation, command, name, content, reason
+    ):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        assert main(["--out", str(tmp_path / "o"), command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $: ")
+        assert reason in err
+
     def test_oversized_disconnect_exits_one(self, small_scenario, tmp_path, capsys, no_simulation):
         # 50 MW at bus 2, scaled by 1.1 and back before the disconnect
         doc = json.loads(small_scenario.read_text())
@@ -405,6 +448,26 @@ class TestCfCommand:
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "cf", str(tmp_path / "nope.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            pytest.param(
+                "0,1,0\n0.001,x,0.001\n0.002,1,0.002\n", "could not convert string 'x'",
+                id="not-a-number",
+            ),
+            pytest.param(
+                "0,1,0\n0.001,1\n0.002,1,0.002\n", "number of columns changed", id="ragged"
+            ),
+        ],
+    )
+    def test_malformed_csv_exits_one(self, tmp_path, capsys, rows, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,x_re,x_im\n" + rows, encoding="utf-8")
+        assert main(["--out", str(tmp_path / "o"), "cf", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: $: malformed CSV" in err
+        assert reason in err
 
     def test_non_uniform_time_base_exits_one(self, tmp_path, capsys):
         path = tmp_path / "uneven.csv"

@@ -183,13 +183,13 @@ class TestIbrCf:
 
 def make_gfl(**kw):
     return GridFollowingConverter(
-        "GFL", 0, IbrFilter(0.003 + 0.15j, 0.0, v_dc=2.0), OMEGA_B, **kw
+        "GFL", 0, IbrFilter(0.15, 0.003, v_dc=2.0), OMEGA_B, **kw
     )
 
 
 def make_gfm(**kw):
     return GridFormingConverter(
-        "GFM", 0, IbrFilter(0.005 + 0.15j, 0.0, v_dc=2.0), OMEGA_B, **kw
+        "GFM", 0, IbrFilter(0.15, 0.005, v_dc=2.0), OMEGA_B, **kw
     )
 
 

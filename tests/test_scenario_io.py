@@ -1,11 +1,38 @@
 from __future__ import annotations
 
-import json
+import inspect
+import math
 
 import pytest
 
+from cfcoherency.coherency import ObservationPoint
+from cfcoherency.devices import (
+    GridFollowingConverter,
+    GridFormingConverter,
+    IbrFilter,
+    SynchronousMachine,
+    ZipLoad,
+)
 from cfcoherency.errors import SchemaError
-from cfcoherency.scenario_io import bundled_scenario_path, load_scenario, parse_scenario
+from cfcoherency.network import Branch, Bus, Shunt
+from cfcoherency.scenario_io import (
+    _BRANCH,
+    _BUS,
+    _DEVICES,
+    _EVENTS,
+    _FILTER,
+    _OBSERVER,
+    _SHUNT,
+    _SIMULATION,
+    Key,
+    bundled_scenario_path,
+    load_scenario,
+    parse_scenario,
+)
+from cfcoherency.simulation import EVENT_ACTIONS, Event, Scenario
+
+OMEGA_60 = 2 * math.pi * 60.0
+POINTS = "$.analysis.observation_points"
 
 
 def minimal_doc():
@@ -142,6 +169,110 @@ class TestParse:
         doc["events"][0]["time"] = 5.0
         with pytest.raises(SchemaError):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            (lambda d: d["branches"][0].update(to=1), "$.branches[0]"),
+            (lambda d: d["branches"][0].update(tap=0), "$.branches[0]"),
+            (lambda d: d["branches"][0].update(tap=-1), "$.branches[0]"),
+            (lambda d: d["branches"][0].update(r=0, x=0), "$.branches[0]"),
+            (lambda d: d.update(branches=[]), "$.branches"),  # two buses
+            (lambda d: d.update(branches=3), "$.branches"),
+            (lambda d: d.update(branches=None), "$.branches"),
+            (lambda d: d.update(shunts=3), "$.shunts"),
+            (lambda d: d.update(shunts=None), "$.shunts"),
+            (lambda d: d.update(events=3), "$.events"),
+            (lambda d: d.update(events=None), "$.events"),
+            (lambda d: d["analysis"].update(observation_points=3), POINTS),
+            (lambda d: d["analysis"].update(observation_points=None), POINTS),
+            (lambda d: d["analysis"].update(observation_points={}), POINTS),
+            (lambda d: d["analysis"].update(observation_points=[[[1], 2]]), POINTS + "[0]"),
+        ],
+        ids=[
+            "self-loop", "tap-zero", "tap-negative", "zero-impedance", "no-branches",
+            "branches-number", "branches-null", "shunts-number", "shunts-null",
+            "events-number", "events-null", "points-number", "points-null", "points-object",
+            "point-with-a-list-as-bus",
+        ],
+    )
+    def test_malformed_entry_reported_at_its_path(self, mutate, path):
+        doc = minimal_doc()
+        mutate(doc)
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(doc)
+        assert err.value.path == path
+
+
+# an entry of each device type with only the required keys, and the same
+# device built with only the required constructor arguments
+REQUIRED_ONLY = {
+    "sm": (
+        {"inertia": 8.0, "xd_prime": 0.1, "p": 0.5},
+        lambda: SynchronousMachine("D", 1, inertia=8.0, xd_prime=0.1, omega_base=OMEGA_60, p=0.5),
+    ),
+    "zip": ({"p": 0.5}, lambda: ZipLoad("D", 1, p0=0.5)),
+    "gfl": (
+        {"p": 0.5, "x_filter": 0.15},
+        lambda: GridFollowingConverter("D", 1, IbrFilter(0.15), OMEGA_60, p=0.5),
+    ),
+    "gfm": (
+        {"p": 0.5, "x_filter": 0.15},
+        lambda: GridFormingConverter("D", 1, IbrFilter(0.15), OMEGA_60, p=0.5),
+    ),
+}
+
+
+def device_vars(device) -> dict:
+    """The attributes of a device, with those of its filter in place of the object."""
+    values = dict(vars(device))
+    if "filter" in values:
+        values["filter"] = vars(values["filter"])
+    return values
+
+
+class TestSingleDeclaration:
+    def test_every_device_type_is_covered(self):
+        assert set(REQUIRED_ONLY) == set(_DEVICES)
+
+    @pytest.mark.parametrize("dtype", sorted(REQUIRED_ONLY))
+    def test_omitted_keys_take_the_constructor_defaults(self, dtype):
+        keys, build = REQUIRED_ONLY[dtype]
+        doc = minimal_doc()
+        doc["devices"] = [{"type": dtype, "name": "D", "bus": 2, **keys}]
+        doc["events"] = []
+        (device,) = parse_scenario(doc).devices
+        assert type(device) is type(build())
+        assert device_vars(device) == device_vars(build())
+
+    def test_each_action_requires_the_number_its_event_reads(self):
+        assert set(_EVENTS) == set(EVENT_ACTIONS)
+        for action, keys in _EVENTS.items():
+            assert Key(EVENT_ACTIONS[action], True) in keys.values()
+
+    @pytest.mark.parametrize(
+        "cls, table",
+        [pytest.param(cls, keys, id=dtype) for dtype, (cls, keys) in _DEVICES.items()]
+        + [pytest.param(Event, keys, id=action) for action, keys in _EVENTS.items()]
+        + [
+            pytest.param(Bus, _BUS, id="bus"),
+            pytest.param(Branch, _BRANCH, id="branch"),
+            pytest.param(Shunt, _SHUNT, id="shunt"),
+            pytest.param(Scenario, _SIMULATION, id="simulation"),
+            pytest.param(ObservationPoint, _OBSERVER, id="observation_point"),
+        ],
+    )
+    def test_table_names_constructor_arguments(self, cls, table):
+        """Each key fills a constructor argument (a converter's filter keys
+        one of `IbrFilter`), and an argument without a default is required."""
+        for key, spec in table.items():
+            if key == "type":  # selects the device row
+                continue
+            owner = IbrFilter if key in _FILTER else cls
+            params = inspect.signature(owner).parameters
+            assert spec.arg in params, f"{cls.__name__}: {key!r} fills no argument"
+            if params[spec.arg].default is inspect.Parameter.empty:
+                assert spec.required, f"{cls.__name__}: {key!r} has no default"
 
 
 class TestBundled:
