@@ -25,7 +25,7 @@ from .coherency import (
 )
 from .errors import CfCoherencyError, SchemaError
 from .scenario_io import load_scenario, parse_window, scenario_error
-from .simulation import Scenario, run
+from .simulation import EVENT_MASK_PAD, Scenario, run
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -74,13 +74,20 @@ def _cmd_run(args) -> int:
     n_steps = traj.times.size - 1
     print(
         f"run: {n_steps} steps, {traj.newton_iters} Newton iterations, "
-        f"{traj.halvings} step halving(s), {traj.events_applied} event(s) applied"
+        f"{traj.refreshes} Newton matrix refresh(es), {traj.halvings} step halving(s), "
+        f"{traj.events_applied} event(s) applied"
     )
     print(f"wrote {out / 'trajectory.csv'} and {out / 'cf.csv'}")
     return EXIT_OK
 
 
 def _cmd_cluster(args) -> int:
+    """Cluster the devices on their CF distances over the analysis window.
+    With an explicit window the run stops EVENT_MASK_PAD + 1 samples after
+    its end, and the events after that are dropped: the run is causal, the
+    sample after the window end keeps the central CF stencil at the end, and
+    a dropped event's mask starts after the window, so nothing the analysis
+    reads changes."""
     scenario = _load(args)
     k = args.k if args.k is not None else scenario.analysis.k_clusters
     names = scenario.analysis.cluster_devices
@@ -91,8 +98,13 @@ def _cmd_cluster(args) -> int:
         raise SchemaError("$", f"cannot cut {len(names)} clustered device(s) into k={k} groups")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    window = scenario.analysis.window
+    if window is not None:
+        horizon = min(scenario.t_end, window[1] + (EVENT_MASK_PAD + 1) * scenario.dt)
+        events = [ev for ev in scenario.events if ev.time <= horizon]
+        scenario = dataclasses.replace(scenario, t_end=horizon, events=events)
     traj = run(scenario)
-    window = scenario.analysis.window or default_window(traj)
+    window = window or default_window(traj)
     matrix, tree, groups = cluster_trajectory(traj, k, names, window)
     labels = matrix.labels
     _write_csv(
@@ -114,7 +126,11 @@ def _cmd_cluster(args) -> int:
         ([step, *merge] for step, merge in enumerate(tree.merges)),
         ["%d", "%d", "%d", FLOAT],
     )
-    print(f"cluster: k={k}, window=[{window[0]:g}, {window[1]:g}]")
+    print(
+        f"cluster: k={k}, window=[{window[0]:g}, {window[1]:g}], simulated to "
+        f"{traj.times[-1]:g} s in {traj.times.size - 1} steps, {traj.newton_iters} Newton "
+        f"iterations, {traj.refreshes} Newton matrix refresh(es)"
+    )
     for gid, group in enumerate(groups):
         print(f"  group {gid}: {', '.join(sorted(group))}")
     if scenario.analysis.observation_points and len(labels) >= 2:

@@ -10,10 +10,12 @@ Conventions shared by every model:
 Each device exposes the same small surface the integrator relies on:
 `initial_state`, which back-solves the states and setpoints from the
 power-flow terminal voltage and the device's complex-power share,
-`derivatives`, `injected_current`, the analytic current sensitivities used to
-recover exact voltage rates (`voltage_sensitivity`: (a, b) such that
-dı̄ = a·dv̄ + b·dv̄* at fixed states, one per terminal voltage;
-`current_state_rate`, below) and `analytic_cf`.
+`evaluate`, which returns the state derivatives and the injected current
+from one shared computation (`derivatives` and `injected_current` give each
+alone), the analytic current sensitivities used to recover exact voltage
+rates (`voltage_sensitivity`: (a, b) such that dı̄ = a·dv̄ + b·dv̄* at fixed
+states, one per terminal voltage; `current_state_rate`, below) and
+`analytic_cf`.
 
 The equations of each kind are written once, in an `_*Equations` mixin, and
 broadcast over devices.  A `Device` evaluates them with float parameters and
@@ -125,6 +127,11 @@ class DeviceBlock:
     def derive(self) -> None:
         """Recompute the values derived from the parameter arrays."""
 
+    def evaluate(self, x, v):
+        """The state derivatives and the injected current, for a block that
+        writes the two separately."""
+        return self.derivatives(x, v), self.injected_current(x, v)
+
 
 # ---------------------------------------------------------------------------
 # Device models
@@ -183,19 +190,23 @@ class _SmEquations:
     def emf(self, x):
         return self.e_field * np.exp(1j * x[..., 0])
 
-    def injected_current(self, x, v):
-        return (self.emf(x) - v) * (-1j / self.xd_prime)  # ÷ j·x'_d
-
-    def electrical_power(self, x, v):
+    def evaluate(self, x, v):
+        """The state derivatives and the injected current, from one EMF."""
         e_vec = self.emf(x)
-        i = (e_vec - v) * (-1j / self.xd_prime)
-        return (e_vec * np.conj(i)).real
+        i = (e_vec - v) * (-1j / self.xd_prime)  # ÷ j·x'_d
+        slip = x[..., 1] - 1.0
+        p_e = (e_vec * np.conj(i)).real
+        d_omega = (self.p_m - p_e - self.damping * slip) / self.inertia
+        return _columns(self.omega_base * slip, d_omega), i
 
     def derivatives(self, x, v):
-        slip = x[..., 1] - 1.0
-        p_e = self.electrical_power(x, v)
-        d_omega = (self.p_m - p_e - self.damping * slip) / self.inertia
-        return _columns(self.omega_base * slip, d_omega)
+        return self.evaluate(x, v)[0]
+
+    def injected_current(self, x, v):
+        return self.evaluate(x, v)[1]
+
+    def electrical_power(self, x, v):
+        return (self.emf(x) * np.conj(self.injected_current(x, v))).real
 
     def voltage_sensitivity(self, x, v):
         a = np.broadcast_to(1j / self.xd_prime, np.shape(v))  # the same at every sample
@@ -297,6 +308,10 @@ class _ZipEquations:
         p = parts.base_p * (self.kp_p + self.ki_p * v_mag + self.kz_p * v_mag**2)
         q = parts.base_q * (self.kp_q + self.ki_q * v_mag + self.kz_q * v_mag**2)
         return p, q
+
+    def evaluate(self, x, v):
+        """No states: empty derivatives, and the drawn current."""
+        return np.empty(np.shape(x)), self.injected_current(x, v)
 
     def injected_current(self, x, v):
         # Split per component: the Z term never divides by the voltage.
@@ -413,6 +428,9 @@ class _ConverterEquations:
     def injected_current(self, x, v):
         return (self.internal_voltage(x) - self.through * v) / self.z_f
 
+    def derivatives(self, x, v):
+        return self.evaluate(x, v)[0]
+
     def voltage_sensitivity(self, x, v):
         a = np.broadcast_to(-self.through / self.z_f, np.shape(v))  # the same at every sample
         return a, 0.0 * a
@@ -466,15 +484,17 @@ class _GflEquations(_ConverterEquations):
     def internal_voltage(self, x):
         return self.modulation(x) * self.v_dc * np.exp(1j * x[..., 5])
 
-    def derivatives(self, x, v):
+    def evaluate(self, x, v):
+        """The state derivatives, which read the injected current, and the current."""
+        i = self.injected_current(x, v)
         rot = np.exp(-1j * x[..., 5])
-        i_dq = self.injected_current(x, v) * rot
+        i_dq = i * rot
         v_q = (v * rot).imag
         i_m = _pair(x, 2)
         d_pi = self.ki_current * (self.i_ref - i_m)
         d_im = (i_dq - i_m) / self.t_measure
         d_omega_pll = self.kp_pll * v_q + x[..., 4]
-        return _columns(
+        f = _columns(
             d_pi.real,
             d_pi.imag,
             d_im.real,
@@ -482,6 +502,7 @@ class _GflEquations(_ConverterEquations):
             self.ki_pll * v_q,
             self.omega_base * d_omega_pll,
         )
+        return f, i
 
     def current_state_rate(self, x, xdot, v):
         e_vec = self.internal_voltage(x)
@@ -573,19 +594,22 @@ class _GfmEquations(_ConverterEquations):
     def droop_frequency(self, x):
         return self.droop * (self.p_ref - x[..., 3]) + 1.0
 
-    def derivatives(self, x, v):
+    def evaluate(self, x, v):
+        """The state derivatives, which read the injected current, and the current."""
+        i = self.injected_current(x, v)
         v_mag = np.abs(v)
-        p_out = (v * np.conj(self.injected_current(x, v))).real
+        p_out = (v * np.conj(i)).real
         omega = self.droop_frequency(x)
         d_e = self.ki_voltage * (self.v_ref - x[..., 2]) - self.kp_voltage / self.t_voltage * (
             x[..., 2] - v_mag
         )
-        return _columns(
+        f = _columns(
             d_e,
             self.omega_base * (omega - 1.0),
             (v_mag - x[..., 2]) / self.t_voltage,
             (p_out - x[..., 3]) / self.t_power,
         )
+        return f, i
 
     def current_state_rate(self, x, xdot, v):
         e_dot = (xdot[..., 0] / x[..., 0] + 1j * xdot[..., 1]) * self.internal_voltage(x)

@@ -48,7 +48,8 @@ class Bus:
 @dataclass(frozen=True)
 class Branch:
     """Pi-section branch. `charging` is the total shunt susceptance, split
-    half per end; `tap` is the off-nominal turns ratio at the from side."""
+    half per end; `tap` is the off-nominal turns ratio at the from side.
+    The endpoints are bus indices; the checks name them as they were given."""
 
     from_bus: int
     to_bus: int
@@ -90,19 +91,21 @@ def build_admittance(
 
     Off-diagonals accumulate -y_series/tap per branch, diagonals the incident
     series terms plus half-charging per branch end plus fixed shunts.  Raises
-    DisconnectedNetwork unless the branch graph spans every bus.
+    DisconnectedNetwork, naming the bus labels, unless the branch graph spans
+    every bus.
     """
     n = len(buses)
     ids = sorted(b.index for b in buses)
     if ids != list(range(n)):
         raise ValueError("bus indices must be unique and contiguous from 0")
+    labels = [b.label for b in sorted(buses, key=lambda b: b.index)]
     for br in branches:
         if not (0 <= br.from_bus < n and 0 <= br.to_bus < n):
             raise ValueError(f"branch {br.from_bus}-{br.to_bus} references a missing bus")
     for sh in shunts:
         if not 0 <= sh.bus < n:
             raise ValueError(f"shunt references missing bus {sh.bus}")
-    _check_connected(n, branches)
+    _check_connected(labels, branches)
 
     y = np.zeros((n, n), dtype=complex)
     for br in branches:
@@ -124,7 +127,10 @@ def _branch_terms(br: Branch) -> tuple[complex, complex, complex, complex]:
     return (y_s + y_c) / tap**2, -y_s / tap, -y_s / tap, y_s + y_c
 
 
-def _check_connected(n: int, branches) -> None:
+def _check_connected(labels: list[int], branches) -> None:
+    """Raise unless every bus is reachable from the bus with index 0;
+    `labels` holds the label of each bus index."""
+    n = len(labels)
     if n <= 1:
         return
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -140,9 +146,9 @@ def _check_connected(n: int, branches) -> None:
             if not seen[k]:
                 seen[k] = True
                 stack.append(k)
-    missing = [i for i, s in enumerate(seen) if not s]
+    missing = [label for label, s in zip(labels, seen) if not s]
     if missing:
-        raise DisconnectedNetwork(f"buses unreachable from bus 0: {missing}")
+        raise DisconnectedNetwork(f"buses unreachable from bus {labels[0]}: {missing}")
 
 
 def impedance_matrix(y: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ constructor.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -65,9 +66,7 @@ def _array(value, path: str, non_empty: bool = False) -> list:
     return value
 
 
-def _device_names(value, path: str) -> list[str] | None:
-    if value is None:
-        return None
+def _device_names(value, path: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise SchemaError(path, "expected device names")
     if len(set(value)) != len(value):
@@ -84,10 +83,6 @@ def parse_window(win, path: str) -> tuple[float, float]:
     if not t_start < t_end:
         raise SchemaError(path, f"t_start {t_start:g} must be below t_end {t_end:g}")
     return t_start, t_end
-
-
-def _window(value, path: str) -> tuple[float, float] | None:
-    return None if value is None else parse_window(value, path)
 
 
 _BUS_REF = None  # `Key.read` of a reference to a declared bus, resolved to its index
@@ -129,7 +124,7 @@ _BRANCH = {
 _SHUNT = {"bus": Key("bus", True, _BUS_REF), "g": Key("conductance"), "b": Key("susceptance")}
 _SIMULATION = _required("t_end", "dt") | _optional("tolerance")
 _ANALYSIS = {
-    "window": Key("window", read=_window),
+    "window": Key("window", read=parse_window),
     "k_clusters": Key("k_clusters", read=_count),
     "observation_points": Key("observation_points", read=_array),
     "cluster_devices": Key("cluster_devices", read=_device_names),
@@ -245,7 +240,11 @@ def parse_scenario(doc: dict) -> Scenario:
     branches = []
     for i, br in enumerate(_array(doc.get("branches", []), "$.branches")):
         path = f"$.branches[{i}]"
-        branches.append(_construct(path, Branch, **_read(br, _BRANCH, path, index_of)))
+        args = _read(br, _BRANCH, path, index_of)
+        # built on the file's bus ids first, so that its checks name them
+        ends = {"from_bus": br["from"], "to_bus": br["to"]}
+        branch = _construct(path, Branch, **args | ends)
+        branches.append(dataclasses.replace(branch, **{key: args[key] for key in ends}))
     shunts = []
     for i, sh in enumerate(_array(doc.get("shunts", []), "$.shunts")):
         path = f"$.shunts[{i}]"
@@ -281,7 +280,7 @@ def parse_scenario(doc: dict) -> Scenario:
             _observation_point(pt, f"$.analysis.observation_points[{i}]", index_of, network, names)
             for i, pt in enumerate(analysis["observation_points"])
         ]
-    for name in analysis.get("cluster_devices") or ():
+    for name in analysis.get("cluster_devices", ()):
         if name not in names:
             raise SchemaError("$.analysis.cluster_devices", f"unknown device {name!r}")
 

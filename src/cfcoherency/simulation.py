@@ -338,27 +338,36 @@ class DaeSystem:
             self.incidence if incidence is None else incidence, np.concatenate(parts, axis=-1)
         )
 
+    def evaluate(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The state derivatives and the current injected by every device, in
+        block order, from one `evaluate` call per block."""
+        f = np.empty(x.shape)
+        currents = np.empty(v.shape[:-1] + self.order.shape, dtype=complex)
+        col = 0
+        for blk in self.blocks:
+            f_b, i_b = blk.evaluate(*self._local(blk, x, v))
+            f[..., blk.states] = f_b.reshape(x.shape[:-1] + (-1,))
+            currents[..., col : col + blk.n] = i_b
+            col += blk.n
+        return f, currents
+
+    def residual(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The state derivatives and the bus current balance ı - Ȳv."""
+        f, currents = self.evaluate(x, v)
+        return f, _matvec(self.incidence, currents) - _matvec(self.y, v)
+
     def derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape)
-        for blk in self.dynamic:
-            out[..., blk.states] = blk.derivatives(*self._local(blk, x, v)).reshape(
-                x.shape[:-1] + (-1,)
-            )
-        return out
+        return self.evaluate(x, v)[0]
 
     def device_currents(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Current injected by every device, in block order."""
-        return np.concatenate(
-            [blk.injected_current(*self._local(blk, x, v)) for blk in self.blocks], axis=-1
-        )
+        return self.evaluate(x, v)[1]
 
     def injections(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self._to_bus(
-            [blk.injected_current(*self._local(blk, x, v)) for blk in self.blocks], v
-        )
+        return _matvec(self.incidence, self.device_currents(x, v))
 
     def network_residual(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.injections(x, v) - _matvec(self.y, v)
+        return self.residual(x, v)[1]
 
     def voltage_jacobian(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """∂(ı - Ȳv)/∂(Re v, Im v) at fixed states, with rows and columns
@@ -460,6 +469,7 @@ class TrapezoidalIntegrator:
         self._jinv: np.ndarray | None = None
         self._j_dt: float | None = None
         self.total_newton_iters = 0
+        self.refreshes = 0  # Newton matrices built
         self.halvings = 0
 
     def invalidate(self) -> None:
@@ -488,10 +498,10 @@ class TrapezoidalIntegrator:
         """The Newton residual at `z` and the derivatives it evaluated."""
         sys = self.system
         x, v = self._unpack(z)
-        f = sys.derivatives(x, v)
+        f, rn = sys.residual(x, v)
         r = np.empty(sys.n_vars)
         r[: sys.n_states] = x - x_prev - 0.5 * dt * (f_prev + f)
-        r[sys.n_states :] = sys.network_residual(x, v).view(float)
+        r[sys.n_states :] = rn.view(float)
         return r, f
 
     def _jacobian(self, z: np.ndarray, dt: float) -> np.ndarray:
@@ -520,6 +530,7 @@ class TrapezoidalIntegrator:
     def _refresh(self, z: np.ndarray, dt: float) -> None:
         self._jinv = np.linalg.inv(self._jacobian(z, dt))
         self._j_dt = dt
+        self.refreshes += 1
 
     # -- stepping -------------------------------------------------------------
 
@@ -549,9 +560,9 @@ class TrapezoidalIntegrator:
         r0 = None
         for it in range(NEWTON_MAX_ITER):
             r, f = self._residual(z, x, f_prev, dt)
-            if not np.isfinite(r).all():
+            norm = np.abs(r).max()  # NaN or inf where any entry is
+            if not np.isfinite(norm):
                 raise NewtonDivergence(f"non-finite residual at dt={dt:.3e}")
-            norm = np.abs(r).max()
             if norm < self.tol:
                 self.total_newton_iters += it
                 return *self._unpack(z), f, it
@@ -624,11 +635,11 @@ def initialize(
     for blk, idxs in zip(system.blocks, system.members):
         x0[blk.states] = blk.initial_state(v[blk.bus], s[idxs]).ravel()
     system.derive()
-    f0 = system.derivatives(x0, v)
+    f0, balance = system.residual(x0, v)
     worst = np.max(np.abs(f0)) if f0.size else 0.0
     if worst >= 1e-9:
         raise InfeasibleInit(f"initial state derivative {worst:.3e} exceeds 1e-9")
-    rn = np.max(np.abs(system.network_residual(x0, v)))
+    rn = np.max(np.abs(balance))
     if rn >= 1e-8:
         raise InfeasibleInit(f"initial network residual {rn:.3e} exceeds 1e-8")
     return x0, v, system
@@ -654,6 +665,7 @@ class Trajectory:
     newton_iters: int = 0
     events_applied: int = 0
     halvings: int = 0
+    refreshes: int = 0  # Newton matrices built
 
     def device_index(self, name: str) -> int:
         return self.device_names.index(name)
@@ -745,6 +757,7 @@ def run(scenario: Scenario) -> Trajectory:
         newton_iters=integ.total_newton_iters,
         events_applied=len(event_times),
         halvings=integ.halvings,
+        refreshes=integ.refreshes,
     )
 
 
@@ -755,8 +768,8 @@ def _record(system: DaeSystem, seg: slice, xs, voltages, currents, voltage_cf, c
     for c in range(seg.start, seg.stop, RECORD_CHUNK):
         chunk = slice(c, min(c + RECORD_CHUNK, seg.stop))
         x, v = xs[chunk], voltages[chunk]
-        xdot = system.derivatives(x, v)
-        currents[chunk, system.order] = system.device_currents(x, v)
+        xdot, i = system.evaluate(x, v)
+        currents[chunk, system.order] = i
         eta_v = system.voltage_cf(v, system.voltage_rates(x, v, xdot))
         voltage_cf[chunk] = eta_v
         cfs[system.order, chunk] = system.analytic_cf(x, xdot, v, eta_v).T

@@ -30,7 +30,13 @@ from cfcoherency.devices import GfmBlock
 from cfcoherency.errors import EventError, MagnitudeUnderflow
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import RECORD_CHUNK, DaeSystem, initialize, run
-from tests.conftest import OMEGA_B, mixed_scenario, reference_devices, state_vector
+from tests.conftest import (
+    OMEGA_B,
+    mixed_scenario,
+    reference_devices,
+    state_vector,
+    two_bus_scenario,
+)
 
 REL = 1e-12
 
@@ -122,6 +128,31 @@ def check_against_reference(system, devices, x, v, xdot):
     assert_close(got[~np.isnan(want)], want[~np.isnan(want)])
 
 
+def check_evaluate(system, devices, x, v):
+    """`evaluate` returns bit for bit what `derivatives` and
+    `injected_current` return, for every block and every scalar device, and
+    the system's fused residual what its separate evaluations return; with
+    and without a leading axis of two samples."""
+    samples = (np.stack([x, x * (1.0 + 1e-3)]), np.stack([v, v * np.exp(0.01j)]))
+    for xs, vs in ((x, v), samples):
+        for blk in system.blocks:
+            xb, vb = system._local(blk, xs, vs)
+            f, i = blk.evaluate(xb, vb)
+            assert f.shape == xb.shape
+            if blk.n_states:
+                assert np.array_equal(f, blk.derivatives(xb, vb))
+            assert np.array_equal(i, blk.injected_current(xb, vb))
+        f, rn = system.residual(xs, vs)
+        assert np.array_equal(f, system.derivatives(xs, vs))
+        assert np.array_equal(rn, system.network_residual(xs, vs))
+        assert np.array_equal(rn, system.injections(xs, vs) - simulation._matvec(system.y, vs))
+    for d, sl in zip(devices, system.slices):
+        vd = complex(v[d.bus])
+        f, i = d.evaluate(x[sl], vd)
+        assert np.array_equal(f, d.derivatives(x[sl], vd))
+        assert np.array_equal(i, d.injected_current(x[sl], vd))
+
+
 # ---------------------------------------------------------------------------
 # random grids
 # ---------------------------------------------------------------------------
@@ -210,6 +241,20 @@ def apply_to_reference(devices, ev, s_base):
     for d in loads:
         d.p0 *= factor
         d.q0 *= factor
+
+
+class TestEvaluate:
+    @settings(max_examples=30, deadline=None)
+    @given(random_grids())
+    def test_random_grids(self, grid):
+        system, devices, x, v, _ = grid
+        check_evaluate(system, devices, x, v)
+
+    @pytest.mark.parametrize("make", [two_bus_scenario, mixed_scenario])
+    def test_scenarios(self, make):
+        sc = make()
+        x, v, system = initialize(sc)
+        check_evaluate(system, reference_devices(system, sc.devices), x, v)
 
 
 class TestBlocksMatchDevices:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from cfcoherency.cli import main
 from cfcoherency.coherency import device_cf, numerical_cf
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
-from cfcoherency.simulation import run
+from cfcoherency.simulation import EVENT_MASK_PAD, run
 
 
 @pytest.fixture()
@@ -64,6 +65,7 @@ class TestRunCommand:
         assert "500 steps" in captured
         assert "2 event(s)" in captured
         assert "0 step halving(s)" in captured
+        assert "2 Newton matrix refresh(es)" in captured  # one after each event
         header, data = read_csv(out / "trajectory.csv")
         assert header[0] == "time"
         assert data.shape[0] == 501
@@ -256,6 +258,59 @@ class TestClusterCommand:
         groups = dict(row.split(",") for row in rows)
         # the identical machines stay together, the load on its own
         assert groups["SM1"] == groups["SM2"] != groups["LOAD"]
+
+
+class TestClusterHorizonCut:
+    @pytest.mark.parametrize(
+        "window, event_after",
+        [((0.2, 0.3), None), ((0.2, 0.3), 1), ((0.2, 0.3), 2), ((0.2, 0.3), 5), ((0.2, 0.5), None)],
+        ids=["mixed-load", "event-1-after", "event-2-after", "event-5-after", "window-to-t-end"],
+    )
+    def test_outputs_equal_the_full_run(
+        self, small_scenario, tmp_path, capsys, monkeypatch, window, event_after
+    ):
+        # with an explicit window the run stops EVENT_MASK_PAD + 1 samples
+        # past its end, before any later event; the files and the observer
+        # line equal those of the same scenario run to t_end
+        doc = json.loads(small_scenario.read_text())
+        doc["devices"][1].update(kz_p=0.5, kp_p=0.5)  # clustered on the estimator
+        doc["devices"].append(
+            {"type": "sm", "name": "G2", "bus": 1, "inertia": 4.0, "xd_prime": 0.2,
+             "damping": 0.5, "p": 0.25}
+        )
+        doc["analysis"].update(
+            k_clusters=2, cluster_devices=["G1", "G2", "L1"], observation_points=[[1, 2]]
+        )
+        dt = doc["simulation"]["dt"]
+        if event_after is not None:
+            doc["events"].append(
+                {"time": window[1] + event_after * dt, "action": "load_scale", "bus": 2,
+                 "factor": 1.05}
+            )
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        full = load_scenario(path)
+        horizons = []
+
+        def full_run(scenario):
+            horizons.append(scenario.t_end)
+            return run(dataclasses.replace(scenario, t_end=full.t_end, events=full.events))
+
+        argv = ["--window", str(window[0]), str(window[1]), "cluster", str(path)]
+        assert main(["--out", str(tmp_path / "cut"), *argv]) == 0
+        cut = capsys.readouterr().out
+        monkeypatch.setattr("cfcoherency.cli.run", full_run)
+        assert main(["--out", str(tmp_path / "full"), *argv]) == 0
+        whole = capsys.readouterr().out
+
+        horizon = min(full.t_end, window[1] + (EVENT_MASK_PAD + 1) * dt)
+        assert horizons == [pytest.approx(horizon, abs=1e-12)]
+        assert f"simulated to {horizon:g} s in {round(horizon / dt)} steps" in cut
+        for name in ("distance.csv", "partition.csv", "dendrogram.csv"):
+            assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        observer = [line for line in cut.splitlines() if line.startswith("observer")]
+        assert len(observer) == 1
+        assert observer == [line for line in whole.splitlines() if line.startswith("observer")]
 
 
 class TestClusterIeee39:

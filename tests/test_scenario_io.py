@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import json
 import math
 
 import pytest
@@ -188,12 +189,14 @@ class TestParse:
             (lambda d: d["analysis"].update(observation_points=None), POINTS),
             (lambda d: d["analysis"].update(observation_points={}), POINTS),
             (lambda d: d["analysis"].update(observation_points=[[[1], 2]]), POINTS + "[0]"),
+            (lambda d: d["analysis"].update(window=None), "$.analysis.window"),
+            (lambda d: d["analysis"].update(cluster_devices=None), "$.analysis.cluster_devices"),
         ],
         ids=[
             "self-loop", "tap-zero", "tap-negative", "zero-impedance", "no-branches",
             "branches-number", "branches-null", "shunts-number", "shunts-null",
             "events-number", "events-null", "points-number", "points-null", "points-object",
-            "point-with-a-list-as-bus",
+            "point-with-a-list-as-bus", "window-null", "cluster-devices-null",
         ],
     )
     def test_malformed_entry_reported_at_its_path(self, mutate, path):
@@ -202,6 +205,26 @@ class TestParse:
         with pytest.raises(SchemaError) as err:
             parse_scenario(doc)
         assert err.value.path == path
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["branches"][0].update({"from": 2}),
+             "$.branches[0]: branch endpoints coincide at bus 2"),
+            (lambda d: d["branches"][4].update(x=0),
+             "$.branches[4]: branch 2-30 has zero series impedance"),
+            (lambda d: d.update(branches=[]),
+             "$.branches: buses unreachable from bus 1: [2, 3, 4, "),
+        ],
+        ids=["self-loop", "zero-impedance", "no-branches"],
+    )
+    def test_network_errors_name_the_file_bus_ids(self, mutate, message):
+        # ieee39 numbers its buses from 1, so an internal index is off by one
+        doc = json.loads(bundled_scenario_path("ieee39").read_text())
+        mutate(doc)
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(doc)
+        assert str(err.value).startswith(message)
 
 
 # an entry of each device type with only the required keys, and the same

@@ -112,6 +112,17 @@ class TestRun:
         for name, arr in traj.states.items():
             assert np.max(np.abs(arr - arr[0])) < 1e-7, name
 
+    @pytest.mark.parametrize(
+        "name, iters, refreshes",
+        [("twomachine", 3996, 2), ("ieee39", 4380, 1), ("ieee39_mod", 7655, 1)],
+    )
+    def test_solver_counts_of_the_bundled_scenarios(self, name, iters, refreshes):
+        # at 3 s; a Newton matrix is built only where a step does not meet
+        # the tolerance at its first residual, so none before the first event
+        sc = dataclasses.replace(load_scenario(bundled_scenario_path(name)), t_end=3.0)
+        traj = run(sc)
+        assert (traj.newton_iters, traj.refreshes, traj.halvings) == (iters, refreshes, 0)
+
     def test_algebraic_residuals_at_accepted_steps(self):
         # the load pulse is restored exactly, so outside the 10 ms pulse the
         # final device parameters reproduce every accepted sample
