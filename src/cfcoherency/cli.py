@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
@@ -195,10 +196,10 @@ def _cmd_cf(args) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            body = fh.read()
     except OSError as exc:
         raise SchemaError("$", f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # not UTF-8, a cell that is not a number, or a ragged row
+    except ValueError as exc:  # not UTF-8
         raise SchemaError("$", f"malformed CSV: {exc}") from exc
     if header[0] != "time":
         raise SchemaError("$.header", "first column must be 'time'")
@@ -214,6 +215,16 @@ def _cmd_cf(args) -> int:
         col += 2
     if not pairs:
         raise SchemaError("$.header", "no <name>_re/<name>_im column pairs found")
+    if not body.strip():  # numpy would only warn
+        raise SchemaError("$", "no samples after the header")
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    except ValueError as exc:  # a cell that is not a number, or a ragged row
+        raise SchemaError("$", f"malformed CSV: {exc}") from exc
+    if data.shape[1] != len(header):
+        raise SchemaError(
+            "$", f"rows have {data.shape[1]} cells, but the header has {len(header)} columns"
+        )
     times = data[:, 0]
     if times.size < 3:
         raise SchemaError("$", "need at least 3 samples")

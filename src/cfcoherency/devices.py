@@ -17,11 +17,13 @@ rates (`voltage_sensitivity`: (a, b) such that dı̄ = a·dv̄ + b·dv̄* at fix
 states, one per terminal voltage; `current_state_rate`, below) and
 `analytic_cf`.
 
-The equations of each kind are written once, in an `_*Equations` mixin, and
-broadcast over devices.  A `Device` evaluates them with float parameters and
-states of shape (n_states,); the kind's `DeviceBlock` evaluates the same code
-with parameter arrays, states (..., n, n_states) and terminal voltages (...,
-n), so the simulator makes one numpy call per kind; leading axes are samples.
+Each kind is one `Device` subclass that declares its parameters (`params`),
+its states and its equations once.  The equations broadcast, so the same
+class serves two shapes: a scenario's device, with float parameters and
+states (n_states,), and a run's `Device.stack` of all devices of the kind,
+with (n,) parameter arrays, states (..., n, n_states) and terminal voltages
+(..., n), which the simulator evaluates with one numpy call per kind;
+leading axes are samples.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleInit, MagnitudeUnderflow, NotAnalytical
+from .errors import InfeasibleInit, MagnitudeUnderflow
 from .primitives import MAGNITUDE_GUARD
 
 ZIP_FRACTION_TOL = 1e-12
@@ -38,12 +40,14 @@ ZIP_FRACTION_TOL = 1e-12
 
 def _require_magnitude(value, what: str, owner, error=MagnitudeUnderflow) -> None:
     """Raise `error` for the first entry of `value` whose |what| is at or below
-    the guard, naming its device, which the last axis of `value` indexes."""
+    the guard, naming its device: `owner`, or in a stack the device that the
+    last axis of `value` indexes."""
     value = np.atleast_1d(value)
     low = value <= MAGNITUDE_GUARD
     if low.any():
         k = np.unravel_index(np.argmax(low), low.shape)
-        raise error(f"|{what}({owner.names[k[-1]]})| = {value[k]:.3e} at or below guard")
+        name = owner.name if isinstance(owner.name, str) else owner.name[k[-1]]
+        raise error(f"|{what}({name})| = {value[k]:.3e} at or below guard")
 
 
 def _columns(*cols) -> np.ndarray:
@@ -95,76 +99,65 @@ def s_load_cf(eta_v):
 
 
 # ---------------------------------------------------------------------------
-# Blocks: the devices of one kind, evaluated together
-# ---------------------------------------------------------------------------
-
-class DeviceBlock:
-    """The devices of one kind, evaluated with one numpy call per method.
-
-    A block is the only parameter store of a run: it copies the attributes
-    in `params` from its devices into arrays when it is built and keeps no
-    reference to them.  `initial_state` writes the operating point into the
-    arrays, events edit their rows, and `derive` has to run after either.
-    `states` is the block's range of the system state vector, which holds
-    the devices' states one after another.  A block whose
-    `voltage_dependent` is False has a `voltage_sensitivity` that depends on
-    its parameters only.
-    """
-
-    params: tuple[str, ...] = ()
-    voltage_dependent = False
-
-    def __init__(self, devices: list[Device], start: int):
-        self.names = [d.name for d in devices]
-        self.n = len(devices)
-        self.n_states = devices[0].n_states
-        self.bus = np.array([d.bus for d in devices], dtype=int)
-        self.states = slice(start, start + self.n * self.n_states)
-        for name in self.params:
-            values = [getattr(d, name) for d in devices]
-            setattr(self, name, np.array(values, dtype=np.result_type(float, *values)))
-
-    def derive(self) -> None:
-        """Recompute the values derived from the parameter arrays."""
-
-    def evaluate(self, x, v):
-        """The state derivatives and the injected current, for a block that
-        writes the two separately."""
-        return self.derivatives(x, v), self.injected_current(x, v)
-
-
-# ---------------------------------------------------------------------------
 # Device models
 # ---------------------------------------------------------------------------
 
 class Device:
-    """Base class; subclasses fill in the state layout and physics.
+    """Base class; each kind declares its parameters, states and equations.
 
-    A device in a scenario is a read-only spec: a run copies its parameters
-    into the kind's block and changes only those.  The scalar methods
-    evaluate the same equations as the block, for one device.
+    An instance is one device, as a scenario declares it, or the stack of
+    all devices of its kind in a run (`stack`), whose `name` and `bus` list
+    the devices' names and buses and whose parameters are (n,) arrays.  A
+    scenario's device is a read-only spec: a run copies its `params` into
+    the stack and changes only those.  `initial_state` writes the operating
+    point into the parameters, events edit their rows, and `derive`, which
+    the constructors call, has to run after either.  An instance whose
+    `voltage_dependent` is False has a `voltage_sensitivity` that depends on
+    its parameters only.
     """
 
+    params: tuple[str, ...] = ()  # what `stack` copies
     n_states: int = 0
     state_names: tuple[str, ...] = ()
     kind: str = "device"
     has_analytic_cf: bool = True
     is_load: bool = False
     settable_params: tuple[str, ...] = ()
-    block: type[DeviceBlock]  # evaluates all devices of this kind at once
+    voltage_dependent = False
 
     def __init__(self, name: str, bus: int):
         self.name = name
         self.bus = bus
 
-    @property
-    def names(self) -> list[str]:
-        return [self.name]
+    @classmethod
+    def stack(cls, devices: list[Device], start: int) -> Device:
+        """The `devices`, all of this kind, as one instance; `states` is its
+        range of the system state vector, which holds the devices' states
+        one after another from `start`.  The devices are only read."""
+        blk = cls.__new__(cls)
+        blk.name = [d.name for d in devices]
+        blk.bus = np.array([d.bus for d in devices], dtype=int)
+        blk.n = len(devices)
+        blk.states = slice(start, start + blk.n * cls.n_states)
+        for name in cls.params:
+            values = [getattr(d, name) for d in devices]
+            setattr(blk, name, np.array(values, dtype=np.result_type(float, *values)))
+        blk.derive()
+        return blk
 
-    def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
-        return np.empty(0)
+    def derive(self) -> None:
+        """Recompute the values derived from the parameters."""
 
-    def current_state_rate(self, x: np.ndarray, xdot: np.ndarray, v: complex) -> complex:
+    def evaluate(self, x, v):
+        """The state derivatives and the injected current, for a kind that
+        writes the two separately."""
+        return self.derivatives(x, v), self.injected_current(x, v)
+
+    def derivatives(self, x, v):
+        """None, for a kind without states."""
+        return np.empty(np.shape(x))
+
+    def current_state_rate(self, x, xdot, v):
         """State-driven part of dı̄/dt (the voltage-driven part comes from
         `voltage_sensitivity`).  It is linear in `xdot`, so a unit rate e_k
         gives ∂ı/∂x_k; the integrator builds its Newton matrix from that."""
@@ -174,8 +167,38 @@ class Device:
         return f"{type(self).__name__}(name={self.name!r}, bus={self.bus})"
 
 
-class _SmEquations:
-    """Equations of `SynchronousMachine`, shared with `SmBlock`."""
+class SynchronousMachine(Device):
+    """Lossless classical model: constant EMF magnitude behind x'_d, swing
+    dynamics in (rotor angle, speed)."""
+
+    params = ("e_field", "xd_prime", "p_m", "damping", "inertia", "omega_base")
+    n_states = 2
+    state_names = ("delta", "omega")
+    kind = "sm"
+    settable_params = ("p_m", "damping")
+
+    def __init__(
+        self,
+        name: str,
+        bus: int,
+        inertia: float,
+        xd_prime: float,
+        omega_base: float,
+        damping: float = 0.0,
+        p: float = 0.0,
+        q_weight: float | None = None,
+    ):
+        super().__init__(name, bus)
+        if inertia <= 0.0 or xd_prime <= 0.0:
+            raise ValueError("inertia and xd_prime must be positive")
+        self.inertia = inertia
+        self.xd_prime = xd_prime
+        self.damping = damping
+        self.omega_base = omega_base
+        self.p = p  # dispatch weight / setpoint, pu
+        self.q_weight = q_weight  # reactive share among same-bus sources; defaults to p
+        self.p_m = 0.0
+        self.e_field = 1.0  # constant EMF magnitude e'_q, fixed at init
 
     def initial_state(self, v, s):
         """Fix the EMF magnitude and the mechanical power at the operating point."""
@@ -205,9 +228,6 @@ class _SmEquations:
     def injected_current(self, x, v):
         return self.evaluate(x, v)[1]
 
-    def electrical_power(self, x, v):
-        return (self.emf(x) * np.conj(self.injected_current(x, v))).real
-
     def voltage_sensitivity(self, x, v):
         a = np.broadcast_to(1j / self.xd_prime, np.shape(v))  # the same at every sample
         return a, 0.0 * a
@@ -223,85 +243,94 @@ class _SmEquations:
         return sm_current_cf(v * np.conj(i), i_mag, self.xd_prime, x[..., 1], eta_v)
 
 
-class SmBlock(_SmEquations, DeviceBlock):
-    params = ("e_field", "xd_prime", "p_m", "damping", "inertia", "omega_base")
-
-
-class SynchronousMachine(_SmEquations, Device):
-    """Lossless classical model: constant EMF magnitude behind x'_d, swing
-    dynamics in (rotor angle, speed)."""
-
-    n_states = 2
-    state_names = ("delta", "omega")
-    kind = "sm"
-    settable_params = ("p_m", "damping")
-    block = SmBlock
-
-    def __init__(
-        self,
-        name: str,
-        bus: int,
-        inertia: float,
-        xd_prime: float,
-        omega_base: float,
-        damping: float = 0.0,
-        p: float = 0.0,
-        q_weight: float | None = None,
-    ):
-        super().__init__(name, bus)
-        if inertia <= 0.0 or xd_prime <= 0.0:
-            raise ValueError("inertia and xd_prime must be positive")
-        self.inertia = inertia
-        self.xd_prime = xd_prime
-        self.damping = damping
-        self.omega_base = omega_base
-        self.p = p  # dispatch weight / setpoint, pu
-        self.q_weight = q_weight  # reactive share among same-bus sources; defaults to p
-        self.p_m = 0.0
-        self.e_field = 1.0  # constant EMF magnitude e'_q, fixed at init
-
-
 class ZipParts(NamedTuple):
-    """What the ZIP equations derive from the draws, the fractions and `v0`."""
+    """What `ZipLoad.derive` computes from the draws, the fractions and `v0`."""
 
     base_p: float  # base powers: the draw at |v| = 1 pu
     base_q: float
     sz: complex  # conjugate base power p - jq of the Z part
     si: complex  # ... of the I part
     sp: complex  # ... of the P part
-    voltage_dependent: bool  # some I or P part is drawn
     pure_z: bool
     pure_p: bool
 
 
-class _ZipEquations:
-    """Equations of `ZipLoad`, shared with `ZipBlock`."""
+class ZipLoad(Device):
+    """Static ZIP load: constant-impedance / constant-current / constant-power
+    fractions of the base powers, as polynomials in the voltage magnitude."""
+
+    params = ("p0", "q0", "v0", "kz_p", "ki_p", "kp_p", "kz_q", "ki_q", "kp_q")
+    n_states = 0
+    kind = "zip"
+    is_load = True
+    settable_params = ("p0", "q0")
+
+    def __init__(
+        self,
+        name: str,
+        bus: int,
+        p0: float,
+        q0: float = 0.0,
+        kz_p: float = 1.0,
+        ki_p: float = 0.0,
+        kp_p: float = 0.0,
+        kz_q: float = 1.0,
+        ki_q: float = 0.0,
+        kp_q: float = 0.0,
+    ):
+        super().__init__(name, bus)
+        if abs(kz_p + ki_p + kp_p - 1.0) > ZIP_FRACTION_TOL:
+            raise ValueError(f"load {name!r}: active-power fractions must sum to 1")
+        if abs(kz_q + ki_q + kp_q - 1.0) > ZIP_FRACTION_TOL:
+            raise ValueError(f"load {name!r}: reactive-power fractions must sum to 1")
+        self.p0 = p0  # scheduled draw at |v| = v0, pu
+        self.q0 = q0
+        self.v0 = 1.0  # a run's stack holds the power-flow voltage magnitude
+        self.kz_p, self.ki_p, self.kp_p = kz_p, ki_p, kp_p
+        self.kz_q, self.ki_q, self.kp_q = kz_q, ki_q, kp_q
+        self.derive()
+
+    def _purity(self):
+        """Whether the load is pure Z, and whether pure P: each power it
+        draws is all of that part."""
+        no_p, no_q = self.p0 == 0.0, self.q0 == 0.0
+        pure_z = (no_p | (self.kz_p == 1.0)) & (no_q | (self.kz_q == 1.0))
+        pure_p = (no_p | (self.kp_p == 1.0)) & (no_q | (self.kp_q == 1.0))
+        return pure_z, pure_p
+
+    @property
+    def has_analytic_cf(self) -> bool:  # type: ignore[override]
+        """Pure Z and pure P loads have a closed-form CF; mixed loads do not."""
+        pure_z, pure_p = self._purity()
+        return bool(np.all(pure_z | pure_p))
+
+    def derive(self) -> None:
+        # once per parameter change instead of at every call
+        poly_p = self.kp_p + self.ki_p * self.v0 + self.kz_p * self.v0**2
+        poly_q = self.kp_q + self.ki_q * self.v0 + self.kz_q * self.v0**2
+        # no base power where a polynomial is 0 (x / inf, not a 0/0 warning)
+        base_p = self.p0 / np.where(poly_p == 0.0, np.inf, poly_p)
+        base_q = self.q0 / np.where(poly_q == 0.0, np.inf, poly_q)
+        si = base_p * self.ki_p - 1j * (base_q * self.ki_q)
+        sp = base_p * self.kp_p - 1j * (base_q * self.kp_q)
+        pure_z, pure_p = self._purity()
+        self.parts = ZipParts(
+            base_p=base_p,
+            base_q=base_q,
+            sz=base_p * self.kz_p - 1j * (base_q * self.kz_q),
+            si=si,
+            sp=sp,
+            pure_z=pure_z,
+            pure_p=pure_p,
+        )
+        # some I or P part is drawn
+        self.voltage_dependent = bool(np.any(si != 0.0) or np.any(sp != 0.0))
 
     def initial_state(self, v, s):
         """Record the power-flow voltage magnitude, at which the load draws
         its scheduled p0 + jq0."""
         self.v0 = np.abs(v)
         return np.empty(np.shape(v) + (0,))
-
-    def zip_parts(self) -> ZipParts:
-        poly_p = self.kp_p + self.ki_p * self.v0 + self.kz_p * self.v0**2
-        poly_q = self.kp_q + self.ki_q * self.v0 + self.kz_q * self.v0**2
-        # no base power where a polynomial is 0 (x / inf, not a 0/0 warning)
-        base_p = self.p0 / np.where(poly_p == 0.0, np.inf, poly_p)
-        base_q = self.q0 / np.where(poly_q == 0.0, np.inf, poly_q)
-        no_p, no_q = base_p == 0.0, base_q == 0.0
-        si = base_p * self.ki_p - 1j * (base_q * self.ki_q)
-        sp = base_p * self.kp_p - 1j * (base_q * self.kp_q)
-        return ZipParts(
-            base_p=base_p,
-            base_q=base_q,
-            sz=base_p * self.kz_p - 1j * (base_q * self.kz_q),
-            si=si,
-            sp=sp,
-            voltage_dependent=bool(np.any(si != 0.0) or np.any(sp != 0.0)),
-            pure_z=(no_p | (self.kz_p == 1.0)) & (no_q | (self.kz_q == 1.0)),
-            pure_p=(no_p | (self.kp_p == 1.0)) & (no_q | (self.kp_q == 1.0)),
-        )
 
     def drawn_power(self, v_mag):
         parts = self.parts
@@ -317,7 +346,7 @@ class _ZipEquations:
         # Split per component: the Z term never divides by the voltage.
         parts = self.parts
         i = -parts.sz * v
-        if parts.voltage_dependent:
+        if self.voltage_dependent:
             v_mag = np.abs(v)
             _require_magnitude(v_mag, "v", self)
             i = i - parts.si * v / v_mag - parts.sp / np.conj(v)
@@ -343,65 +372,6 @@ class _ZipEquations:
         )
 
 
-class ZipBlock(_ZipEquations, DeviceBlock):
-    params = ("p0", "q0", "v0", "kz_p", "ki_p", "kp_p", "kz_q", "ki_q", "kp_q")
-
-    def derive(self) -> None:
-        # once per parameter change instead of at every call
-        self.parts = self.zip_parts()
-        self.voltage_dependent = self.parts.voltage_dependent
-
-
-class ZipLoad(_ZipEquations, Device):
-    """Static ZIP load: constant-impedance / constant-current / constant-power
-    fractions of the base powers, as polynomials in the voltage magnitude."""
-
-    n_states = 0
-    kind = "zip"
-    is_load = True
-    settable_params = ("p0", "q0")
-    block = ZipBlock
-
-    def __init__(
-        self,
-        name: str,
-        bus: int,
-        p0: float,
-        q0: float = 0.0,
-        kz_p: float = 1.0,
-        ki_p: float = 0.0,
-        kp_p: float = 0.0,
-        kz_q: float = 1.0,
-        ki_q: float = 0.0,
-        kp_q: float = 0.0,
-    ):
-        super().__init__(name, bus)
-        if abs(kz_p + ki_p + kp_p - 1.0) > ZIP_FRACTION_TOL:
-            raise ValueError(f"load {name!r}: active-power fractions must sum to 1")
-        if abs(kz_q + ki_q + kp_q - 1.0) > ZIP_FRACTION_TOL:
-            raise ValueError(f"load {name!r}: reactive-power fractions must sum to 1")
-        self.p0 = p0  # scheduled draw at |v| = v0, pu
-        self.q0 = q0
-        self.v0 = 1.0  # a run's block holds the power-flow voltage magnitude
-        self.kz_p, self.ki_p, self.kp_p = kz_p, ki_p, kp_p
-        self.kz_q, self.ki_q, self.kp_q = kz_q, ki_q, kp_q
-
-    @property
-    def parts(self) -> ZipParts:
-        return self.zip_parts()
-
-    @property
-    def has_analytic_cf(self) -> bool:  # type: ignore[override]
-        return bool(self.parts.pure_z or self.parts.pure_p)
-
-    def analytic_cf(self, x, xdot, v, eta_v):
-        if not self.has_analytic_cf:
-            raise NotAnalytical(
-                f"load {self.name!r} mixes ZIP components; use the numerical estimator"
-            )
-        return complex(super().analytic_cf(x, xdot, v, eta_v))
-
-
 class IbrFilter:
     """Output filter of a converter: series impedance z_f = r + jx, shunt
     admittance y_f = g + jb and the fixed DC-side voltage."""
@@ -419,11 +389,22 @@ class IbrFilter:
             raise ValueError("filter series impedance must be nonzero")
         self.y_f = complex(g_filter, b_filter)
         self.v_dc = v_dc
+
+
+class _Converter(Device):
+    """Shared filter algebra of both converter kinds: an internal voltage
+    behind the filter, whose values the converter keeps as its own."""
+
+    params = ("z_f", "y_f", "v_dc", "through", "omega_base")
+
+    def __init__(self, name: str, bus: int, filter: IbrFilter, omega_base: float, p: float):
+        super().__init__(name, bus)
+        self.z_f = filter.z_f
+        self.y_f = filter.y_f
+        self.v_dc = filter.v_dc
         self.through = 1.0 + self.z_f * self.y_f
-
-
-class _ConverterEquations:
-    """Shared filter algebra of both converter types."""
+        self.omega_base = omega_base
+        self.p = p
 
     def injected_current(self, x, v):
         return (self.internal_voltage(x) - self.through * v) / self.z_f
@@ -442,26 +423,48 @@ class _ConverterEquations:
         return ibr_current_cf(v * np.conj(i), i_mag, self.z_f, self.y_f, eta_e, eta_v)
 
 
-class _ConverterBase(Device):
-    """Scalar converter: the filter parameters read through to `filter`."""
+class GridFollowingConverter(_Converter):
+    """PLL-synchronized current source: PI control of the measured dq current
+    against fixed references, modulation applied to the fixed DC voltage."""
 
-    def __init__(self, name: str, bus: int, filter: IbrFilter, omega_base: float, p: float):
-        super().__init__(name, bus)
-        self.filter = filter
-        self.omega_base = omega_base
-        self.p = p
+    params = _Converter.params + (
+        "kp_current", "ki_current", "t_measure", "kp_pll", "ki_pll", "omega_ref",
+        "iref_d", "iref_q",
+    )
+    n_states = 6
+    state_names = ("pi_d", "pi_q", "im_d", "im_q", "x_pll", "theta")
+    kind = "gfl"
+    settable_params = ("iref_d", "iref_q")
 
-    z_f = property(lambda self: self.filter.z_f)
-    y_f = property(lambda self: self.filter.y_f)
-    v_dc = property(lambda self: self.filter.v_dc)
-    through = property(lambda self: self.filter.through)
+    def __init__(
+        self,
+        name: str,
+        bus: int,
+        filter: IbrFilter,
+        omega_base: float,
+        kp_current: float = 0.2,
+        ki_current: float = 5.0,
+        t_measure: float = 0.01,
+        kp_pll: float = 0.1,
+        ki_pll: float = 1.0,
+        omega_ref: float = 1.0,
+        p: float = 0.0,
+    ):
+        super().__init__(name, bus, filter, omega_base, p)
+        if t_measure <= 0.0:
+            raise ValueError("measurement time constant must be positive")
+        self.kp_current = kp_current
+        self.ki_current = ki_current
+        self.t_measure = t_measure
+        self.kp_pll = kp_pll
+        self.ki_pll = ki_pll
+        self.omega_ref = omega_ref
+        self.iref_d = 0.0
+        self.iref_q = 0.0
+        self.derive()
 
-
-_FILTER_PARAMS = ("z_f", "y_f", "v_dc", "through", "omega_base")
-
-
-class _GflEquations(_ConverterEquations):
-    """Equations of `GridFollowingConverter`, shared with `GflBlock`."""
+    def derive(self) -> None:
+        self.i_ref = self.iref_d + 1j * self.iref_q
 
     def initial_state(self, v, s):
         """Fix the current references at the operating point, with the PLL
@@ -524,25 +527,17 @@ class _GflEquations(_ConverterEquations):
         return self._cf_from_internal(x, v, eta_v, self.internal_cf(x, xdot, v))
 
 
-class GflBlock(_GflEquations, DeviceBlock):
-    params = _FILTER_PARAMS + (
-        "kp_current", "ki_current", "t_measure", "kp_pll", "ki_pll", "omega_ref",
-        "iref_d", "iref_q",
+class GridFormingConverter(_Converter):
+    """Droop-synchronized voltage source: PI loop on the measured voltage
+    magnitude, power-frequency droop on the filtered output power."""
+
+    params = _Converter.params + (
+        "kp_voltage", "ki_voltage", "t_voltage", "t_power", "droop", "p_ref", "v_ref",
     )
-
-    def derive(self) -> None:
-        self.i_ref = self.iref_d + 1j * self.iref_q
-
-
-class GridFollowingConverter(_GflEquations, _ConverterBase):
-    """PLL-synchronized current source: PI control of the measured dq current
-    against fixed references, modulation applied to the fixed DC voltage."""
-
-    n_states = 6
-    state_names = ("pi_d", "pi_q", "im_d", "im_q", "x_pll", "theta")
-    kind = "gfl"
-    settable_params = ("iref_d", "iref_q")
-    block = GflBlock
+    n_states = 4
+    state_names = ("e", "delta", "v_m", "p_m")
+    kind = "gfm"
+    settable_params = ("p_ref", "v_ref")
 
     def __init__(
         self,
@@ -550,33 +545,25 @@ class GridFollowingConverter(_GflEquations, _ConverterBase):
         bus: int,
         filter: IbrFilter,
         omega_base: float,
-        kp_current: float = 0.2,
-        ki_current: float = 5.0,
-        t_measure: float = 0.01,
-        kp_pll: float = 0.1,
-        ki_pll: float = 1.0,
-        omega_ref: float = 1.0,
+        kp_voltage: float = 0.05,
+        ki_voltage: float = 5.0,
+        t_voltage: float = 0.02,
+        t_power: float = 0.1,
+        droop: float = 0.02,
         p: float = 0.0,
     ):
         super().__init__(name, bus, filter, omega_base, p)
-        if t_measure <= 0.0:
-            raise ValueError("measurement time constant must be positive")
-        self.kp_current = kp_current
-        self.ki_current = ki_current
-        self.t_measure = t_measure
-        self.kp_pll = kp_pll
-        self.ki_pll = ki_pll
-        self.omega_ref = omega_ref
-        self.iref_d = 0.0
-        self.iref_q = 0.0
-
-    @property
-    def i_ref(self) -> complex:
-        return complex(self.iref_d, self.iref_q)
-
-
-class _GfmEquations(_ConverterEquations):
-    """Equations of `GridFormingConverter`, shared with `GfmBlock`."""
+        if t_voltage <= 0.0 or t_power <= 0.0:
+            raise ValueError("measurement time constants must be positive")
+        if droop < 0.0:
+            raise ValueError("droop gain must be nonnegative")
+        self.kp_voltage = kp_voltage
+        self.ki_voltage = ki_voltage
+        self.t_voltage = t_voltage
+        self.t_power = t_power
+        self.droop = droop
+        self.p_ref = 0.0
+        self.v_ref = 1.0
 
     def initial_state(self, v, s):
         """Fix the power and voltage references at the operating point."""
@@ -621,46 +608,3 @@ class _GfmEquations(_ConverterEquations):
 
     def analytic_cf(self, x, xdot, v, eta_v):
         return self._cf_from_internal(x, v, eta_v, self.internal_cf(x, xdot))
-
-
-class GfmBlock(_GfmEquations, DeviceBlock):
-    params = _FILTER_PARAMS + (
-        "kp_voltage", "ki_voltage", "t_voltage", "t_power", "droop", "p_ref", "v_ref",
-    )
-
-
-class GridFormingConverter(_GfmEquations, _ConverterBase):
-    """Droop-synchronized voltage source: PI loop on the measured voltage
-    magnitude, power-frequency droop on the filtered output power."""
-
-    n_states = 4
-    state_names = ("e", "delta", "v_m", "p_m")
-    kind = "gfm"
-    settable_params = ("p_ref", "v_ref")
-    block = GfmBlock
-
-    def __init__(
-        self,
-        name: str,
-        bus: int,
-        filter: IbrFilter,
-        omega_base: float,
-        kp_voltage: float = 0.05,
-        ki_voltage: float = 5.0,
-        t_voltage: float = 0.02,
-        t_power: float = 0.1,
-        droop: float = 0.02,
-        p: float = 0.0,
-    ):
-        super().__init__(name, bus, filter, omega_base, p)
-        if t_voltage <= 0.0 or t_power <= 0.0:
-            raise ValueError("measurement time constants must be positive")
-        if droop < 0.0:
-            raise ValueError("droop gain must be nonnegative")
-        self.kp_voltage = kp_voltage
-        self.ki_voltage = ki_voltage
-        self.t_voltage = t_voltage
-        self.t_power = t_power
-        self.droop = droop
-        self.p_ref = 0.0
-        self.v_ref = 1.0

@@ -45,10 +45,6 @@ class EmptyWindow(CfCoherencyError):
     """An integration window contains no usable samples."""
 
 
-class NotAnalytical(CfCoherencyError):
-    """No closed-form complex frequency exists for this device configuration."""
-
-
 class EventError(ValueError):
     """A scenario event that cannot be applied; `index` is its position in
     `Scenario.events`."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import Device, DeviceBlock
+from .devices import Device
 from .errors import EventError, InfeasibleInit, NewtonDivergence, NonConvergence
 from .network import Network
 
@@ -94,10 +94,12 @@ class Scenario:
         each load at its bus.  Raises `ValueError` unless the scenario can
         run: a positive finite step, horizon and Newton tolerance, events
         inside the horizon, unique device names, every event's device or
-        load bus present, no disconnect of more load than is left at its
-        bus, and no load draw set where that part is zero (the load would
-        gain or lose its closed-form CF during the run, while `run` picks
-        the CFs it records from the spec).  A bad event raises `EventError`,
+        load bus present, no negative scale factor or disconnected amount
+        (either would raise a draw or turn a load into a source), no
+        disconnect of more load than is left at its bus, and no load draw
+        set where that part is zero (the load would gain or lose its
+        closed-form CF during the run, while `run` picks the CFs it records
+        from the spec).  A bad event raises `EventError`,
         which carries its index in `events`.  The analysis window, which
         `run` does not read, is checked against the horizon at
         construction."""
@@ -139,6 +141,9 @@ class Scenario:
             bus = labels.get(ev.bus, ev.bus)
             if not at_bus:
                 raise EventError(i, f"{ev}: no load at bus {bus}")
+            field_name = EVENT_ACTIONS[ev.action]
+            if (value := getattr(ev, field_name)) < 0.0:
+                raise EventError(i, f"{ev}: {field_name} {value:g} must not be negative")
             factor = ev.factor
             if ev.action == "load_disconnect_mw":
                 total = np.sum([draws[name][0] for name in at_bus])
@@ -268,16 +273,17 @@ def power_flow(scenario: Scenario) -> PowerFlowResult:
 class DaeSystem:
     """All device states coupled through the bus equations.
 
-    Devices are grouped by kind into blocks (`Device.block`), and each
-    system-level evaluation makes one call per block.  The blocks hold the
-    parameters; the devices are read only while the blocks are built.  The
-    state vector holds the blocks one after another, so a block's states are
-    one contiguous (n, n_states) view; `slices` still maps each device to its
-    states.  Block results reach the buses through the bus/device
-    `incidence` matrix, whose columns follow the block order `order` (device
-    indices; `members` splits it by block).  Every evaluation also takes
-    leading sample axes on the states and voltages, and returns one result
-    per sample.
+    The devices are grouped by class, and each group is stacked into one
+    block, an instance of that same class with (n,) parameter arrays
+    (`Device.stack`); each system-level evaluation makes one call per
+    block.  The blocks hold the parameters; the devices are read only while
+    the blocks are built.  The state vector holds the blocks one after
+    another, so a block's states are one contiguous (n, n_states) view;
+    `slices` still maps each device to its states.  Block results reach the
+    buses through the bus/device `incidence` matrix, whose columns follow
+    the block order `order` (device indices; `members` splits it by block).
+    Every evaluation also takes leading sample axes on the states and
+    voltages, and returns one result per sample.
     """
 
     def __init__(self, network: Network, devices: list[Device], omega_base: float):
@@ -285,14 +291,14 @@ class DaeSystem:
         self.omega_base = omega_base
         self.y = network.admittance()
         self.n_bus = network.n_bus
-        members: dict[type, list[int]] = {}
+        members: dict[type[Device], list[int]] = {}
         for idx, d in enumerate(devices):
-            members.setdefault(d.block, []).append(idx)
-        self.blocks: list[DeviceBlock] = []
+            members.setdefault(type(d), []).append(idx)
+        self.blocks: list[Device] = []
         self.slices: list[slice] = [slice(0, 0)] * len(devices)
         off = 0
-        for block, idxs in members.items():
-            blk = block([devices[i] for i in idxs], off)
+        for cls, idxs in members.items():
+            blk = cls.stack([devices[i] for i in idxs], off)
             for j, i in enumerate(idxs):
                 self.slices[i] = slice(off + j * blk.n_states, off + (j + 1) * blk.n_states)
             off = blk.states.stop
@@ -316,14 +322,14 @@ class DaeSystem:
         self.voltage_dependent = any(blk.voltage_dependent for blk in self.blocks)
         self._jv_inv: np.ndarray | None = None
 
-    def row(self, name: str) -> tuple[DeviceBlock, int]:
+    def row(self, name: str) -> tuple[Device, int]:
         """The block that holds device `name`, and its row there."""
         for blk in self.blocks:
-            if name in blk.names:
-                return blk, blk.names.index(name)
+            if name in blk.name:
+                return blk, blk.name.index(name)
         raise KeyError(name)
 
-    def _local(self, blk: DeviceBlock, x: np.ndarray, v: np.ndarray):
+    def _local(self, blk: Device, x: np.ndarray, v: np.ndarray):
         """The block's states as (..., n, n_states) and its terminal voltages."""
         return x[..., blk.states].reshape(x.shape[:-1] + (blk.n, blk.n_states)), v[..., blk.bus]
 
@@ -443,7 +449,7 @@ def _diag(d: np.ndarray) -> np.ndarray:
 FD_STEP = 1e-7
 
 
-def _fd_sensitivities(blk: DeviceBlock, xb: np.ndarray, vb: np.ndarray):
+def _fd_sensitivities(blk: Device, xb: np.ndarray, vb: np.ndarray):
     """Forward differences of a block's state derivatives by each device's own
     states, (n, n_states, n_states), and terminal voltage (Re, Im), (n,
     n_states, 2); one block call per perturbed column serves all devices."""

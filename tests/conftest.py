@@ -93,14 +93,13 @@ def state_vector(system, traj, k) -> np.ndarray:
 
 def reference_devices(system, devices) -> list:
     """Copies of the scalar devices that hold the system's block parameters
-    as they are now (the filter of a converter is read through and never
-    changes)."""
+    as they are now."""
     refs = copy.deepcopy(devices)
     for d in refs:
         blk, row = system.row(d.name)
         for name in blk.params:
-            if not isinstance(getattr(type(d), name, None), property):
-                setattr(d, name, getattr(blk, name)[row].item())
+            setattr(d, name, getattr(blk, name)[row].item())
+        d.derive()
     return refs
 
 

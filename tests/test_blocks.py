@@ -26,7 +26,6 @@ from cfcoherency import (
     ZipLoad,
 )
 from cfcoherency import simulation
-from cfcoherency.devices import GfmBlock
 from cfcoherency.errors import EventError, MagnitudeUnderflow
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import RECORD_CHUNK, DaeSystem, initialize, run
@@ -190,6 +189,7 @@ def make_device(kind, name, bus, rng):
             omega_ref=1 + u(-0.01, 0.01),
         )
         d.iref_d, d.iref_q = u(0, 1), u(-0.5, 0.5)
+        d.derive()
         return d, [u(0.4, 0.7), u(-0.2, 0.2), u(-1, 1), u(-1, 1), u(-0.01, 0.01), u(-1, 1)]
     d = GridFormingConverter(
         name, bus, filt, OMEGA_B, kp_voltage=u(0.01, 0.1), ki_voltage=u(1, 10),
@@ -232,7 +232,9 @@ def apply_to_reference(devices, ev, s_base):
     """`ev` applied to reference devices on their own, one device at a time;
     a load's p0 and q0 are its draw, which the event sets or scales."""
     if ev.action == "set_parameter":
-        setattr(next(d for d in devices if d.name == ev.device), ev.param, ev.value)
+        d = next(d for d in devices if d.name == ev.device)
+        setattr(d, ev.param, ev.value)
+        d.derive()
         return
     loads = [d for d in devices if d.is_load and d.bus == ev.bus]
     factor = ev.factor
@@ -241,6 +243,7 @@ def apply_to_reference(devices, ev, s_base):
     for d in loads:
         d.p0 *= factor
         d.q0 *= factor
+        d.derive()
 
 
 class TestEvaluate:
@@ -340,7 +343,8 @@ class TestBlocksMatchDevices:
 def test_guard_names_the_device_of_a_sample():
     # (samples, devices) states of three converters; one e at the guard
     filt = IbrFilter(0.15, 0.005, v_dc=2.0)
-    blk = GfmBlock([GridFormingConverter(f"GFM{k}", 0, filt, OMEGA_B) for k in range(3)], 0)
+    specs = [GridFormingConverter(f"GFM{k}", 0, filt, OMEGA_B) for k in range(3)]
+    blk = GridFormingConverter.stack(specs, 0)
     x = np.tile([1.0, 0.1, 1.0, 0.5], (4, 3, 1))
     x[2, 1, 0] = 5e-10
     with pytest.raises(MagnitudeUnderflow, match=r"\|e\(GFM1\)\| = 5\.000e-10 at or below"):

@@ -193,6 +193,24 @@ class TestRunCommand:
         assert "from the 50.0 MW left at bus 2" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "action, field, value",
+        [("load_disconnect_mw", "amount", -50.0), ("load_scale", "factor", -1.1)],
+        ids=["negative_disconnect", "negative_scale"],
+    )
+    def test_negative_load_event_exits_one(
+        self, small_scenario, tmp_path, capsys, no_simulation, action, field, value
+    ):
+        # either would raise the load's draw or turn the load into a source
+        doc = json.loads(small_scenario.read_text())
+        doc["events"].append({"time": 0.2, "action": action, "bus": 2, field: value})
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--out", str(tmp_path / "o"), "run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"$.events[2]: {action} event at t=0.2: {field} {value:g} must not be negative" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestClusterCommand:
     def test_small_system_single_group(self, small_scenario, tmp_path, capsys):
@@ -523,6 +541,38 @@ class TestCfCommand:
         err = capsys.readouterr().err
         assert "error: $: malformed CSV" in err
         assert reason in err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            pytest.param(
+                "time,a_re,a_im,b_re,b_im\n0,1,0\n0.001,1,0\n0.002,1,0\n",
+                "rows have 3 cells, but the header has 5 columns", id="short-rows",
+            ),
+            pytest.param(
+                "time,a_re,a_im\n0,1,0,7\n0.001,1,0,7\n0.002,1,0,7\n",
+                "rows have 4 cells, but the header has 3 columns", id="wide-rows",
+            ),
+            pytest.param("", "first column must be 'time'", id="empty"),
+            pytest.param("time,a_re,a_im\n", "no samples after the header", id="header-only"),
+        ],
+    )
+    def test_rows_that_do_not_fit_the_header_exit_one(self, tmp_path, text, reason):
+        # in a fresh interpreter, so that a numpy warning would reach stderr
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "cfcoherency.cli", "--out", str(tmp_path / "o"), "cf",
+             str(path)],
+            env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: $")
+        assert reason in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_non_uniform_time_base_exits_one(self, tmp_path, capsys):
         path = tmp_path / "uneven.csv"

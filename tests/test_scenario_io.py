@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cfcoherency.coherency import ObservationPoint
@@ -246,14 +247,6 @@ REQUIRED_ONLY = {
 }
 
 
-def device_vars(device) -> dict:
-    """The attributes of a device, with those of its filter in place of the object."""
-    values = dict(vars(device))
-    if "filter" in values:
-        values["filter"] = vars(values["filter"])
-    return values
-
-
 class TestSingleDeclaration:
     def test_every_device_type_is_covered(self):
         assert set(REQUIRED_ONLY) == set(_DEVICES)
@@ -266,7 +259,33 @@ class TestSingleDeclaration:
         doc["events"] = []
         (device,) = parse_scenario(doc).devices
         assert type(device) is type(build())
-        assert device_vars(device) == device_vars(build())
+        assert vars(device) == vars(build())
+
+    @pytest.mark.parametrize("dtype", sorted(REQUIRED_ONLY))
+    def test_parsed_devices_stack(self, dtype):
+        # a kind whose `params` names an attribute its constructor does not
+        # set, or whose equations do not broadcast over devices, fails here
+        cls, _ = _DEVICES[dtype]
+        keys, _ = REQUIRED_ONLY[dtype]
+        doc = minimal_doc()
+        doc["devices"] = [{"type": dtype, "name": f"D{k}", "bus": 2, **keys} for k in range(2)]
+        doc["events"] = []
+        specs = parse_scenario(doc).devices
+        for device in specs:
+            assert [name for name in cls.params if not hasattr(device, name)] == []
+        stack = cls.stack(specs, 0)
+        v = np.array([1.0 + 0.1j, 0.98 - 0.05j])
+        # states and rates contiguous, as the system's vectors hold them
+        x = np.ascontiguousarray(stack.initial_state(v, np.array([0.5 + 0.1j, 0.3 + 0.05j])))
+        stack.derive()
+        xdot, i = stack.evaluate(x, v)
+        xdot = np.ascontiguousarray(xdot)
+        a, b = stack.voltage_sensitivity(x, v)
+        cf = stack.analytic_cf(x, xdot, v, np.full(2, 1j))
+        assert xdot.shape == x.shape == (2, cls.n_states)
+        for value in (i, a, b, cf):
+            assert value.shape == (2,)
+            assert np.all(np.isfinite(value))
 
     def test_each_action_requires_the_number_its_event_reads(self):
         assert set(_EVENTS) == set(EVENT_ACTIONS)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cfcoherency import Branch, Bus, Event, Network, Scenario, SynchronousMachine, ZipLoad
 from cfcoherency import simulation
 from cfcoherency.coherency import build_two_machine_scenario
-from cfcoherency.devices import DeviceBlock
+from cfcoherency.devices import Device
 from cfcoherency.errors import EventError, NewtonDivergence
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import (
@@ -30,9 +30,20 @@ from tests.conftest import (
 )
 
 
-class _LinearEquations:
+class _LinearTestDevice(Device):
     """dx/dt = lam * x and a fixed unit injection, used to probe the
     integrator against the scalar trapezoidal formula."""
+
+    params = ("lam",)
+    n_states = 1
+    state_names = ("x",)
+    kind = "test"
+    has_analytic_cf = False
+
+    def __init__(self, lam):
+        super().__init__("lin", 0)
+        self.lam = lam
+        self.p = 0.0
 
     def derivatives(self, x, v):
         return (self.lam * x[..., 0])[..., None]
@@ -45,26 +56,6 @@ class _LinearEquations:
 
     def current_state_rate(self, x, xdot, v):
         return 0.0j * v
-
-
-class _LinearTestBlock(_LinearEquations, DeviceBlock):
-    params = ("lam",)
-
-
-class _LinearTestDevice(_LinearEquations):
-    n_states = 1
-    state_names = ("x",)
-    kind = "test"
-    has_analytic_cf = False
-    is_load = False
-    settable_params = ()
-    block = _LinearTestBlock
-
-    def __init__(self, lam):
-        self.name = "lin"
-        self.bus = 0
-        self.lam = lam
-        self.p = 0.0
 
 
 class TestTrapezoidalRule:
@@ -266,15 +257,8 @@ class TestRun:
 
 
 def spec_snapshot(sc) -> tuple[list[dict], list[Event]]:
-    """Every device's attributes (a converter's filter included) and every
-    event, copied."""
-    states = []
-    for d in sc.devices:
-        state = dict(vars(d))
-        if "filter" in state:
-            state["filter"] = dict(vars(state["filter"]))
-        states.append(copy.deepcopy(state))
-    return states, copy.deepcopy(sc.events)
+    """Every device's attributes and every event, copied."""
+    return [copy.deepcopy(vars(d)) for d in sc.devices], copy.deepcopy(sc.events)
 
 
 # parameter ranges the mixed grid rides through for a few tens of ms
@@ -348,6 +332,21 @@ class TestEventChecks:
     def test_bad_target_raises_at_construction(self, event, message):
         with pytest.raises(ValueError, match=message):
             self.with_events(event)
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (Event(0.1, "load_disconnect_mw", bus=1, amount=-50.0),
+             "amount -50 must not be negative"),
+            (Event(0.1, "load_scale", bus=1, factor=-1.0), "factor -1 must not be negative"),
+        ],
+        ids=["negative_disconnect", "negative_scale"],
+    )
+    def test_negative_load_event_raises(self, event, message):
+        # a negative disconnect raises the draw, a negative factor makes a source
+        with pytest.raises(EventError, match=message) as err:
+            self.with_events(Event(0.05, "load_scale", bus=1, factor=1.1), event)
+        assert err.value.index == 1
 
     @pytest.mark.parametrize(
         "action, field_name",
@@ -468,7 +467,7 @@ class TestSensitivities:
             xb, vb = x[blk.states].reshape(blk.n, blk.n_states), v[blk.bus]
             for k, e_k in enumerate(np.eye(blk.n_states)):
                 rate = blk.current_state_rate(xb, e_k, vb)
-                for row, name in enumerate(blk.names):
+                for row, name in enumerate(blk.name):
                     u = nx + 2 * blk.bus[row]
                     col = newton[u : u + 2, system.slices[names.index(name)].start + k]
                     assert np.array_equal(col, [rate[row].real, rate[row].imag]), (name, k)
