@@ -75,7 +75,8 @@ def _cmd_run(args) -> int:
     n_steps = traj.times.size - 1
     print(
         f"run: {n_steps} steps, {traj.newton_iters} Newton iterations, "
-        f"{traj.refreshes} Newton matrix refresh(es), {traj.halvings} step halving(s), "
+        f"{traj.refreshes} Newton matrix refresh(es), {traj.residuals} residual evaluation(s), "
+        f"{traj.halvings} step halving(s), "
         f"{traj.events_applied} event(s) applied"
     )
     print(f"wrote {out / 'trajectory.csv'} and {out / 'cf.csv'}")
@@ -130,7 +131,8 @@ def _cmd_cluster(args) -> int:
     print(
         f"cluster: k={k}, window=[{window[0]:g}, {window[1]:g}], simulated to "
         f"{traj.times[-1]:g} s in {traj.times.size - 1} steps, {traj.newton_iters} Newton "
-        f"iterations, {traj.refreshes} Newton matrix refresh(es)"
+        f"iterations, {traj.refreshes} Newton matrix refresh(es), "
+        f"{traj.residuals} residual evaluation(s)"
     )
     for gid, group in enumerate(groups):
         print(f"  group {gid}: {', '.join(sorted(group))}")

@@ -4,7 +4,6 @@ verification, and the two-machine parameter sweep."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -452,6 +451,9 @@ def alpha_beta_sweep(
     values = np.full((alphas.size, betas.size), np.nan)
     failures: list[tuple[float, float, str]] = []
     if workers > 1:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:

@@ -52,9 +52,10 @@ def _require_magnitude(value, what: str, owner, error=MagnitudeUnderflow) -> Non
 
 def _columns(*cols) -> np.ndarray:
     """Stack per-device values of one shape along a new last axis, the state
-    index; only the stacking axis moves, so leading sample axes keep their order."""
+    index; only the stacking axis moves, so leading sample axes keep their order.
+    The result is C-contiguous, so `_pair` can read its (Re, Im) state pairs."""
     stacked = np.array(cols)
-    return stacked.transpose(*range(1, stacked.ndim), 0)
+    return stacked.transpose(*range(1, stacked.ndim), 0).copy()
 
 
 def _pair(x, k: int):

@@ -477,6 +477,7 @@ class TrapezoidalIntegrator:
         self.total_newton_iters = 0
         self.refreshes = 0  # Newton matrices built
         self.halvings = 0
+        self.residuals = 0  # DaeSystem.residual calls by steps and re-solves
 
     def invalidate(self) -> None:
         """Forget the Newton matrix; needed after a parameter change."""
@@ -497,18 +498,6 @@ class TrapezoidalIntegrator:
     def _unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nx = self.system.n_states
         return z[:nx], z[nx:].view(complex)
-
-    def _residual(
-        self, z: np.ndarray, x_prev: np.ndarray, f_prev: np.ndarray, dt: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The Newton residual at `z` and the derivatives it evaluated."""
-        sys = self.system
-        x, v = self._unpack(z)
-        f, rn = sys.residual(x, v)
-        r = np.empty(sys.n_vars)
-        r[: sys.n_states] = x - x_prev - 0.5 * dt * (f_prev + f)
-        r[sys.n_states :] = rn.view(float)
-        return r, f
 
     def _jacobian(self, z: np.ndarray, dt: float) -> np.ndarray:
         """The Newton matrix, built per block: each device's ∂f/∂x and
@@ -541,37 +530,56 @@ class TrapezoidalIntegrator:
     # -- stepping -------------------------------------------------------------
 
     def step(
-        self, x: np.ndarray, v: np.ndarray, f: np.ndarray, dt: float, t: float = 0.0, _depth=0
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """One step of length `dt` from time `t`, where `f` holds the state
-        derivatives at (x, v); returns the new states, voltages and
-        derivatives and the Newton iterations.  A step whose Newton solve
-        diverges is split into two halves, at most `MAX_HALVINGS` deep; a
-        half has another length, so it builds its own Newton matrix."""
+        self,
+        x: np.ndarray,
+        v: np.ndarray,
+        f: np.ndarray,
+        rn: np.ndarray,
+        dt: float,
+        t: float = 0.0,
+        _depth=0,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """One step of length `dt` from time `t`, where `f` and `rn` are the
+        state derivatives and the bus current balance at (x, v), as
+        `DaeSystem.residual` gives them; returns the new states and voltages,
+        the pair at them, and the Newton iterations.  The pair a step returns
+        is the one its last Newton residual evaluated, so the next step starts
+        without evaluating the devices.  A step whose Newton solve diverges
+        is split into two halves, at most `MAX_HALVINGS` deep; a half has
+        another length, so it builds its own Newton matrix."""
         try:
-            return self._newton_step(x, v, f, dt)
+            return self._newton_step(x, v, f, rn, dt)
         except NewtonDivergence:
             if _depth >= MAX_HALVINGS:
                 raise
             self.halvings += 1
             log.warning("step at t=%.6g s halved to dt=%.3g s (depth %d)", t, 0.5 * dt, _depth + 1)
-            x1, v1, f1, n1 = self.step(x, v, f, 0.5 * dt, t, _depth + 1)
-            x2, v2, f2, n2 = self.step(x1, v1, f1, 0.5 * dt, t + 0.5 * dt, _depth + 1)
-            return x2, v2, f2, n1 + n2
+            x1, v1, f1, rn1, n1 = self.step(x, v, f, rn, 0.5 * dt, t, _depth + 1)
+            x2, v2, f2, rn2, n2 = self.step(x1, v1, f1, rn1, 0.5 * dt, t + 0.5 * dt, _depth + 1)
+            return x2, v2, f2, rn2, n1 + n2
 
     def _newton_step(
-        self, x: np.ndarray, v: np.ndarray, f_prev: np.ndarray, dt: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        self, x: np.ndarray, v: np.ndarray, f_prev: np.ndarray, rn_prev: np.ndarray, dt: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        sys = self.system
         z = self._pack(x, v)
+        # the first iterate is (x, v) itself, whose pair was handed in
+        x1, f, rn = x, f_prev, rn_prev
         r0 = None
         for it in range(NEWTON_MAX_ITER):
-            r, f = self._residual(z, x, f_prev, dt)
+            if it:
+                x1, v1 = self._unpack(z)
+                f, rn = sys.residual(x1, v1)
+                self.residuals += 1
+            r = np.empty(sys.n_vars)
+            r[: sys.n_states] = x1 - x - 0.5 * dt * (f_prev + f)
+            r[sys.n_states :] = rn.view(float)
             norm = np.abs(r).max()  # NaN or inf where any entry is
             if not np.isfinite(norm):
                 raise NewtonDivergence(f"non-finite residual at dt={dt:.3e}")
             if norm < self.tol:
                 self.total_newton_iters += it
-                return *self._unpack(z), f, it
+                return *self._unpack(z), f, rn, it
             if r0 is None:
                 r0 = norm
             elif norm > 1e3 * max(r0, 1.0):
@@ -583,15 +591,19 @@ class TrapezoidalIntegrator:
             f"no convergence in {NEWTON_MAX_ITER} iterations at dt={dt:.3e}"
         )
 
-    def solve_algebraic(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def solve_algebraic(
+        self, x: np.ndarray, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Re-solve the bus equations at frozen device states (used right
-        after a discrete event)."""
+        after a discrete event); returns the voltages and the residual pair
+        (f, rn) there, ready for the next `step`."""
         sys = self.system
         v = v.copy()
         for _ in range(ALGEBRAIC_MAX_ITER):
-            rn = sys.network_residual(x, v)
+            f, rn = sys.residual(x, v)
+            self.residuals += 1
             if np.max(np.abs(rn)) < self.tol:
-                return v
+                return v, f, rn
             v = v + sys.solve_voltage(x, v, -rn)
         raise NewtonDivergence("algebraic re-solve after event did not converge")
 
@@ -672,6 +684,7 @@ class Trajectory:
     events_applied: int = 0
     halvings: int = 0
     refreshes: int = 0  # Newton matrices built
+    residuals: int = 0  # DaeSystem.residual calls by the steps and the event re-solves
 
     def device_index(self, name: str) -> int:
         return self.device_names.index(name)
@@ -708,7 +721,7 @@ def run(scenario: Scenario) -> Trajectory:
     """
     writes = scenario.check()
     x, v, system = initialize(scenario)
-    f = system.derivatives(x, v)
+    f, rn = system.residual(x, v)
     dt = scenario.dt
     n_steps = scenario.n_steps
     times = np.arange(n_steps + 1) * dt
@@ -727,7 +740,7 @@ def run(scenario: Scenario) -> Trajectory:
 
     for k in range(n_steps + 1):
         if k:
-            x, v, f, _ = integ.step(x, v, f, dt, t=times[k - 1])
+            x, v, f, rn, _ = integ.step(x, v, f, rn, dt, t=times[k - 1])
         if k in writes:
             _record(system, slice(start, k), xs, voltages, currents, voltage_cf, cfs)
             start = k
@@ -735,8 +748,7 @@ def run(scenario: Scenario) -> Trajectory:
                 blk, row = system.row(name)
                 getattr(blk, param)[row] = value
             system.derive()
-            v = integ.solve_algebraic(x, v)
-            f = system.derivatives(x, v)
+            v, f, rn = integ.solve_algebraic(x, v)
             integ.invalidate()
         xs[k] = x
         voltages[k] = v
@@ -764,6 +776,7 @@ def run(scenario: Scenario) -> Trajectory:
         events_applied=len(event_times),
         halvings=integ.halvings,
         refreshes=integ.refreshes,
+        residuals=integ.residuals,
     )
 
 

@@ -504,6 +504,18 @@ class TestRuntimeImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_cli_import_leaves_out_the_process_pool(self):
+        # only a sweep with several workers imports concurrent.futures
+        code = "import sys\nimport cfcoherency.cli\nprint('concurrent.futures' in sys.modules)\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
 
 class TestCfCommand:
     def test_round_trip_through_trajectory_csv(self, small_scenario, tmp_path):

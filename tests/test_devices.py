@@ -271,3 +271,29 @@ class TestGridForming:
         assert set_event("p_ref").events[0].value == 0.7
         with pytest.raises(ValueError, match="no settable parameter 'droop'"):
             set_event("droop")
+
+
+@pytest.mark.parametrize(
+    "cls, knock", [(GridFollowingConverter, "iref_d"), (GridFormingConverter, "p_ref")]
+)
+def test_stack_outputs_feed_back_into_the_stack(cls, knock):
+    # a stack's own initial_state result and evaluate derivatives go back
+    # into evaluate and analytic_cf as they are; a GFL reads its states as
+    # complex pairs, which needs a contiguous state axis
+    devices = [cls(f"D{k}", k, IbrFilter(0.15, 0.004, v_dc=2.0), OMEGA_B) for k in range(2)]
+    stack = cls.stack(devices, 0)
+    v = np.array([1.01 * cmath.exp(0.1j), 0.99 * cmath.exp(-0.05j)])
+    x = stack.initial_state(v, np.array([0.6 + 0.15j, 0.45 + 0.1j]))
+    getattr(stack, knock)[:] += 0.1  # knock off equilibrium, so the rates are not zero
+    stack.derive()
+    xdot, i = stack.evaluate(x, v)
+    assert x.flags.c_contiguous and xdot.flags.c_contiguous
+    eta_v = np.array([0.01 + 1.0j, -0.02 + 0.99j])
+    cf = stack.analytic_cf(x, xdot, v, eta_v)
+    xdot2, i2 = stack.evaluate(xdot, v)  # any state-shaped array is a valid input
+    assert np.all(np.isfinite(cf)) and np.all(np.isfinite(i2)) and np.all(np.isfinite(xdot2))
+    assert np.max(np.abs(xdot)) > 0
+    # the layout does not change a value
+    x_c, xdot_c = np.ascontiguousarray(x), np.ascontiguousarray(xdot)
+    assert np.array_equal(stack.evaluate(x_c, v)[0], xdot)
+    assert np.array_equal(stack.analytic_cf(x_c, xdot_c, v, eta_v), cf)

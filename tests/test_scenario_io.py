@@ -275,11 +275,9 @@ class TestSingleDeclaration:
             assert [name for name in cls.params if not hasattr(device, name)] == []
         stack = cls.stack(specs, 0)
         v = np.array([1.0 + 0.1j, 0.98 - 0.05j])
-        # states and rates contiguous, as the system's vectors hold them
-        x = np.ascontiguousarray(stack.initial_state(v, np.array([0.5 + 0.1j, 0.3 + 0.05j])))
+        x = stack.initial_state(v, np.array([0.5 + 0.1j, 0.3 + 0.05j]))
         stack.derive()
         xdot, i = stack.evaluate(x, v)
-        xdot = np.ascontiguousarray(xdot)
         a, b = stack.voltage_sensitivity(x, v)
         cf = stack.analytic_cf(x, xdot, v, np.full(2, 1j))
         assert xdot.shape == x.shape == (2, cls.n_states)

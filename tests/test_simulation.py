@@ -70,7 +70,7 @@ class TestTrapezoidalRule:
         system = DaeSystem(net, [dev], OMEGA_B)
         integ = TrapezoidalIntegrator(system, tol=1e-12)
         x, v = np.array([x0]), np.array([1.0 + 0.0j])
-        x1, v1, f1, _ = integ.step(x, v, system.derivatives(x, v), h)
+        x1, v1, f1, _, _ = integ.step(x, v, *system.residual(x, v), h)
         expected = x0 * (1 + lam * h / 2) / (1 - lam * h / 2)
         assert x1[0] == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(f1, system.derivatives(x1, v1))
@@ -79,12 +79,70 @@ class TestTrapezoidalRule:
         sc = two_bus_scenario(load_p=0.5, load_q=0.1)
         x0, v0, system = initialize(sc)
         integ = TrapezoidalIntegrator(system)
-        f0 = system.derivatives(x0, v0)
-        x1, v1, f1, iters = integ.step(x0, v0, f0, 1e-3)
+        f0, rn0 = system.residual(x0, v0)
+        x1, v1, f1, rn1, iters = integ.step(x0, v0, f0, rn0, 1e-3)
         assert iters == 0
         assert np.array_equal(f1, f0)
+        assert np.array_equal(rn1, rn0)
         assert np.array_equal(x1, x0)
         assert np.array_equal(v1, v0)
+
+
+class TestCarriedResidual:
+    """`step` and `solve_algebraic` hand back the residual pair (f, rn) at the
+    point they return, so the next step need not evaluate it: the pair must
+    equal a fresh `DaeSystem.residual` there, bit for bit."""
+
+    @staticmethod
+    def off_equilibrium():
+        sc = two_bus_scenario(load_p=0.5, load_q=0.1)
+        x0, v0, system = initialize(sc)
+        x = x0 + 1e-3  # every state nudged, so the step iterates
+        return x, v0, system
+
+    @staticmethod
+    def assert_fresh(system, x, v, f, rn):
+        f_new, rn_new = system.residual(x, v)
+        assert np.array_equal(f, f_new)
+        assert np.array_equal(rn, rn_new)
+
+    def test_plain_step(self):
+        x, v, system = self.off_equilibrium()
+        integ = TrapezoidalIntegrator(system)
+        x1, v1, f1, rn1, iters = integ.step(x, v, *system.residual(x, v), 1e-3)
+        assert iters > 0 and integ.halvings == 0
+        assert integ.residuals == iters
+        self.assert_fresh(system, x1, v1, f1, rn1)
+
+    def test_halved_step(self, monkeypatch):
+        newton_step = TrapezoidalIntegrator._newton_step
+        failed = []
+
+        def diverge_once(self, x, v, f, rn, dt):
+            if not failed:
+                failed.append(dt)
+                raise NewtonDivergence("forced")
+            return newton_step(self, x, v, f, rn, dt)
+
+        monkeypatch.setattr(TrapezoidalIntegrator, "_newton_step", diverge_once)
+        x, v, system = self.off_equilibrium()
+        integ = TrapezoidalIntegrator(system)
+        x1, v1, f1, rn1, iters = integ.step(x, v, *system.residual(x, v), 1e-3)
+        assert integ.halvings == 1 and iters > 0
+        self.assert_fresh(system, x1, v1, f1, rn1)
+
+    def test_algebraic_resolve_after_event(self):
+        sc = mixed_scenario(t_end=1.5)
+        x, v, system = initialize(sc)
+        [writes, _] = sc.check().values()  # the pulse, then its restoration
+        for name, param, value in writes:
+            blk, row = system.row(name)
+            getattr(blk, param)[row] = value
+        system.derive()
+        integ = TrapezoidalIntegrator(system)
+        v1, f1, rn1 = integ.solve_algebraic(x, v)
+        assert not np.array_equal(v1, v)
+        self.assert_fresh(system, x, v1, f1, rn1)
 
 
 class TestRun:
@@ -104,15 +162,22 @@ class TestRun:
             assert np.max(np.abs(arr - arr[0])) < 1e-7, name
 
     @pytest.mark.parametrize(
-        "name, iters, refreshes",
-        [("twomachine", 3996, 2), ("ieee39", 4380, 1), ("ieee39_mod", 7655, 1)],
+        "name, iters, refreshes, residuals",
+        [
+            ("twomachine", 3996, 2, 4000),
+            ("ieee39", 4380, 1, 4382),
+            ("ieee39_mod", 7655, 1, 7657),
+        ],
     )
-    def test_solver_counts_of_the_bundled_scenarios(self, name, iters, refreshes):
+    def test_solver_counts_of_the_bundled_scenarios(self, name, iters, refreshes, residuals):
         # at 3 s; a Newton matrix is built only where a step does not meet
-        # the tolerance at its first residual, so none before the first event
+        # the tolerance at its first residual, so none before the first event.
+        # A step evaluates one residual per iteration, since it starts from
+        # the pair its predecessor evaluated; each event's re-solve adds two
         sc = dataclasses.replace(load_scenario(bundled_scenario_path(name)), t_end=3.0)
         traj = run(sc)
         assert (traj.newton_iters, traj.refreshes, traj.halvings) == (iters, refreshes, 0)
+        assert traj.residuals == residuals
 
     def test_algebraic_residuals_at_accepted_steps(self):
         # the load pulse is restored exactly, so outside the 10 ms pulse the
@@ -238,11 +303,11 @@ class TestRun:
         newton_step = TrapezoidalIntegrator._newton_step
         failed = []
 
-        def diverge_once(self, x, v, f, dt):
+        def diverge_once(self, x, v, f, rn, dt):
             if not failed:
                 failed.append(dt)
                 raise NewtonDivergence("forced")
-            return newton_step(self, x, v, f, dt)
+            return newton_step(self, x, v, f, rn, dt)
 
         monkeypatch.setattr(TrapezoidalIntegrator, "_newton_step", diverge_once)
         sc = two_bus_scenario(load_p=0.4)
