@@ -7,15 +7,16 @@ Conventions shared by every model:
   * reported complex frequencies are stationary-frame per-unit values, i.e.
     the frame-relative log-derivative divided by omega_base plus j*1.
 
-Each device exposes the same small surface the integrator relies on:
+Each kind writes the same four methods the integrator relies on:
 `initial_state`, which back-solves the states and setpoints from the
 power-flow terminal voltage and the device's complex-power share,
 `evaluate`, which returns the state derivatives and the injected current
 from one shared computation (`derivatives` and `injected_current` give each
-alone), the analytic current sensitivities used to recover exact voltage
-rates (`voltage_sensitivity`: (a, b) such that dı̄ = a·dv̄ + b·dv̄* at fixed
-states, one per terminal voltage; `current_state_rate`, below) and
-`analytic_cf`.
+alone), and the closed-form current sensitivities used to recover exact
+voltage rates (`voltage_sensitivity`: (a, b) such that dı̄ = a·dv̄ + b·dv̄* at
+fixed states, one per terminal voltage; `current_state_rate`, below).
+`Device.analytic_cf` builds every kind's current CF from the two
+sensitivities by the chain rule.
 
 Each kind is one `Device` subclass that declares its parameters (`params`),
 its states and its equations once.  The equations broadcast, so the same
@@ -64,7 +65,9 @@ def _pair(x, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form current CFs
+# The paper's closed-form current CFs.  The loads' CFs are the last two; a
+# source's CF comes from `Device.analytic_cf`, which the tests check against
+# the first two.
 # ---------------------------------------------------------------------------
 
 def sm_current_cf(s, i_mag, xd_prime, omega_r, eta_v):
@@ -149,20 +152,31 @@ class Device:
     def derive(self) -> None:
         """Recompute the values derived from the parameters."""
 
-    def evaluate(self, x, v):
-        """The state derivatives and the injected current, for a kind that
-        writes the two separately."""
-        return self.derivatives(x, v), self.injected_current(x, v)
-
     def derivatives(self, x, v):
-        """None, for a kind without states."""
-        return np.empty(np.shape(x))
+        """The state derivatives, the first part of `evaluate`."""
+        return self.evaluate(x, v)[0]
+
+    def injected_current(self, x, v):
+        """The injected current, the second part of `evaluate`."""
+        return self.evaluate(x, v)[1]
 
     def current_state_rate(self, x, xdot, v):
         """State-driven part of dı̄/dt (the voltage-driven part comes from
         `voltage_sensitivity`).  It is linear in `xdot`, so a unit rate e_k
         gives ∂ı/∂x_k; the integrator builds its Newton matrix from that."""
         return 0.0 + 0.0j
+
+    def analytic_cf(self, x, xdot, v, eta_v):
+        """Stationary-frame CF of the injected current, from the closed-form
+        sensitivities by the chain rule dı̄/dt = `current_state_rate` +
+        a·dv̄/dt + b·(dv̄/dt)*, with (a, b) from `voltage_sensitivity` and
+        dv̄/dt = ω_b·(η_v - j)·v̄ from `eta_v`.  Reads the kind's `omega_base`."""
+        i = self.injected_current(x, v)
+        _require_magnitude(np.abs(i), "i", self)
+        a, b = self.voltage_sensitivity(x, v)
+        v_dot = self.omega_base * (eta_v - 1j) * v
+        i_dot = self.current_state_rate(x, xdot, v) + a * v_dot + b * np.conj(v_dot)
+        return i_dot / (i * self.omega_base) + 1j
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r}, bus={self.bus})"
@@ -223,12 +237,6 @@ class SynchronousMachine(Device):
         d_omega = (self.p_m - p_e - self.damping * slip) / self.inertia
         return _columns(self.omega_base * slip, d_omega), i
 
-    def derivatives(self, x, v):
-        return self.evaluate(x, v)[0]
-
-    def injected_current(self, x, v):
-        return self.evaluate(x, v)[1]
-
     def voltage_sensitivity(self, x, v):
         a = np.broadcast_to(1j / self.xd_prime, np.shape(v))  # the same at every sample
         return a, 0.0 * a
@@ -236,12 +244,6 @@ class SynchronousMachine(Device):
     def current_state_rate(self, x, xdot, v):
         # dĒ/dt = j·δ̇·Ē
         return 1j * xdot[..., 0] * self.emf(x) * (-1j / self.xd_prime)
-
-    def analytic_cf(self, x, xdot, v, eta_v):
-        i = self.injected_current(x, v)
-        i_mag = np.abs(i)
-        _require_magnitude(i_mag, "i", self)
-        return sm_current_cf(v * np.conj(i), i_mag, self.xd_prime, x[..., 1], eta_v)
 
 
 class ZipParts(NamedTuple):
@@ -410,18 +412,9 @@ class _Converter(Device):
     def injected_current(self, x, v):
         return (self.internal_voltage(x) - self.through * v) / self.z_f
 
-    def derivatives(self, x, v):
-        return self.evaluate(x, v)[0]
-
     def voltage_sensitivity(self, x, v):
         a = np.broadcast_to(-self.through / self.z_f, np.shape(v))  # the same at every sample
         return a, 0.0 * a
-
-    def _cf_from_internal(self, x, v, eta_v, eta_e):
-        i = self.injected_current(x, v)
-        i_mag = np.abs(i)
-        _require_magnitude(i_mag, "i", self)
-        return ibr_current_cf(v * np.conj(i), i_mag, self.z_f, self.y_f, eta_e, eta_v)
 
 
 class GridFollowingConverter(_Converter):
@@ -429,8 +422,7 @@ class GridFollowingConverter(_Converter):
     against fixed references, modulation applied to the fixed DC voltage."""
 
     params = _Converter.params + (
-        "kp_current", "ki_current", "t_measure", "kp_pll", "ki_pll", "omega_ref",
-        "iref_d", "iref_q",
+        "kp_current", "ki_current", "t_measure", "kp_pll", "ki_pll", "iref_d", "iref_q",
     )
     n_states = 6
     state_names = ("pi_d", "pi_q", "im_d", "im_q", "x_pll", "theta")
@@ -448,7 +440,6 @@ class GridFollowingConverter(_Converter):
         t_measure: float = 0.01,
         kp_pll: float = 0.1,
         ki_pll: float = 1.0,
-        omega_ref: float = 1.0,
         p: float = 0.0,
     ):
         super().__init__(name, bus, filter, omega_base, p)
@@ -459,7 +450,6 @@ class GridFollowingConverter(_Converter):
         self.t_measure = t_measure
         self.kp_pll = kp_pll
         self.ki_pll = ki_pll
-        self.omega_ref = omega_ref
         self.iref_d = 0.0
         self.iref_q = 0.0
         self.derive()
@@ -509,23 +499,11 @@ class GridFollowingConverter(_Converter):
         return f, i
 
     def current_state_rate(self, x, xdot, v):
-        e_vec = self.internal_voltage(x)
-        e_dot = (self.modulation_rate(xdot) / self.modulation(x) + 1j * xdot[..., 5]) * e_vec
-        return e_dot / self.z_f
-
-    def internal_cf(self, x, xdot, v):
-        """Stationary-frame CF of the modulated internal voltage: radial part
-        from the modulation magnitude, rotational part from the dq angle rate
-        plus the PLL frequency estimate."""
         m_dq = self.modulation(x)
         _require_magnitude(np.abs(m_dq), "m", self)
-        log_rate = self.modulation_rate(xdot) / m_dq  # ṁ/m + j·α̇, 1/s
-        v_q = (v * np.exp(-1j * x[..., 5])).imag
-        omega_est = self.kp_pll * v_q + x[..., 4] + self.omega_ref
-        return log_rate / self.omega_base + 1j * omega_est
-
-    def analytic_cf(self, x, xdot, v, eta_v):
-        return self._cf_from_internal(x, v, eta_v, self.internal_cf(x, xdot, v))
+        e_vec = self.internal_voltage(x)
+        e_dot = (self.modulation_rate(xdot) / m_dq + 1j * xdot[..., 5]) * e_vec
+        return e_dot / self.z_f
 
 
 class GridFormingConverter(_Converter):
@@ -600,12 +578,6 @@ class GridFormingConverter(_Converter):
         return f, i
 
     def current_state_rate(self, x, xdot, v):
+        _require_magnitude(x[..., 0], "e", self)
         e_dot = (xdot[..., 0] / x[..., 0] + 1j * xdot[..., 1]) * self.internal_voltage(x)
         return e_dot / self.z_f
-
-    def internal_cf(self, x, xdot):
-        _require_magnitude(x[..., 0], "e", self)
-        return xdot[..., 0] / (x[..., 0] * self.omega_base) + 1j * self.droop_frequency(x)
-
-    def analytic_cf(self, x, xdot, v, eta_v):
-        return self._cf_from_internal(x, v, eta_v, self.internal_cf(x, xdot))

@@ -155,7 +155,7 @@ _DEVICES = {
     "zip": (ZipLoad, _DEVICE | {"p": Key("p0", True), "q": Key("q0")}
             | _optional("kz_p", "ki_p", "kp_p", "kz_q", "ki_q", "kp_q")),
     "gfl": (GridFollowingConverter, _DEVICE | _FILTER
-            | _optional("kp_current", "ki_current", "t_measure", "kp_pll", "ki_pll", "omega_ref")),
+            | _optional("kp_current", "ki_current", "t_measure", "kp_pll", "ki_pll")),
     "gfm": (GridFormingConverter, _DEVICE | _FILTER
             | _optional("kp_voltage", "ki_voltage", "t_voltage", "t_power", "droop")),
 }

@@ -365,12 +365,8 @@ class DaeSystem:
     def derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.evaluate(x, v)[0]
 
-    def device_currents(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Current injected by every device, in block order."""
-        return self.evaluate(x, v)[1]
-
     def injections(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _matvec(self.incidence, self.device_currents(x, v))
+        return _matvec(self.incidence, self.evaluate(x, v)[1])
 
     def network_residual(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.residual(x, v)[1]

@@ -117,7 +117,7 @@ def check_against_reference(system, devices, x, v, xdot):
     vdot = ref_voltage_rates(system, devices, x, v, xdot)
     assert_close(system.voltage_rates(x, v, xdot), vdot)
     assert_close(
-        in_device_order(system, system.device_currents(x, v)),
+        in_device_order(system, system.evaluate(x, v)[1]),
         ref_currents(system, devices, x, v),
     )
     eta_v = system.voltage_cf(v, vdot)
@@ -186,7 +186,6 @@ def make_device(kind, name, bus, rng):
         d = GridFollowingConverter(
             name, bus, filt, OMEGA_B, kp_current=u(0.1, 0.5), ki_current=u(1, 10),
             t_measure=u(0.005, 0.05), kp_pll=u(0.05, 0.2), ki_pll=u(0.5, 2),
-            omega_ref=1 + u(-0.01, 0.01),
         )
         d.iref_d, d.iref_q = u(0, 1), u(-0.5, 0.5)
         d.derive()
@@ -340,15 +339,24 @@ class TestBlocksMatchDevices:
             assert_close(recorded, cf)
 
 
-def test_guard_names_the_device_of_a_sample():
-    # (samples, devices) states of three converters; one e at the guard
+@pytest.mark.parametrize(
+    "cls, states, what",
+    [
+        (GridFormingConverter, [1.0, 0.1, 1.0, 0.5], "e"),
+        # m = pi + kp·(i_ref - i_m) with the default zero references
+        (GridFollowingConverter, [0.5, 0.1, 0.0, 0.0, 0.0, 0.2], "m"),
+    ],
+    ids=["gfm_e", "gfl_m"],
+)
+def test_guard_names_the_device_of_a_sample(cls, states, what):
+    # (samples, devices) states of three converters; one |e| or |m| at the guard
     filt = IbrFilter(0.15, 0.005, v_dc=2.0)
-    specs = [GridFormingConverter(f"GFM{k}", 0, filt, OMEGA_B) for k in range(3)]
-    blk = GridFormingConverter.stack(specs, 0)
-    x = np.tile([1.0, 0.1, 1.0, 0.5], (4, 3, 1))
-    x[2, 1, 0] = 5e-10
-    with pytest.raises(MagnitudeUnderflow, match=r"\|e\(GFM1\)\| = 5\.000e-10 at or below"):
-        blk.internal_cf(x, np.zeros_like(x))
+    blk = cls.stack([cls(f"D{k}", 0, filt, OMEGA_B) for k in range(3)], 0)
+    x = np.tile(states, (4, 3, 1))
+    x[2, 1, :2] = [5e-10, 0.0]
+    v = np.ones((4, 3), dtype=complex)
+    with pytest.raises(MagnitudeUnderflow, match=rf"\|{what}\(D1\)\| = 5\.000e-10 at or below"):
+        blk.current_state_rate(x, np.zeros_like(x), v)
 
 
 EVENTS = {

@@ -145,6 +145,16 @@ class TestRunCommand:
         assert main(["--out", str(tmp_path / "o"), "run", str(path)]) == 1
         assert "$.branches[0]: tap ratio must be positive" in capsys.readouterr().err
 
+    def test_removed_omega_ref_key_exits_one(self, tmp_path, capsys, no_simulation):
+        # a grid-following converter once took omega_ref, which no equation read
+        doc = json.loads(bundled_scenario_path("ieee39_mod").read_text())
+        k = next(k for k, d in enumerate(doc["devices"]) if d["type"] == "gfl")
+        doc["devices"][k]["omega_ref"] = 1.0
+        path = tmp_path / "omega_ref.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--out", str(tmp_path / "o"), "run", str(path)]) == 1
+        assert f"$.devices[{k}].omega_ref: unknown key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tolerance", [0, -1])
     def test_nonpositive_tolerance_exits_one(
         self, small_scenario, tmp_path, capsys, no_simulation, tolerance

@@ -203,7 +203,7 @@ class TestGridFollowing:
         i = gfl.injected_current(x0, v)
         assert v * i.conjugate() == pytest.approx(0.6 + 0.15j, rel=1e-12)
         xdot = gfl.derivatives(x0, v)
-        assert gfl.internal_cf(x0, xdot, v) == pytest.approx(1j, abs=1e-12)
+        assert gfl.analytic_cf(x0, xdot, v, 1j) == pytest.approx(1j, abs=1e-12)
 
     def test_pi_sign_on_reference_step(self):
         gfl = make_gfl(ki_current=5.0)
@@ -237,7 +237,7 @@ class TestGridForming:
         x0 = gfm.initial_state(v, 0.45 + 0.1j)
         assert np.max(np.abs(gfm.derivatives(x0, v))) < 1e-12
         xdot = gfm.derivatives(x0, v)
-        assert gfm.internal_cf(x0, xdot) == pytest.approx(1j, abs=1e-14)
+        assert gfm.analytic_cf(x0, xdot, v, 1j) == pytest.approx(1j, abs=1e-14)
 
     def test_droop_sign(self):
         gfm = make_gfm(droop=0.02)

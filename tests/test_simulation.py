@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcoherency import Branch, Bus, Event, Network, Scenario, SynchronousMachine, ZipLoad
+from cfcoherency import (
+    Branch,
+    Bus,
+    Event,
+    Network,
+    Scenario,
+    SynchronousMachine,
+    ZipLoad,
+    ibr_current_cf,
+    sm_current_cf,
+)
 from cfcoherency import simulation
 from cfcoherency.coherency import build_two_machine_scenario
 from cfcoherency.devices import Device
@@ -45,11 +55,8 @@ class _LinearTestDevice(Device):
         self.lam = lam
         self.p = 0.0
 
-    def derivatives(self, x, v):
-        return (self.lam * x[..., 0])[..., None]
-
-    def injected_current(self, x, v):
-        return np.ones_like(v)
+    def evaluate(self, x, v):
+        return (self.lam * x[..., 0])[..., None], np.ones_like(v)
 
     def voltage_sensitivity(self, x, v):
         return 0.0j * v, 0.0j * v
@@ -474,6 +481,37 @@ class TestVoltageRates:
         vdot = system.voltage_rates(xk, traj.voltages[k], xdot)
         fd = (traj.voltages[k + 1] - traj.voltages[k - 1]) / (2 * traj.dt)
         assert np.max(np.abs(vdot - fd)) < 5e-4 * max(1.0, np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("name", ["mixed", "ieee39_mod"])
+def test_paper_closed_forms_give_the_recorded_source_cfs(name):
+    # the chain-rule CF that a run records for each source, against the
+    # paper's closed form on the same recorded samples, through an event;
+    # a converter's internal-voltage CF comes from its own current rate.
+    # No event changes a source's parameters, so the initialized ones hold
+    if name == "mixed":
+        sc = mixed_scenario(t_end=1.1)
+    else:  # to the end of its analysis window, past its event at 1 s
+        sc = load_scenario(bundled_scenario_path(name))
+        sc = dataclasses.replace(sc, t_end=sc.analysis.window[1])
+    traj = run(sc)
+    _, _, system = initialize(sc)
+    sources = [
+        (k, d) for k, d in enumerate(reference_devices(system, sc.devices)) if d.n_states
+    ]
+    assert {d.kind for _, d in sources} == {"sm", "gfl", "gfm"}
+    for k, d in sources:
+        x, v, i = traj.states[d.name], traj.voltages[:, d.bus], traj.currents[:, k]
+        eta_v = traj.voltage_cf[:, d.bus]
+        s, i_mag = v * np.conj(i), np.abs(i)
+        if d.kind == "sm":
+            want = sm_current_cf(s, i_mag, d.xd_prime, x[:, 1], eta_v)
+        else:
+            rate = d.current_state_rate(x, d.derivatives(x, v), v)
+            eta_e = d.z_f * rate / d.internal_voltage(x) / d.omega_base + 1j
+            want = ibr_current_cf(s, i_mag, d.z_f, d.y_f, eta_e, eta_v)
+        got = traj.analytic_cf[d.name]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), d.name
 
 
 def _off_equilibrium():
