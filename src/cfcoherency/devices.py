@@ -166,12 +166,13 @@ class Device:
         gives ∂ı/∂x_k; the integrator builds its Newton matrix from that."""
         return 0.0 + 0.0j
 
-    def analytic_cf(self, x, xdot, v, eta_v):
-        """Stationary-frame CF of the injected current, from the closed-form
-        sensitivities by the chain rule dı̄/dt = `current_state_rate` +
-        a·dv̄/dt + b·(dv̄/dt)*, with (a, b) from `voltage_sensitivity` and
-        dv̄/dt = ω_b·(η_v - j)·v̄ from `eta_v`.  Reads the kind's `omega_base`."""
-        i = self.injected_current(x, v)
+    def analytic_cf(self, x, xdot, v, i, eta_v):
+        """Stationary-frame CF of the injected current `i`, from the
+        closed-form sensitivities by the chain rule dı̄/dt =
+        `current_state_rate` + a·dv̄/dt + b·(dv̄/dt)*, with (a, b) from
+        `voltage_sensitivity` and dv̄/dt = ω_b·(η_v - j)·v̄ from `eta_v`.
+        `xdot` and `i` are what `evaluate` returns at (x, v).  Reads the
+        kind's `omega_base`."""
         _require_magnitude(np.abs(i), "i", self)
         a, b = self.voltage_sensitivity(x, v)
         v_dot = self.omega_base * (eta_v - 1j) * v
@@ -234,8 +235,10 @@ class SynchronousMachine(Device):
         i = (e_vec - v) * (-1j / self.xd_prime)  # ÷ j·x'_d
         slip = x[..., 1] - 1.0
         p_e = (e_vec * np.conj(i)).real
-        d_omega = (self.p_m - p_e - self.damping * slip) / self.inertia
-        return _columns(self.omega_base * slip, d_omega), i
+        f = np.empty(x.shape)
+        np.multiply(self.omega_base, slip, out=f[..., 0])
+        np.divide(self.p_m - p_e - self.damping * slip, self.inertia, out=f[..., 1])
+        return f, i
 
     def voltage_sensitivity(self, x, v):
         a = np.broadcast_to(1j / self.xd_prime, np.shape(v))  # the same at every sample
@@ -367,7 +370,7 @@ class ZipLoad(Device):
         b = -g * v / (2.0 * v_mag * vc) + (p - 1j * q) / vc**2
         return a, b
 
-    def analytic_cf(self, x, xdot, v, eta_v):
+    def analytic_cf(self, x, xdot, v, i, eta_v):
         """Closed form of pure Z and pure P loads; NaN for mixed loads."""
         parts = self.parts
         return np.where(

@@ -10,6 +10,7 @@ after each event before integration resumes.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -331,7 +332,8 @@ class DaeSystem:
 
     def _local(self, blk: Device, x: np.ndarray, v: np.ndarray):
         """The block's states as (..., n, n_states) and its terminal voltages."""
-        return x[..., blk.states].reshape(x.shape[:-1] + (blk.n, blk.n_states)), v[..., blk.bus]
+        xb = x[..., blk.states].reshape(x.shape[:-1] + (blk.n, blk.n_states))
+        return xb, v.take(blk.bus, axis=-1)
 
     def _to_bus(
         self, parts: list[np.ndarray], v: np.ndarray, incidence: np.ndarray | None = None
@@ -348,14 +350,15 @@ class DaeSystem:
         """The state derivatives and the current injected by every device, in
         block order, from one `evaluate` call per block."""
         f = np.empty(x.shape)
-        currents = np.empty(v.shape[:-1] + self.order.shape, dtype=complex)
-        col = 0
+        currents = []
         for blk in self.blocks:
             f_b, i_b = blk.evaluate(*self._local(blk, x, v))
-            f[..., blk.states] = f_b.reshape(x.shape[:-1] + (-1,))
-            currents[..., col : col + blk.n] = i_b
-            col += blk.n
-        return f, currents
+            if blk.n_states:
+                f[..., blk.states] = f_b.reshape(x.shape[:-1] + (-1,))
+            currents.append(i_b)
+        if not currents:
+            return f, np.empty(v.shape[:-1] + (0,), dtype=complex)
+        return f, np.concatenate(currents, axis=-1)
 
     def residual(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The state derivatives and the bus current balance ı - Ȳv."""
@@ -413,15 +416,19 @@ class DaeSystem:
         return self.solve_voltage(x, v, -self._to_bus(rates, v, self._dynamic_incidence))
 
     def analytic_cf(
-        self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, eta_v: np.ndarray
+        self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, i: np.ndarray, eta_v: np.ndarray
     ) -> np.ndarray:
         """Closed-form current CF of every device, in block order; NaN for a
-        device without one."""
+        device without one.  `xdot` and the currents `i` are what `evaluate`
+        returns at (x, v)."""
         out = []
+        col = 0
         for blk in self.blocks:
             xb, vb = self._local(blk, x, v)
             xdot_b = xdot[..., blk.states].reshape(xb.shape)
-            out.append(blk.analytic_cf(xb, xdot_b, vb, eta_v[..., blk.bus]))
+            i_b = i[..., col : col + blk.n]
+            out.append(blk.analytic_cf(xb, xdot_b, vb, i_b, eta_v[..., blk.bus]))
+            col += blk.n
         return np.concatenate(out, axis=-1)
 
     def voltage_cf(self, v: np.ndarray, vdot: np.ndarray) -> np.ndarray:
@@ -432,6 +439,8 @@ class DaeSystem:
 def _matvec(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """m @ v for every vector v along the last axis of `vecs`; one matrix-vector
     product per vector, so each result equals the unbatched one bit for bit."""
+    if vecs.ndim == 1:
+        return m @ vecs
     return np.matmul(m, vecs[..., None])[..., 0]
 
 
@@ -479,28 +488,16 @@ class TrapezoidalIntegrator:
         """Forget the Newton matrix; needed after a parameter change."""
         self._jinv = None
 
-    # -- residual/jacobian helpers ------------------------------------------
+    # -- Newton matrix --------------------------------------------------------
 
-    # z holds the states, then (Re v, Im v) per bus: the bus part is the
-    # float view of the complex voltage vector
+    # the Newton variables are the states, then (Re v, Im v) per bus: the bus
+    # part is the float view of the complex voltage vector
 
-    def _pack(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        nx = self.system.n_states
-        z = np.empty(self.system.n_vars)
-        z[:nx] = x
-        z[nx:] = v.view(float)
-        return z
-
-    def _unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nx = self.system.n_states
-        return z[:nx], z[nx:].view(complex)
-
-    def _jacobian(self, z: np.ndarray, dt: float) -> np.ndarray:
-        """The Newton matrix, built per block: each device's ∂f/∂x and
-        ∂f/∂v sit on its own rows, and its ∂ı/∂x in its bus rows."""
+    def _jacobian(self, x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+        """The Newton matrix at (x, v), built per block: each device's ∂f/∂x
+        and ∂f/∂v sit on its own rows, and its ∂ı/∂x in its bus rows."""
         sys = self.system
         nx = sys.n_states
-        x, v = self._unpack(z)
         a = np.zeros((sys.n_vars, sys.n_vars))
         a[:nx, :nx] = np.eye(nx)
         a[nx:, nx:] = sys.voltage_jacobian(x, v)
@@ -518,8 +515,8 @@ class TrapezoidalIntegrator:
             a[bus_vars[:, 1:], rows] = np.imag(di_dx).T
         return a
 
-    def _refresh(self, z: np.ndarray, dt: float) -> None:
-        self._jinv = np.linalg.inv(self._jacobian(z, dt))
+    def _refresh(self, x: np.ndarray, v: np.ndarray, dt: float) -> None:
+        self._jinv = np.linalg.inv(self._jacobian(x, v, dt))
         self._j_dt = dt
         self.refreshes += 1
 
@@ -540,9 +537,11 @@ class TrapezoidalIntegrator:
         `DaeSystem.residual` gives them; returns the new states and voltages,
         the pair at them, and the Newton iterations.  The pair a step returns
         is the one its last Newton residual evaluated, so the next step starts
-        without evaluating the devices.  A step whose Newton solve diverges
-        is split into two halves, at most `MAX_HALVINGS` deep; a half has
-        another length, so it builds its own Newton matrix."""
+        without evaluating the devices; a step that meets the tolerance at the
+        pair it is handed returns (x, v, f, rn, 0) as they are.  A step whose
+        Newton solve diverges is split into two halves, at most
+        `MAX_HALVINGS` deep; a half has another length, so it builds its own
+        Newton matrix."""
         try:
             return self._newton_step(x, v, f, rn, dt)
         except NewtonDivergence:
@@ -558,31 +557,32 @@ class TrapezoidalIntegrator:
         self, x: np.ndarray, v: np.ndarray, f_prev: np.ndarray, rn_prev: np.ndarray, dt: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         sys = self.system
-        z = self._pack(x, v)
+        h = 0.5 * dt
         # the first iterate is (x, v) itself, whose pair was handed in
-        x1, f, rn = x, f_prev, rn_prev
+        x1, v1, f, rn = x, v, f_prev, rn_prev
+        z = None  # the Newton variables, packed once the iterate has to move
         r0 = None
         for it in range(NEWTON_MAX_ITER):
             if it:
-                x1, v1 = self._unpack(z)
                 f, rn = sys.residual(x1, v1)
                 self.residuals += 1
-            r = np.empty(sys.n_vars)
-            r[: sys.n_states] = x1 - x - 0.5 * dt * (f_prev + f)
-            r[sys.n_states :] = rn.view(float)
+            r = np.concatenate((x1 - x - h * (f_prev + f), rn.view(float)))
             norm = np.abs(r).max()  # NaN or inf where any entry is
-            if not np.isfinite(norm):
+            if not math.isfinite(norm):
                 raise NewtonDivergence(f"non-finite residual at dt={dt:.3e}")
             if norm < self.tol:
                 self.total_newton_iters += it
-                return *self._unpack(z), f, rn, it
+                return x1, v1, f, rn, it
             if r0 is None:
                 r0 = norm
             elif norm > 1e3 * max(r0, 1.0):
                 raise NewtonDivergence(f"residual blew up to {norm:.3e} at dt={dt:.3e}")
             if self._jinv is None or self._j_dt != dt or it == NEWTON_REFRESH_ITER:
-                self._refresh(z, dt)
+                self._refresh(x1, v1, dt)
+            if z is None:
+                z = np.concatenate((x, v.view(float)))
             z = z - self._jinv @ r
+            x1, v1 = z[: sys.n_states], z[sys.n_states :].view(complex)
         raise NewtonDivergence(
             f"no convergence in {NEWTON_MAX_ITER} iterations at dt={dt:.3e}"
         )
@@ -787,4 +787,4 @@ def _record(system: DaeSystem, seg: slice, xs, voltages, currents, voltage_cf, c
         currents[chunk, system.order] = i
         eta_v = system.voltage_cf(v, system.voltage_rates(x, v, xdot))
         voltage_cf[chunk] = eta_v
-        cfs[system.order, chunk] = system.analytic_cf(x, xdot, v, eta_v).T
+        cfs[system.order, chunk] = system.analytic_cf(x, xdot, v, i, eta_v).T

@@ -100,7 +100,9 @@ def ref_analytic_cf(system, devices, x, xdot, v, eta_v):
     out = np.full(len(devices), np.nan, dtype=complex)
     for k, (d, sl) in enumerate(zip(devices, system.slices)):
         if d.has_analytic_cf:
-            out[k] = d.analytic_cf(x[sl], xdot[sl], complex(v[d.bus]), complex(eta_v[d.bus]))
+            vd = complex(v[d.bus])
+            i = d.injected_current(x[sl], vd)
+            out[k] = d.analytic_cf(x[sl], xdot[sl], vd, i, complex(eta_v[d.bus]))
     return out
 
 
@@ -116,13 +118,11 @@ def check_against_reference(system, devices, x, v, xdot):
     assert_close(system.voltage_jacobian(x, v), ref_voltage_jacobian(system, devices, x, v))
     vdot = ref_voltage_rates(system, devices, x, v, xdot)
     assert_close(system.voltage_rates(x, v, xdot), vdot)
-    assert_close(
-        in_device_order(system, system.evaluate(x, v)[1]),
-        ref_currents(system, devices, x, v),
-    )
+    currents = system.evaluate(x, v)[1]
+    assert_close(in_device_order(system, currents), ref_currents(system, devices, x, v))
     eta_v = system.voltage_cf(v, vdot)
     want = ref_analytic_cf(system, devices, x, xdot, v, eta_v)
-    got = in_device_order(system, system.analytic_cf(x, xdot, v, eta_v))
+    got = in_device_order(system, system.analytic_cf(x, xdot, v, currents, eta_v))
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert_close(got[~np.isnan(want)], want[~np.isnan(want)])
 

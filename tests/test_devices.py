@@ -130,7 +130,9 @@ class TestZipLoad:
     def test_mixed_zip_has_no_closed_form_cf(self):
         load = ZipLoad("L", 0, p0=1.0, q0=0.2, kz_p=0.5, ki_p=0.3, kp_p=0.2)
         assert not load.has_analytic_cf
-        assert np.isnan(load.analytic_cf(np.empty(0), np.empty(0), 1.0 + 0j, 1j))
+        v = 1.0 + 0j
+        i = load.injected_current(np.empty(0), v)
+        assert np.isnan(load.analytic_cf(np.empty(0), np.empty(0), v, i, 1j))
 
     def test_constant_power_guard(self):
         load = ZipLoad("L", 0, p0=1.0, q0=0.0, kz_p=0.0, kp_p=1.0)
@@ -203,7 +205,7 @@ class TestGridFollowing:
         i = gfl.injected_current(x0, v)
         assert v * i.conjugate() == pytest.approx(0.6 + 0.15j, rel=1e-12)
         xdot = gfl.derivatives(x0, v)
-        assert gfl.analytic_cf(x0, xdot, v, 1j) == pytest.approx(1j, abs=1e-12)
+        assert gfl.analytic_cf(x0, xdot, v, i, 1j) == pytest.approx(1j, abs=1e-12)
 
     def test_pi_sign_on_reference_step(self):
         gfl = make_gfl(ki_current=5.0)
@@ -236,8 +238,8 @@ class TestGridForming:
         v = 0.99 * cmath.exp(-0.05j)
         x0 = gfm.initial_state(v, 0.45 + 0.1j)
         assert np.max(np.abs(gfm.derivatives(x0, v))) < 1e-12
-        xdot = gfm.derivatives(x0, v)
-        assert gfm.analytic_cf(x0, xdot, v, 1j) == pytest.approx(1j, abs=1e-14)
+        xdot, i = gfm.evaluate(x0, v)
+        assert gfm.analytic_cf(x0, xdot, v, i, 1j) == pytest.approx(1j, abs=1e-14)
 
     def test_droop_sign(self):
         gfm = make_gfm(droop=0.02)
@@ -289,11 +291,11 @@ def test_stack_outputs_feed_back_into_the_stack(cls, knock):
     xdot, i = stack.evaluate(x, v)
     assert x.flags.c_contiguous and xdot.flags.c_contiguous
     eta_v = np.array([0.01 + 1.0j, -0.02 + 0.99j])
-    cf = stack.analytic_cf(x, xdot, v, eta_v)
+    cf = stack.analytic_cf(x, xdot, v, i, eta_v)
     xdot2, i2 = stack.evaluate(xdot, v)  # any state-shaped array is a valid input
     assert np.all(np.isfinite(cf)) and np.all(np.isfinite(i2)) and np.all(np.isfinite(xdot2))
     assert np.max(np.abs(xdot)) > 0
     # the layout does not change a value
     x_c, xdot_c = np.ascontiguousarray(x), np.ascontiguousarray(xdot)
     assert np.array_equal(stack.evaluate(x_c, v)[0], xdot)
-    assert np.array_equal(stack.analytic_cf(x_c, xdot_c, v, eta_v), cf)
+    assert np.array_equal(stack.analytic_cf(x_c, xdot_c, v, i, eta_v), cf)

@@ -279,7 +279,7 @@ class TestSingleDeclaration:
         stack.derive()
         xdot, i = stack.evaluate(x, v)
         a, b = stack.voltage_sensitivity(x, v)
-        cf = stack.analytic_cf(x, xdot, v, np.full(2, 1j))
+        cf = stack.analytic_cf(x, xdot, v, i, np.full(2, 1j))
         assert xdot.shape == x.shape == (2, cls.n_states)
         for value in (i, a, b, cf):
             assert value.shape == (2,)

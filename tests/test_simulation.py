@@ -65,6 +65,20 @@ class _LinearTestDevice(Device):
         return 0.0j * v
 
 
+def diverge_once(newton_step):
+    """`newton_step` behind a first call that raises `NewtonDivergence`, so
+    the first step that calls it is halved."""
+    failed = []
+
+    def wrapper(self, x, v, f, rn, dt):
+        if not failed:
+            failed.append(dt)
+            raise NewtonDivergence("forced")
+        return newton_step(self, x, v, f, rn, dt)
+
+    return wrapper
+
+
 class TestTrapezoidalRule:
     def test_scalar_linear_ode_formula(self):
         # one step of x' = lam x must give x1 = x0 (1 + lam h / 2)/(1 - lam h / 2)
@@ -122,16 +136,9 @@ class TestCarriedResidual:
         self.assert_fresh(system, x1, v1, f1, rn1)
 
     def test_halved_step(self, monkeypatch):
-        newton_step = TrapezoidalIntegrator._newton_step
-        failed = []
-
-        def diverge_once(self, x, v, f, rn, dt):
-            if not failed:
-                failed.append(dt)
-                raise NewtonDivergence("forced")
-            return newton_step(self, x, v, f, rn, dt)
-
-        monkeypatch.setattr(TrapezoidalIntegrator, "_newton_step", diverge_once)
+        monkeypatch.setattr(
+            TrapezoidalIntegrator, "_newton_step", diverge_once(TrapezoidalIntegrator._newton_step)
+        )
         x, v, system = self.off_equilibrium()
         integ = TrapezoidalIntegrator(system)
         x1, v1, f1, rn1, iters = integ.step(x, v, *system.residual(x, v), 1e-3)
@@ -150,6 +157,132 @@ class TestCarriedResidual:
         v1, f1, rn1 = integ.solve_algebraic(x, v)
         assert not np.array_equal(v1, v)
         self.assert_fresh(system, x, v1, f1, rn1)
+
+
+def _reference_residual(system, x, v):
+    """`DaeSystem.residual` as first written: the currents gathered into a
+    preallocated array, every block's derivatives written back, and each
+    product taken over a column of one vector."""
+    f = np.empty(x.shape)
+    currents = np.empty(v.shape[:-1] + system.order.shape, dtype=complex)
+    col = 0
+    for blk in system.blocks:
+        f_b, i_b = blk.evaluate(*system._local(blk, x, v))
+        f[..., blk.states] = f_b.reshape(x.shape[:-1] + (-1,))
+        currents[..., col : col + blk.n] = i_b
+        col += blk.n
+    rn = np.matmul(system.incidence, currents[..., None])[..., 0]
+    return f, rn - np.matmul(system.y, v[..., None])[..., 0]
+
+
+def _reference_newton_step(self, x, v, f_prev, rn_prev, dt):
+    """`TrapezoidalIntegrator._newton_step` as first written: the iterate
+    packed into one vector z before the first residual, each residual
+    assembled into a preallocated vector, and z unpacked for every residual,
+    the Newton matrix and the result."""
+    sys = self.system
+    nx = sys.n_states
+
+    def unpack(z):
+        return z[:nx], z[nx:].view(complex)
+
+    z = np.empty(sys.n_vars)
+    z[:nx] = x
+    z[nx:] = v.view(float)
+    x1, f, rn = x, f_prev, rn_prev
+    r0 = None
+    for it in range(simulation.NEWTON_MAX_ITER):
+        if it:
+            x1, v1 = unpack(z)
+            f, rn = _reference_residual(sys, x1, v1)
+            self.residuals += 1
+        r = np.empty(sys.n_vars)
+        r[:nx] = x1 - x - 0.5 * dt * (f_prev + f)
+        r[nx:] = rn.view(float)
+        norm = np.abs(r).max()
+        if not np.isfinite(norm):
+            raise NewtonDivergence("non-finite residual")
+        if norm < self.tol:
+            self.total_newton_iters += it
+            return *unpack(z), f, rn, it
+        if r0 is None:
+            r0 = norm
+        elif norm > 1e3 * max(r0, 1.0):
+            raise NewtonDivergence("residual blew up")
+        if self._jinv is None or self._j_dt != dt or it == simulation.NEWTON_REFRESH_ITER:
+            self._refresh(*unpack(z), dt)
+        z = z - self._jinv @ r
+    raise NewtonDivergence("no convergence")
+
+
+class _ReferenceIntegrator(TrapezoidalIntegrator):
+    _newton_step = _reference_newton_step
+
+
+def _solver_state(integ):
+    return (
+        integ.total_newton_iters, integ.refreshes, integ.residuals, integ.halvings, integ._j_dt
+    )
+
+
+def _assert_same_step(got, want, integ, reference):
+    """Equal (x, v, f, rn, iters) bit for bit, equal counters and the same
+    Newton matrix."""
+    assert len(got) == len(want) == 5
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert _solver_state(integ) == _solver_state(reference)
+    assert (integ._jinv is None) == (reference._jinv is None)
+    assert integ._jinv is None or np.array_equal(integ._jinv, reference._jinv)
+
+
+class TestStepMatchesReference:
+    """Every step returns bit for bit what the first-written Newton loop
+    returns from the same point, with the same Newton matrix, and counts
+    the same iterations, refreshes, residuals and halvings."""
+
+    @staticmethod
+    def run_checked(monkeypatch, scenario):
+        """`run` with each step checked against a reference integrator that
+        starts from a copy of the step's integrator; the iterations of the
+        steps, in order."""
+        step = TrapezoidalIntegrator.step
+        iters = []
+
+        def checked_step(self, x, v, f, rn, dt, t=0.0, _depth=0):
+            reference = _ReferenceIntegrator.__new__(_ReferenceIntegrator)
+            vars(reference).update(vars(self))
+            want = step(reference, x, v, f, rn, dt, t, _depth)
+            got = step(self, x, v, f, rn, dt, t, _depth)
+            _assert_same_step(got, want, self, reference)
+            iters.append(got[4])
+            return got
+
+        monkeypatch.setattr(TrapezoidalIntegrator, "step", checked_step)
+        return run(scenario), iters
+
+    def test_mixed_grid_across_its_pulse(self, monkeypatch):
+        traj, iters = self.run_checked(monkeypatch, mixed_scenario(t_end=1.05))
+        assert traj.events_applied == 2
+        assert len(iters) == 1050 and max(iters) >= 2 and iters.count(0) > 900
+
+    def test_ieee39_across_its_event(self, monkeypatch):
+        sc = load_scenario(bundled_scenario_path("ieee39"))
+        sc.t_end = 1.05  # the analysis window is not read by `run`
+        traj, iters = self.run_checked(monkeypatch, sc)
+        assert traj.events_applied == 1
+        assert iters[:1000] == [0] * 1000 and min(iters[1000:]) >= 1
+
+    def test_forced_halving(self, monkeypatch):
+        for cls in (TrapezoidalIntegrator, _ReferenceIntegrator):
+            monkeypatch.setattr(cls, "_newton_step", diverge_once(cls._newton_step))
+        x, v, system = TestCarriedResidual.off_equilibrium()
+        f, rn = system.residual(x, v)
+        integ, reference = TrapezoidalIntegrator(system), _ReferenceIntegrator(system)
+        want = reference.step(x, v, f, rn, 1e-3)
+        got = integ.step(x, v, f, rn, 1e-3)
+        assert integ.halvings == 1 and got[4] > 0
+        _assert_same_step(got, want, integ, reference)
 
 
 class TestRun:
@@ -185,6 +318,34 @@ class TestRun:
         traj = run(sc)
         assert (traj.newton_iters, traj.refreshes, traj.halvings) == (iters, refreshes, 0)
         assert traj.residuals == residuals
+
+    def test_solver_counts_at_the_cluster_horizon(self):
+        # `cluster ieee39` simulates EVENT_MASK_PAD + 1 samples past its
+        # window: the 1,000 steps before the event meet the tolerance at the
+        # pair they are handed; of the 1,403 after it, the first 8 take one
+        # iteration on the matrix built at the event and the rest take two
+        sc = load_scenario(bundled_scenario_path("ieee39"))
+        horizon = sc.analysis.window[1] + (simulation.EVENT_MASK_PAD + 1) * sc.dt
+        traj = run(dataclasses.replace(sc, t_end=horizon))
+        assert traj.times.size - 1 == 2403
+        assert (traj.newton_iters, traj.refreshes, traj.halvings) == (2798, 1, 0)
+        assert traj.residuals == 2800
+
+    def test_run_looks_up_step_at_every_step(self, monkeypatch):
+        # the benchmark's set-up probe swaps `TrapezoidalIntegrator.step` for
+        # a wrapper that puts the original back at its first call; a `run`
+        # that kept the method it found first would call the wrapper again
+        original = TrapezoidalIntegrator.step
+        calls = []
+
+        def first_step(self, *args, **kwargs):
+            calls.append(args)
+            TrapezoidalIntegrator.step = original
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrapezoidalIntegrator, "step", first_step)
+        traj = run(load_scenario(bundled_scenario_path("twomachine")))
+        assert len(calls) == 1 and traj.times.size > 2
 
     def test_algebraic_residuals_at_accepted_steps(self):
         # the load pulse is restored exactly, so outside the 10 ms pulse the
@@ -307,16 +468,9 @@ class TestRun:
     def test_halvings_are_counted_and_logged(self, monkeypatch, caplog):
         # the first Newton solve diverges once: that step is halved, and
         # both halves converge
-        newton_step = TrapezoidalIntegrator._newton_step
-        failed = []
-
-        def diverge_once(self, x, v, f, rn, dt):
-            if not failed:
-                failed.append(dt)
-                raise NewtonDivergence("forced")
-            return newton_step(self, x, v, f, rn, dt)
-
-        monkeypatch.setattr(TrapezoidalIntegrator, "_newton_step", diverge_once)
+        monkeypatch.setattr(
+            TrapezoidalIntegrator, "_newton_step", diverge_once(TrapezoidalIntegrator._newton_step)
+        )
         sc = two_bus_scenario(load_p=0.4)
         sc.t_end = 0.01
         with caplog.at_level("WARNING", logger=simulation.__name__):
@@ -546,7 +700,7 @@ class TestSensitivities:
 
     def _newton(self, system, x, v):
         integ = TrapezoidalIntegrator(system)
-        return integ._jacobian(integ._pack(x, v), self.DT)
+        return integ._jacobian(x, v, self.DT)
 
     def test_state_columns_match_finite_differences(self):
         # ∂ı/∂x_k is the current rate at the unit state rate e_k: per scalar
