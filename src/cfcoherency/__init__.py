@@ -17,7 +17,6 @@ from .coherency import (
     coherency_function,
     cluster_trajectory,
     device_cf,
-    device_cf_analytic,
     device_cf_numerical,
     distance_matrix,
     numerical_cf,
@@ -74,7 +73,6 @@ __all__ = [
     "coherency_distance",
     "coherency_function",
     "device_cf",
-    "device_cf_analytic",
     "device_cf_numerical",
     "distance_matrix",
     "ibr_current_cf",

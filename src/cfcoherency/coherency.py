@@ -71,20 +71,13 @@ def device_cf_numerical(traj: Trajectory, name: str, pad: int = EVENT_MASK_PAD) 
     return CfSeries(traj.times, series.values + 1j, series.valid & traj.estimator_valid(pad))
 
 
-def device_cf_analytic(traj: Trajectory, name: str) -> CfSeries:
-    """The recorded closed-form CF; shares the trajectory's arrays, since no
+def device_cf(traj: Trajectory, name: str) -> CfSeries:
+    """Stationary-frame CF of a device's current, as `run` recorded it in
+    closed form, valid wherever it is defined (not NaN, which it is where a
+    load draws no current); shares the trajectory's arrays, since no
     CfSeries is ever written to."""
     values = traj.analytic_cf[name]
-    return CfSeries(traj.times, values, np.ones(values.size, dtype=bool))
-
-
-def device_cf(traj: Trajectory, name: str) -> CfSeries:
-    """Stationary-frame CF of a device's current: the recorded analytic series
-    where the model has a closed form, the masked estimator otherwise (mixed
-    ZIP loads)."""
-    if name in traj.analytic_cf:
-        return device_cf_analytic(traj, name)
-    return device_cf_numerical(traj, name)
+    return CfSeries(traj.times, values, ~np.isnan(values))
 
 
 def coherency_function(eta1: CfSeries, eta2: CfSeries) -> CfSeries:
@@ -404,9 +397,7 @@ def two_machine_distance(
     """∫|ε|dt between the two machines for one (alpha, beta) cell."""
     scenario = build_two_machine_scenario(alpha, beta, t_end=t_end, dt=dt)
     traj = run(scenario)
-    eps = coherency_function(
-        device_cf_analytic(traj, "SM1"), device_cf_analytic(traj, "SM2")
-    )
+    eps = coherency_function(device_cf(traj, "SM1"), device_cf(traj, "SM2"))
     return coherency_distance(eps, *default_window(traj))
 
 

@@ -15,8 +15,9 @@ from one shared computation (`derivatives` and `injected_current` give each
 alone), and the closed-form current sensitivities used to recover exact
 voltage rates (`voltage_sensitivity`: (a, b) such that dı̄ = a·dv̄ + b·dv̄* at
 fixed states, one per terminal voltage; `current_state_rate`, below).
-`Device.analytic_cf` builds every kind's current CF from the two
-sensitivities by the chain rule.
+`Device.analytic_cf` builds every source's current CF from the two
+sensitivities by the chain rule; a ZIP load's CF is the current-weighted
+mean of its parts' closed forms.
 
 Each kind is one `Device` subclass that declares its parameters (`params`),
 its states and its equations once.  The equations broadcast, so the same
@@ -65,9 +66,10 @@ def _pair(x, k: int):
 
 
 # ---------------------------------------------------------------------------
-# The paper's closed-form current CFs.  The loads' CFs are the last two; a
-# source's CF comes from `Device.analytic_cf`, which the tests check against
-# the first two.
+# The paper's closed-form current CFs.  A source's CF comes from
+# `Device.analytic_cf`, which the tests check against the first two; a ZIP
+# load's CF is the current-weighted mean of its parts' CFs, of which the last
+# two are the Z and P parts' (`ZipLoad.analytic_cf`).
 # ---------------------------------------------------------------------------
 
 def sm_current_cf(s, i_mag, xd_prime, omega_r, eta_v):
@@ -124,7 +126,6 @@ class Device:
     n_states: int = 0
     state_names: tuple[str, ...] = ()
     kind: str = "device"
-    has_analytic_cf: bool = True
     is_load: bool = False
     settable_params: tuple[str, ...] = ()
     voltage_dependent = False
@@ -257,8 +258,6 @@ class ZipParts(NamedTuple):
     sz: complex  # conjugate base power p - jq of the Z part
     si: complex  # ... of the I part
     sp: complex  # ... of the P part
-    pure_z: bool
-    pure_p: bool
 
 
 class ZipLoad(Device):
@@ -296,20 +295,6 @@ class ZipLoad(Device):
         self.kz_q, self.ki_q, self.kp_q = kz_q, ki_q, kp_q
         self.derive()
 
-    def _purity(self):
-        """Whether the load is pure Z, and whether pure P: each power it
-        draws is all of that part."""
-        no_p, no_q = self.p0 == 0.0, self.q0 == 0.0
-        pure_z = (no_p | (self.kz_p == 1.0)) & (no_q | (self.kz_q == 1.0))
-        pure_p = (no_p | (self.kp_p == 1.0)) & (no_q | (self.kp_q == 1.0))
-        return pure_z, pure_p
-
-    @property
-    def has_analytic_cf(self) -> bool:  # type: ignore[override]
-        """Pure Z and pure P loads have a closed-form CF; mixed loads do not."""
-        pure_z, pure_p = self._purity()
-        return bool(np.all(pure_z | pure_p))
-
     def derive(self) -> None:
         # once per parameter change instead of at every call
         poly_p = self.kp_p + self.ki_p * self.v0 + self.kz_p * self.v0**2
@@ -319,15 +304,12 @@ class ZipLoad(Device):
         base_q = self.q0 / np.where(poly_q == 0.0, np.inf, poly_q)
         si = base_p * self.ki_p - 1j * (base_q * self.ki_q)
         sp = base_p * self.kp_p - 1j * (base_q * self.kp_q)
-        pure_z, pure_p = self._purity()
         self.parts = ZipParts(
             base_p=base_p,
             base_q=base_q,
             sz=base_p * self.kz_p - 1j * (base_q * self.kz_q),
             si=si,
             sp=sp,
-            pure_z=pure_z,
-            pure_p=pure_p,
         )
         # some I or P part is drawn
         self.voltage_dependent = bool(np.any(si != 0.0) or np.any(sp != 0.0))
@@ -348,14 +330,18 @@ class ZipLoad(Device):
         """No states: empty derivatives, and the drawn current."""
         return np.empty(np.shape(x)), self.injected_current(x, v)
 
+    def _ip_currents(self, v):
+        """The currents that the I and P parts draw at `v`."""
+        v_mag = np.abs(v)
+        _require_magnitude(v_mag, "v", self)
+        return self.parts.si * v / v_mag, self.parts.sp / np.conj(v)
+
     def injected_current(self, x, v):
         # Split per component: the Z term never divides by the voltage.
-        parts = self.parts
-        i = -parts.sz * v
+        i = -self.parts.sz * v
         if self.voltage_dependent:
-            v_mag = np.abs(v)
-            _require_magnitude(v_mag, "v", self)
-            i = i - parts.si * v / v_mag - parts.sp / np.conj(v)
+            i_i, i_p = self._ip_currents(v)
+            i = i - i_i - i_p
         return i
 
     def voltage_sensitivity(self, x, v):
@@ -371,11 +357,18 @@ class ZipLoad(Device):
         return a, b
 
     def analytic_cf(self, x, xdot, v, i, eta_v):
-        """Closed form of pure Z and pure P loads; NaN for mixed loads."""
-        parts = self.parts
-        return np.where(
-            parts.pure_z, z_load_cf(eta_v), np.where(parts.pure_p, s_load_cf(eta_v), np.nan)
-        )
+        """The CF of a sum is the current-weighted mean of the parts' CFs:
+        η_v for the Z part, its rotation j·Im η_v for the I part and -η_v*
+        for the P part, which differ from η_v by -ρ_v and -2ρ_v.  So
+        η_i = η_v - ρ_v·(ı_I + 2ı_P)/ı, which is η_v itself for a pure Z
+        load; NaN where the load draws no current."""
+        drawn = np.abs(i) > MAGNITUDE_GUARD
+        cf = eta_v
+        if self.voltage_dependent:
+            i_i, i_p = self._ip_currents(v)
+            # ı_I and ı_P are drawn, so they enter ı with a minus sign
+            cf = eta_v + np.real(eta_v) * (i_i + 2.0 * i_p) / np.where(drawn, i, 1.0)
+        return np.where(drawn, cf, np.nan)
 
 
 class IbrFilter:

@@ -96,13 +96,10 @@ class Scenario:
         run: a positive finite step, horizon and Newton tolerance, events
         inside the horizon, unique device names, every event's device or
         load bus present, no negative scale factor or disconnected amount
-        (either would raise a draw or turn a load into a source), no
-        disconnect of more load than is left at its bus, and no load draw
-        set where that part is zero (the load would gain or lose its
-        closed-form CF during the run, while `run` picks the CFs it records
-        from the spec).  A bad event raises `EventError`,
-        which carries its index in `events`.  The analysis window, which
-        `run` does not read, is checked against the horizon at
+        (either would raise a draw or turn a load into a source) and no
+        disconnect of more load than is left at its bus.  A bad event raises
+        `EventError`, which carries its index in `events`.  The analysis
+        window, which `run` does not read, is checked against the horizon at
         construction."""
         if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
             raise ValueError("dt and t_end must be positive and finite")
@@ -129,13 +126,7 @@ class Scenario:
                         i, f"{ev}: {dev.name!r} has no settable parameter {ev.param!r}"
                     )
                 if dev.is_load:
-                    draw, k = draws[dev.name], ("p0", "q0").index(ev.param)
-                    if draw[k] == 0.0:
-                        raise EventError(
-                            i, f"{ev}: load {dev.name!r} draws no {ev.param}, so setting it "
-                            "would change whether the load has a closed-form CF"
-                        )
-                    draw[k] = ev.value
+                    draws[dev.name][("p0", "q0").index(ev.param)] = ev.value
                 out.append((ev.device, ev.param, ev.value))
                 continue
             at_bus = [d.name for d in self.devices if d.is_load and d.bus == ev.bus]
@@ -419,8 +410,8 @@ class DaeSystem:
         self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, i: np.ndarray, eta_v: np.ndarray
     ) -> np.ndarray:
         """Closed-form current CF of every device, in block order; NaN for a
-        device without one.  `xdot` and the currents `i` are what `evaluate`
-        returns at (x, v)."""
+        load that draws no current.  `xdot` and the currents `i` are what
+        `evaluate` returns at (x, v)."""
         out = []
         col = 0
         for blk in self.blocks:
@@ -759,7 +750,7 @@ def run(scenario: Scenario) -> Trajectory:
         voltages=voltages,
         currents=currents,
         states={d.name: xs[:, sl] for d, sl in zip(devices, system.slices) if d.n_states},
-        analytic_cf={d.name: cfs[i] for i, d in enumerate(devices) if d.has_analytic_cf},
+        analytic_cf={d.name: cf for d, cf in zip(devices, cfs)},
         voltage_cf=voltage_cf,
         device_names=[d.name for d in devices],
         device_buses=[d.bus for d in devices],

@@ -81,6 +81,13 @@ def mixed_scenario(t_end=3.0, with_pulse=True) -> Scenario:
     )
 
 
+def zip_load(name="ZIP", bus=2) -> ZipLoad:
+    """A load with Z, I and P parts in both powers, for `mixed_scenario`."""
+    return ZipLoad(
+        name, bus, p0=0.3, q0=0.1, kz_p=0.5, ki_p=0.3, kp_p=0.2, kz_q=0.4, ki_q=0.3, kp_q=0.3
+    )
+
+
 def state_vector(system, traj, k) -> np.ndarray:
     """The system state vector at sample k of a trajectory, placed through
     `system.slices` (the system orders states by device kind)."""

@@ -96,13 +96,12 @@ def ref_voltage_rates(system, devices, x, v, xdot):
 
 
 def ref_analytic_cf(system, devices, x, xdot, v, eta_v):
-    """Device order; NaN for a device without a closed-form CF."""
-    out = np.full(len(devices), np.nan, dtype=complex)
+    """Device order."""
+    out = np.empty(len(devices), dtype=complex)
     for k, (d, sl) in enumerate(zip(devices, system.slices)):
-        if d.has_analytic_cf:
-            vd = complex(v[d.bus])
-            i = d.injected_current(x[sl], vd)
-            out[k] = d.analytic_cf(x[sl], xdot[sl], vd, i, complex(eta_v[d.bus]))
+        vd = complex(v[d.bus])
+        i = d.injected_current(x[sl], vd)
+        out[k] = d.analytic_cf(x[sl], xdot[sl], vd, i, complex(eta_v[d.bus]))
     return out
 
 

@@ -270,9 +270,9 @@ class TestClusterCommand:
         assert main(["--out", str(tmp_path / "o"), "cluster", str(path)]) == 1
         assert "ends after t_end 3" in capsys.readouterr().err
 
-    def test_mixed_zip_load_clusters_on_estimator(self, tmp_path, capsys):
-        # a load mixing Z and P parts has no closed-form CF; it is clustered
-        # on the finite-difference estimate instead
+    def test_mixed_zip_load_clusters_on_its_closed_form_cf(self, tmp_path, capsys):
+        # a load mixing Z and P parts is clustered on its recorded CF, the
+        # current-weighted mean of its parts' CFs
         doc = json.loads(bundled_scenario_path("twomachine").read_text())
         doc["devices"][2].update(kz_p=0.5, kp_p=0.5)
         doc["analysis"]["cluster_devices"] = ["SM1", "SM2", "LOAD"]
@@ -301,7 +301,7 @@ class TestClusterHorizonCut:
         # past its end, before any later event; the files and the observer
         # line equal those of the same scenario run to t_end
         doc = json.loads(small_scenario.read_text())
-        doc["devices"][1].update(kz_p=0.5, kp_p=0.5)  # clustered on the estimator
+        doc["devices"][1].update(kz_p=0.5, kp_p=0.5)  # a mixed ZIP load
         doc["devices"].append(
             {"type": "sm", "name": "G2", "bus": 1, "inertia": 4.0, "xd_prime": 0.2,
              "damping": 0.5, "p": 0.25}
@@ -451,7 +451,7 @@ class TestCsvCells:
 
     def test_run_and_cf_outputs(self, small_scenario, tmp_path):
         doc = json.loads(small_scenario.read_text())
-        doc["devices"][1].update(kz_p=0.5, kp_p=0.5)  # one CF from the estimator
+        doc["devices"][1].update(kz_p=0.5, kp_p=0.5)  # a mixed ZIP load
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"

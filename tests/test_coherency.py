@@ -9,7 +9,6 @@ from cfcoherency import (
     coherency_distance,
     coherency_function,
     device_cf,
-    device_cf_analytic,
     device_cf_numerical,
     distance_matrix,
     numerical_cf,
@@ -17,7 +16,7 @@ from cfcoherency import (
 from cfcoherency.coherency import build_two_machine_scenario, default_window
 from cfcoherency.errors import EmptyWindow, MagnitudeUnderflow, TimeBaseMismatch
 from cfcoherency.simulation import run
-from tests.conftest import OMEGA_B, mixed_scenario
+from tests.conftest import OMEGA_B, mixed_scenario, zip_load
 
 
 def series(values, dt=1e-3, valid=None):
@@ -107,9 +106,7 @@ class TestCoherencyFunction:
         sc = mixed_scenario(t_end=2.0)
         sc.devices[4].bus = 1  # move the S-load onto the Z-load bus
         traj = run(sc)
-        eps = coherency_function(
-            device_cf_analytic(traj, "ZL"), device_cf_analytic(traj, "SL")
-        )
+        eps = coherency_function(device_cf(traj, "ZL"), device_cf(traj, "SL"))
         bus = traj.device_buses[traj.device_names.index("ZL")]
         rho_v = traj.voltage_cf[:, bus].real
         assert np.max(np.abs(eps.values - 2.0 * rho_v)) < 1e-12
@@ -166,19 +163,22 @@ def pairwise_distance_matrix(cfs, window, component="full"):
 
 @pytest.fixture(scope="module")
 def mixed_zip_trajectory():
-    # ZL becomes a mixed ZIP load, whose CF is the masked estimator
+    # ZL becomes a mixed ZIP load
     sc = mixed_scenario(t_end=1.2)
     sc.devices[3] = ZipLoad("ZL", 1, p0=1.0, q0=0.3, kz_p=0.5, kp_p=0.5)
     return run(sc)
 
 
 def masked_mix(traj):
-    """Analytic series, the mixed load's estimator, and estimators with two
-    other pads: four validity masks in interleaved label order."""
+    """Each device's analytic series and its estimator with a pad of 1 to
+    3, but ZL's estimator, with the default pad, in place of both: four
+    validity masks in interleaved label order."""
     cfs = {}
     for name in traj.device_names:
-        cfs[name] = device_cf(traj, name)
-        if name in traj.analytic_cf:
+        if name == "ZL":
+            cfs[name] = device_cf_numerical(traj, name)
+        else:
+            cfs[name] = device_cf(traj, name)
             cfs[f"{name}~"] = device_cf_numerical(traj, name, pad=1 + len(cfs) % 3)
     return cfs
 
@@ -193,7 +193,6 @@ class TestDistanceMatrix:
         self, mixed_zip_trajectory, window, component
     ):
         cfs = masked_mix(mixed_zip_trajectory)
-        assert "ZL" not in mixed_zip_trajectory.analytic_cf
         assert len({cf.valid.tobytes() for cf in cfs.values()}) == 4
         got = distance_matrix(cfs, window, component).values
         want = pairwise_distance_matrix(cfs, window, component)
@@ -343,11 +342,12 @@ class TestAlphaBetaSweep:
 class TestDeviceCfHelpers:
     def test_numerical_matches_analytic_on_transient(self):
         sc = mixed_scenario(t_end=2.5)
+        sc.devices.append(zip_load())
         traj = run(sc)
         tol = max(1e-4, 10 * traj.dt**2 * traj.omega_base)
-        for name in ("SM", "GFL", "GFM", "ZL", "SL"):
+        for name in ("SM", "GFL", "GFM", "ZL", "SL", "ZIP"):
             eps = coherency_function(
-                device_cf_analytic(traj, name), device_cf_numerical(traj, name)
+                device_cf(traj, name), device_cf_numerical(traj, name)
             )
             assert np.max(np.abs(eps.values[eps.valid])) < tol, name
 

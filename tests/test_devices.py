@@ -4,6 +4,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfcoherency import (
     Bus,
@@ -127,12 +129,43 @@ class TestZipLoad:
         with pytest.raises(ValueError):
             ZipLoad("L", 0, p0=1.0, q0=0.0, kz_p=0.5, ki_p=0.3, kp_p=0.3)
 
-    def test_mixed_zip_has_no_closed_form_cf(self):
-        load = ZipLoad("L", 0, p0=1.0, q0=0.2, kz_p=0.5, ki_p=0.3, kp_p=0.2)
-        assert not load.has_analytic_cf
-        v = 1.0 + 0j
-        i = load.injected_current(np.empty(0), v)
-        assert np.isnan(load.analytic_cf(np.empty(0), np.empty(0), v, i, 1j))
+    @given(
+        fractions=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+        p0=st.floats(0.01, 2.0),
+        q0=st.floats(-1.0, 1.0),
+        v0=st.floats(0.9, 1.1),
+        v_mag=st.floats(0.5, 1.5),
+        v_angle=st.floats(-np.pi, np.pi),
+        rho=st.floats(-0.1, 0.1),
+        omega=st.floats(0.9, 1.1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cf_is_the_chain_rule_through_the_sensitivities(
+        self, fractions, p0, q0, v0, v_mag, v_angle, rho, omega
+    ):
+        # dı/dt = a·v̇ + b·v̇* with v̇/ω_b = (η_v - j)·v̄: the load has no states
+        kz_p, ki_p, kz_q, ki_q = fractions
+        ki_p *= 1.0 - kz_p
+        ki_q *= 1.0 - kz_q
+        load = ZipLoad("L", 0, p0=p0, q0=q0, kz_p=kz_p, ki_p=ki_p, kp_p=1.0 - kz_p - ki_p,
+                       kz_q=kz_q, ki_q=ki_q, kp_q=1.0 - kz_q - ki_q)
+        load.v0 = v0
+        load.derive()
+        x = np.empty(0)
+        v = cmath.rect(v_mag, v_angle)
+        eta_v = complex(rho, omega)
+        i = load.injected_current(x, v)
+        a, b = load.voltage_sensitivity(x, v)
+        w = (eta_v - 1j) * v
+        want = (a * w + b * np.conj(w)) / i + 1j
+        assert abs(load.analytic_cf(x, x, v, i, eta_v) - want) <= 1e-12 * abs(want)
+
+        pure_z = ZipLoad("Z", 0, p0=p0, q0=q0)
+        i = pure_z.injected_current(x, v)
+        assert pure_z.analytic_cf(x, x, v, i, eta_v) == z_load_cf(eta_v)
+        pure_p = ZipLoad("P", 0, p0=p0, q0=q0, kz_p=0.0, kp_p=1.0, kz_q=0.0, kp_q=1.0)
+        i = pure_p.injected_current(x, v)
+        assert abs(pure_p.analytic_cf(x, x, v, i, eta_v) - s_load_cf(eta_v)) <= 1e-15
 
     def test_constant_power_guard(self):
         load = ZipLoad("L", 0, p0=1.0, q0=0.0, kz_p=0.0, kp_p=1.0)

@@ -20,9 +20,9 @@ from cfcoherency import (
     sm_current_cf,
 )
 from cfcoherency import simulation
-from cfcoherency.coherency import build_two_machine_scenario
+from cfcoherency.coherency import build_two_machine_scenario, cluster_trajectory, device_cf
 from cfcoherency.devices import Device
-from cfcoherency.errors import EventError, NewtonDivergence
+from cfcoherency.errors import EmptyWindow, EventError, NewtonDivergence
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import (
     DaeSystem,
@@ -48,7 +48,6 @@ class _LinearTestDevice(Device):
     n_states = 1
     state_names = ("x",)
     kind = "test"
-    has_analytic_cf = False
 
     def __init__(self, lam):
         super().__init__("lin", 0)
@@ -435,6 +434,22 @@ class TestRun:
         assert blk.p0[row] == pytest.approx(2.06 * factor, rel=1e-12)
         assert blk.q0[row] / blk.p0[row] == pytest.approx(0.276 / 2.06, rel=1e-12)
 
+    def test_fully_disconnected_load_has_no_cf(self):
+        # all of ZL's 100 MW goes; the S-load keeps the load block voltage
+        # dependent, so the zero current also meets the I and P terms
+        sc = mixed_scenario(t_end=0.1, with_pulse=False)
+        sc.events = [Event(0.05, "load_disconnect_mw", bus=1, amount=100.0)]
+        traj = run(sc)
+        k = traj.sample_index(0.05)
+        cf = traj.analytic_cf["ZL"]
+        assert np.all(np.isfinite(cf[:k].view(float)))
+        assert np.all(np.isnan(cf[k:]))
+        assert np.all(traj.device_current("ZL")[k:] == 0.0)
+        # so distances with ZL leave out the samples after the disconnect
+        assert np.array_equal(device_cf(traj, "ZL").valid, np.arange(cf.size) < k)
+        with pytest.raises(EmptyWindow, match="holds 0 usable sample"):
+            cluster_trajectory(traj, 2, ["SM", "ZL"], (0.06, 0.1))
+
     def test_set_parameter_event(self):
         sc = two_bus_scenario(load_p=0.4)
         sc.t_end = 0.3
@@ -546,14 +561,8 @@ class TestEventChecks:
             (Event(0.1, "load_scale", bus=0, factor=1.1), "no load at bus 1"),
             (Event(0.1, "load_disconnect_mw", bus=1, amount=41.0),
              "cannot disconnect 41 MW from the 40.0 MW left at bus 2"),
-            (Event(0.1, "set_parameter", device="LOAD", param="q0", value=0.1),
-             "load 'LOAD' draws no q0, so setting it would change whether the load has "
-             "a closed-form CF"),
         ],
-        ids=[
-            "unknown_device", "not_settable", "bus_without_load", "oversized_disconnect",
-            "draw_without_base",
-        ],
+        ids=["unknown_device", "not_settable", "bus_without_load", "oversized_disconnect"],
     )
     def test_bad_target_raises_at_construction(self, event, message):
         with pytest.raises(ValueError, match=message):
@@ -604,6 +613,21 @@ class TestEventChecks:
         with pytest.raises(EventError, match=message) as err:
             run(sc)
         assert err.value.index == 1
+
+    def test_zero_draw_may_be_set(self):
+        # q0 is zero until the event sets it; all of it is a P part, so the
+        # load turns voltage dependent and draws exactly that from then on
+        sc = dataclasses.replace(
+            two_bus_scenario(load_p=0.4, kz_q=0.0, kp_q=1.0),
+            events=[Event(0.1, "set_parameter", device="LOAD", param="q0", value=0.1)],
+            t_end=0.2,
+        )
+        traj = run(sc)
+        k = traj.sample_index(0.1)
+        q = -(traj.voltages[:, 1] * np.conj(traj.device_current("LOAD"))).imag
+        assert np.max(np.abs(q[:k])) < 1e-15
+        assert np.max(np.abs(q[k:] - 0.1)) < 1e-15
+        assert np.all(np.isfinite(traj.analytic_cf["LOAD"].view(float)))
 
     def test_integer_draws_are_replayed_as_floats(self):
         sc = two_bus_scenario(load_p=0.4)
