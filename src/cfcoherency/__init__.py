@@ -12,7 +12,6 @@ from .coherency import (
     CoherencyDistanceMatrix,
     ObservationPoint,
     alpha_beta_sweep,
-    build_two_machine_scenario,
     coherency_distance,
     coherency_function,
     cluster_trajectory,
@@ -21,6 +20,7 @@ from .coherency import (
     distance_matrix,
     numerical_cf,
     observer_independence_check,
+    split_machines,
     upgma_tree,
 )
 from .devices import (
@@ -68,7 +68,6 @@ __all__ = [
     "ZipLoad",
     "alpha_beta_sweep",
     "build_admittance",
-    "build_two_machine_scenario",
     "cluster_trajectory",
     "coherency_distance",
     "coherency_function",
@@ -84,6 +83,7 @@ __all__ = [
     "run",
     "s_load_cf",
     "sm_current_cf",
+    "split_machines",
     "unwrap_phase",
     "upgma_tree",
     "z_load_cf",

@@ -169,18 +169,19 @@ def _parse_grid(args) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_sweep(args) -> int:
+    """Split the scenario's two machines at every grid cell and write each
+    cell's coherency distance to sweep.csv; a template that cannot be split
+    is rejected before any cell runs."""
     scenario = _load(args)
-    sm_count = sum(1 for d in scenario.devices if d.kind == "sm")
-    if sm_count != 2 or scenario.network.n_bus != 1:
-        raise SchemaError("$", "sweep needs the single-bus two-machine template scenario")
     alphas, betas = _parse_grid(args)
     if args.workers < 1:
         raise SchemaError("--workers", f"need at least 1 worker, got {args.workers}")
+    try:
+        result = alpha_beta_sweep(scenario, alphas, betas, workers=args.workers)
+    except ValueError as exc:
+        raise SchemaError("$", str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = alpha_beta_sweep(
-        alphas, betas, t_end=scenario.t_end, dt=scenario.dt, workers=args.workers
-    )
     _write_csv(
         out / "sweep.csv",
         ["alpha\\beta"] + [FLOAT % b for b in betas],

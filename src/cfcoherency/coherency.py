@@ -1,18 +1,21 @@
 """CF estimation from sampled trajectories, the coherency function, the
 integral distance metric, average-linkage grouping, observer-independence
-verification, and the two-machine parameter sweep."""
+verification, and the two-machine parameter sweep, which splits the two
+machines of a template scenario."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import SynchronousMachine, ZipLoad
+from .devices import SynchronousMachine
 from .errors import EmptyWindow, MagnitudeUnderflow, TimeBaseMismatch
-from .network import Bus, Network, power_contribution
+from .network import Network, power_contribution
 from .primitives import MAGNITUDE_GUARD, unwrap_phase
-from .simulation import EVENT_MASK_PAD, AnalysisOptions, Event, Scenario, Trajectory, run
+from .simulation import EVENT_MASK_PAD, Scenario, Trajectory, run
 
 # The distance window opens this many samples after the last event.
 WINDOW_START_SAMPLES = 5
@@ -336,75 +339,53 @@ def observer_independence_check(
 # Two-machine sweep
 # ---------------------------------------------------------------------------
 
-TWO_MACHINE_TOTAL_INERTIA = 10.0  # s
-TWO_MACHINE_TOTAL_REACTANCE = 0.1  # pu
-TWO_MACHINE_TOTAL_CURRENT = 1.0  # pu
+def _machine_pair(scenario: Scenario) -> tuple[SynchronousMachine, SynchronousMachine]:
+    """The two synchronous machines of a sweep template, in scenario order;
+    raises `ValueError` unless there are exactly two on a single-bus grid."""
+    machines = [d for d in scenario.devices if d.kind == "sm"]
+    if len(machines) != 2 or scenario.network.n_bus != 1:
+        raise ValueError("the sweep needs two synchronous machines on a single-bus grid")
+    return machines[0], machines[1]
 
 
-def build_two_machine_scenario(
-    alpha: float,
-    beta: float,
-    t_end: float = 3.0,
-    dt: float = 1e-3,
-    omega_base: float = 2.0 * np.pi * 60.0,
-    pulse_time: float = 1.0,
-    pulse_duration: float = 0.01,
-    pulse_factor: float = 1.1,
-    load_power_factor: float = 0.9,
-) -> Scenario:
-    """Single node with two classical machines and an impedance load.
+def split_machines(scenario: Scenario, alpha: float, beta: float) -> Scenario:
+    """The scenario with its two machines' total inertia and dispatch `p`
+    split alpha : 1 - alpha and their total x'_d split beta : 1 - beta.
 
-    alpha splits the total inertia, beta the total reactance; dispatch is
-    proportional to inertia, so the initial current magnitudes also split as
-    alpha (the load draws 1 pu apparent power at 1 pu voltage).  The load
-    pulse perturbs the node and is removed to restore the pre-event
-    condition.
+    Every other device and field is the scenario's own, and so is every
+    other machine parameter (name, bus, damping, omega_base, q_weight).
+    Dispatch follows inertia, so the machines are coherent exactly on the
+    line alpha = 1 - beta, where each machine's share of the inertia equals
+    its share of the admittance 1/x'_d.
     """
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
+    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):  # NaN fails too
         raise ValueError("alpha and beta must lie strictly inside (0, 1)")
-    net = Network([Bus(0, kind="slack", v_set=1.0, label=1)], [])
-    m1 = TWO_MACHINE_TOTAL_INERTIA * alpha
-    m2 = TWO_MACHINE_TOTAL_INERTIA * (1.0 - alpha)
-    x1 = TWO_MACHINE_TOTAL_REACTANCE * beta
-    x2 = TWO_MACHINE_TOTAL_REACTANCE * (1.0 - beta)
-    p_load = TWO_MACHINE_TOTAL_CURRENT * load_power_factor
-    q_load = TWO_MACHINE_TOTAL_CURRENT * float(np.sqrt(1.0 - load_power_factor**2))
-    devices = [
-        SynchronousMachine("SM1", 0, inertia=m1, xd_prime=x1, omega_base=omega_base, p=alpha),
-        SynchronousMachine(
-            "SM2", 0, inertia=m2, xd_prime=x2, omega_base=omega_base, p=1.0 - alpha
-        ),
-        ZipLoad("LOAD", 0, p0=p_load, q0=q_load),
-    ]
-    events = [
-        Event(pulse_time, "load_scale", bus=0, factor=pulse_factor),
-        Event(pulse_time + pulse_duration, "load_scale", bus=0, factor=1.0 / pulse_factor),
-    ]
-    return Scenario(
-        network=net,
-        devices=devices,
-        events=events,
-        t_end=t_end,
-        dt=dt,
-        omega_base=omega_base,
-        analysis=AnalysisOptions(k_clusters=2, cluster_devices=["SM1", "SM2"]),
-    )
+    first, second = _machine_pair(scenario)
+    inertia = first.inertia + second.inertia
+    xd_prime = first.xd_prime + second.xd_prime
+    p = first.p + second.p
+    split = {}
+    for machine, a, b in ((first, alpha, beta), (second, 1.0 - alpha, 1.0 - beta)):
+        new = copy.copy(machine)
+        new.inertia, new.xd_prime, new.p = inertia * a, xd_prime * b, p * a
+        split[machine.name] = new
+    devices = [split.get(d.name, d) for d in scenario.devices]
+    return dataclasses.replace(scenario, devices=devices)
 
 
-def two_machine_distance(
-    alpha: float, beta: float, t_end: float = 3.0, dt: float = 1e-3
-) -> float:
-    """∫|ε|dt between the two machines for one (alpha, beta) cell."""
-    scenario = build_two_machine_scenario(alpha, beta, t_end=t_end, dt=dt)
-    traj = run(scenario)
-    eps = coherency_function(device_cf(traj, "SM1"), device_cf(traj, "SM2"))
-    return coherency_distance(eps, *default_window(traj))
+def two_machine_distance(scenario: Scenario, alpha: float, beta: float) -> float:
+    """∫|ε|dt between the two machines of `split_machines(scenario, alpha,
+    beta)`, over the scenario's analysis window or else `default_window`."""
+    traj = run(split_machines(scenario, alpha, beta))
+    first, second = (machine.name for machine in _machine_pair(scenario))
+    eps = coherency_function(device_cf(traj, first), device_cf(traj, second))
+    return coherency_distance(eps, *(scenario.analysis.window or default_window(traj)))
 
 
-def _sweep_cell(cell: tuple[int, int, float, float, float, float]):
-    ia, ib, alpha, beta, t_end, dt = cell
+def _sweep_cell(cell: tuple[int, int, float, float, Scenario]):
+    ia, ib, alpha, beta, scenario = cell
     try:
-        return ia, ib, two_machine_distance(alpha, beta, t_end=t_end, dt=dt), ""
+        return ia, ib, two_machine_distance(scenario, alpha, beta), ""
     except Exception as exc:  # cell failures are recorded, not fatal
         return ia, ib, float("nan"), f"{type(exc).__name__}: {exc}"
 
@@ -417,25 +398,22 @@ class SweepResult:
     failures: list[tuple[float, float, str]] = field(default_factory=list)
 
 
-def alpha_beta_sweep(
-    alphas,
-    betas,
-    t_end: float = 3.0,
-    dt: float = 1e-3,
-    workers: int = 1,
-) -> SweepResult:
-    """Coherency distance over an (alpha, beta) grid.
+def alpha_beta_sweep(scenario: Scenario, alphas, betas, workers: int = 1) -> SweepResult:
+    """`two_machine_distance` of the template `scenario` over an (alpha,
+    beta) grid.
 
-    Cells are independent and may run in parallel; results are merged by
-    index so the output does not depend on scheduling.
+    The grid and the template are checked once, before any cell runs, and
+    raise `ValueError`.  Cells are independent and may run in parallel;
+    results are merged by index so the output does not depend on scheduling.
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     grid = np.concatenate([alphas, betas])
     if not np.all((grid > 0.0) & (grid < 1.0)):  # NaN fails too
         raise ValueError("grid values must lie strictly inside (0, 1)")
+    _machine_pair(scenario)
     cells = [
-        (ia, ib, float(a), float(b), t_end, dt)
+        (ia, ib, float(a), float(b), scenario)
         for ia, a in enumerate(alphas)
         for ib, b in enumerate(betas)
     ]

@@ -172,9 +172,9 @@ class Device:
         closed-form sensitivities by the chain rule dı̄/dt =
         `current_state_rate` + a·dv̄/dt + b·(dv̄/dt)*, with (a, b) from
         `voltage_sensitivity` and dv̄/dt = ω_b·(η_v - j)·v̄ from `eta_v`.
-        `xdot` and `i` are what `evaluate` returns at (x, v).  Reads the
-        kind's `omega_base`."""
-        _require_magnitude(np.abs(i), "i", self)
+        `xdot` and `i` are what `evaluate` returns at (x, v), with no zero
+        in `i` (`DaeSystem.analytic_cf` masks those).  Reads the kind's
+        `omega_base`."""
         a, b = self.voltage_sensitivity(x, v)
         v_dot = self.omega_base * (eta_v - 1j) * v
         i_dot = self.current_state_rate(x, xdot, v) + a * v_dot + b * np.conj(v_dot)
@@ -361,14 +361,12 @@ class ZipLoad(Device):
         η_v for the Z part, its rotation j·Im η_v for the I part and -η_v*
         for the P part, which differ from η_v by -ρ_v and -2ρ_v.  So
         η_i = η_v - ρ_v·(ı_I + 2ı_P)/ı, which is η_v itself for a pure Z
-        load; NaN where the load draws no current."""
-        drawn = np.abs(i) > MAGNITUDE_GUARD
-        cf = eta_v
-        if self.voltage_dependent:
-            i_i, i_p = self._ip_currents(v)
-            # ı_I and ı_P are drawn, so they enter ı with a minus sign
-            cf = eta_v + np.real(eta_v) * (i_i + 2.0 * i_p) / np.where(drawn, i, 1.0)
-        return np.where(drawn, cf, np.nan)
+        load."""
+        if not self.voltage_dependent:
+            return eta_v
+        i_i, i_p = self._ip_currents(v)
+        # ı_I and ı_P are drawn, so they enter ı with a minus sign
+        return eta_v + np.real(eta_v) * (i_i + 2.0 * i_p) / i
 
 
 class IbrFilter:

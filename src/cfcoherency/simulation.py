@@ -19,6 +19,7 @@ import numpy as np
 from .devices import Device
 from .errors import EventError, InfeasibleInit, NewtonDivergence, NonConvergence
 from .network import Network
+from .primitives import MAGNITUDE_GUARD
 
 log = logging.getLogger(__name__)
 
@@ -410,8 +411,11 @@ class DaeSystem:
         self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, i: np.ndarray, eta_v: np.ndarray
     ) -> np.ndarray:
         """Closed-form current CF of every device, in block order; NaN for a
-        load that draws no current.  `xdot` and the currents `i` are what
-        `evaluate` returns at (x, v)."""
+        device whose current is at or below the magnitude guard, whether a
+        load that draws none or a source that injects none.  `xdot` and the
+        currents `i` are what `evaluate` returns at (x, v)."""
+        live = np.abs(i) > MAGNITUDE_GUARD
+        i = np.where(live, i, 1.0)  # the blocks divide by it
         out = []
         col = 0
         for blk in self.blocks:
@@ -420,7 +424,7 @@ class DaeSystem:
             i_b = i[..., col : col + blk.n]
             out.append(blk.analytic_cf(xb, xdot_b, vb, i_b, eta_v[..., blk.bus]))
             col += blk.n
-        return np.concatenate(out, axis=-1)
+        return np.where(live, np.concatenate(out, axis=-1), np.nan)
 
     def voltage_cf(self, v: np.ndarray, vdot: np.ndarray) -> np.ndarray:
         """Stationary-frame CF of every bus voltage, per unit."""

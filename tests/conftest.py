@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from cfcoherency import (
     Scenario,
     SynchronousMachine,
     ZipLoad,
+    split_machines,
 )
+from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import FD_STEP
 
 OMEGA_B = 2.0 * np.pi * 60.0
@@ -34,6 +37,13 @@ def two_bus_scenario(load_p=0.1, load_q=0.0, x_line=0.1, **load_fracs) -> Scenar
         ZipLoad("LOAD", 1, p0=load_p, q0=load_q, **load_fracs),
     ]
     return Scenario(network=net, devices=devices, t_end=1.0, dt=1e-3, omega_base=OMEGA_B)
+
+
+def two_machine(alpha: float | None = None, beta: float | None = None, **changes) -> Scenario:
+    """The bundled two-machine scenario with `changes` to its fields, and
+    its machines split (alpha, beta) by `split_machines` when both are given."""
+    scenario = dataclasses.replace(load_scenario(bundled_scenario_path("twomachine")), **changes)
+    return scenario if alpha is None else split_machines(scenario, alpha, beta)
 
 
 def mixed_scenario(t_end=3.0, with_pulse=True) -> Scenario:
@@ -131,6 +141,4 @@ def device_fd_blocks(dev, x_d: np.ndarray, vb: complex):
 
 @pytest.fixture(scope="session")
 def bundled_ieee39():
-    from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
-
     return load_scenario(bundled_scenario_path("ieee39"))

@@ -21,16 +21,12 @@ from cfcoherency import (
     numerical_cf,
     observer_independence_check,
 )
-from cfcoherency.coherency import (
-    build_two_machine_scenario,
-    default_window,
-    two_machine_distance,
-)
+from cfcoherency.coherency import default_window, two_machine_distance
 from cfcoherency.devices import ibr_current_cf, sm_current_cf
 from cfcoherency.network import power_contribution
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import run
-from tests.conftest import OMEGA_B, mixed_scenario, zip_load
+from tests.conftest import OMEGA_B, mixed_scenario, two_machine, zip_load
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -65,8 +61,9 @@ def ieee39_mod_run():
 class TestCriterion1TwoMachineValley:
     def test_perfect_coherency_line_and_contrast(self):
         t0 = time.perf_counter()
-        on_line = {a: two_machine_distance(a, 1.0 - a, t_end=3.0) for a in (0.3, 0.5, 0.7)}
-        off_line = {a: two_machine_distance(a, a, t_end=3.0) for a in (0.3, 0.7)}
+        sc = two_machine(t_end=3.0)
+        on_line = {a: two_machine_distance(sc, a, 1.0 - a) for a in (0.3, 0.5, 0.7)}
+        off_line = {a: two_machine_distance(sc, a, a) for a in (0.3, 0.7)}
         wall = time.perf_counter() - t0
         ok = all(v < 1e-6 for v in on_line.values())
         ok &= all(off_line[a] >= 100.0 * on_line[a] and off_line[a] > 0 for a in off_line)
@@ -84,7 +81,7 @@ class TestCriterion2SmCondition:
     ALPHA = 0.05
 
     def _max_eps(self, modify=None) -> float:
-        sc = build_two_machine_scenario(self.ALPHA, 1.0 - self.ALPHA, t_end=3.0)
+        sc = two_machine(self.ALPHA, 1.0 - self.ALPHA, t_end=3.0)
         if modify:
             modify(sc)
         traj = run(sc)
@@ -312,7 +309,7 @@ class TestCriterion7Properties:
 
     def test_integrator_second_order(self):
         def endpoint(dt):
-            sc = build_two_machine_scenario(0.3, 0.3, t_end=1.5, dt=dt)
+            sc = two_machine(0.3, 0.3, t_end=1.5, dt=dt)
             traj = run(sc)
             return np.concatenate([traj.states["SM1"][-1], traj.states["SM2"][-1]])
 

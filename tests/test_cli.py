@@ -412,9 +412,64 @@ class TestSweepCommand:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_wrong_template_rejected(self, small_scenario, tmp_path):
+    def test_wrong_template_rejected(self, small_scenario, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran a cell of a template that cannot be split")
+
+        monkeypatch.setattr("cfcoherency.coherency.two_machine_distance", fail)
         code = main(["--out", str(tmp_path / "o"), "sweep", str(small_scenario)])
         assert code == 1
+        assert "error: $: the sweep needs two synchronous machines" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def cell(tmp_path, scenario, *flags) -> bytes:
+        """sweep.csv of the one cell (0.3, 0.3) of `scenario` over 2 s."""
+        out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        args = ["--out", str(out), "--t-end", "2", *flags, "sweep", str(scenario)]
+        assert main(args + ["--alpha", "0.3", "--beta", "0.3"]) == 0
+        return (out / "sweep.csv").read_bytes()
+
+    @staticmethod
+    def edited(tmp_path, edit) -> Path:
+        """A copy of the bundled two-machine file, changed by `edit`."""
+        doc = json.loads(bundled_scenario_path("twomachine").read_text(encoding="utf-8"))
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def value(csv: bytes) -> float:
+        return float(csv.decode().splitlines()[1].split(",")[1])
+
+    def test_cells_honour_the_file(self, tmp_path):
+        def edit(doc):
+            for machine in doc["devices"][:2]:
+                machine["damping"] = 20.0
+            doc["simulation"]["tolerance"] = 1e-10
+            doc["events"][0]["factor"] = 1.5
+            doc["events"][1]["factor"] = 1.0 / 1.5
+
+        bundled = self.value(self.cell(tmp_path, bundled_scenario_path("twomachine")))
+        changed = self.value(self.cell(tmp_path, self.edited(tmp_path, edit)))
+        assert np.isfinite(changed) and changed != bundled
+
+    def test_cells_honour_the_window(self, tmp_path):
+        path = bundled_scenario_path("twomachine")
+        whole = self.value(self.cell(tmp_path, path))
+        part = self.value(self.cell(tmp_path, path, "--window", "1.5", "2"))
+        # the default window opens just after the pulse, so [1.5, 2] is inside it
+        assert 0.0 < part < whole
+
+    @pytest.mark.parametrize("inertias, same", [((3.0, 7.0), True), ((2.0, 2.0), False)])
+    def test_the_total_inertia_is_split(self, tmp_path, inertias, same):
+        def edit(doc):
+            for machine, inertia in zip(doc["devices"], inertias):
+                machine["inertia"] = inertia
+
+        bundled = self.cell(tmp_path, bundled_scenario_path("twomachine"))
+        assert (self.cell(tmp_path, self.edited(tmp_path, edit)) == bundled) == same
 
     def test_workers_give_identical_output(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -2,9 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfcoherency import (
+    AnalysisOptions,
+    Bus,
     CfSeries,
+    Event,
+    Network,
+    Scenario,
+    SynchronousMachine,
     ZipLoad,
     coherency_distance,
     coherency_function,
@@ -12,11 +20,12 @@ from cfcoherency import (
     device_cf_numerical,
     distance_matrix,
     numerical_cf,
+    split_machines,
 )
-from cfcoherency.coherency import build_two_machine_scenario, default_window
+from cfcoherency.coherency import default_window
 from cfcoherency.errors import EmptyWindow, MagnitudeUnderflow, TimeBaseMismatch
 from cfcoherency.simulation import run
-from tests.conftest import OMEGA_B, mixed_scenario, zip_load
+from tests.conftest import OMEGA_B, mixed_scenario, two_bus_scenario, two_machine, zip_load
 
 
 def series(values, dt=1e-3, valid=None):
@@ -281,7 +290,7 @@ class TestComplexProportionality:
     def test_coherent_pair_current_ratio_constant(self):
         # over the pulse transient of a perfectly coherent pair the squared
         # current magnitudes keep a fixed ratio
-        sc = build_two_machine_scenario(0.3, 0.7, t_end=2.5)
+        sc = two_machine(0.3, 0.7, t_end=2.5)
         traj = run(sc)
         i1 = np.abs(traj.device_current("SM1")) ** 2
         i2 = np.abs(traj.device_current("SM2")) ** 2
@@ -289,7 +298,7 @@ class TestComplexProportionality:
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-8
 
     def test_coherent_pair_power_ratio_constant_and_real(self):
-        sc = build_two_machine_scenario(0.4, 0.6, t_end=2.5)
+        sc = two_machine(0.4, 0.6, t_end=2.5)
         traj = run(sc)
         bus = traj.device_buses[0]
         v = traj.voltages[:, bus]
@@ -300,13 +309,91 @@ class TestComplexProportionality:
         assert abs(ratio[0].imag) < 1e-10
 
 
+share = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+positive = st.floats(1e-3, 1e3)
+
+
+def machine_pair_template(inertia, xd_prime, p, damping, q_weight) -> Scenario:
+    """A single-bus grid with the load listed between two machines, whose
+    parameters are the given pairs."""
+    devices = [
+        SynchronousMachine(
+            name, 0, inertia=inertia[k], xd_prime=xd_prime[k], omega_base=OMEGA_B,
+            damping=damping[k], p=p[k], q_weight=q_weight[k],
+        )
+        for k, name in enumerate(("A", "B"))
+    ]
+    devices.insert(1, ZipLoad("L", 0, p0=1.0, q0=0.2))
+    return Scenario(
+        network=Network([Bus(0, kind="slack", v_set=1.0, label=1)], []),
+        devices=devices,
+        events=[Event(0.5, "load_scale", bus=0, factor=1.1)],
+        t_end=2.0,
+        dt=2e-3,
+        tolerance=1e-9,
+        omega_base=OMEGA_B,
+        analysis=AnalysisOptions(window=(1.0, 2.0)),
+    )
+
+
+class TestSplitMachines:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        share, share,
+        st.tuples(positive, positive), st.tuples(positive, positive),
+        st.tuples(positive, positive), st.tuples(positive, positive),
+        st.tuples(st.none() | positive, st.none() | positive),
+    )
+    def test_totals_split_and_the_rest_kept(self, alpha, beta, inertia, xd_prime, p, damping,
+                                            q_weight):
+        sc = machine_pair_template(inertia, xd_prime, p, damping, q_weight)
+        out = split_machines(sc, alpha, beta)
+        a, load, b = out.devices
+        assert load is sc.devices[1]
+        for machine, ia, ib in ((a, alpha, beta), (b, 1.0 - alpha, 1.0 - beta)):
+            assert machine.inertia == (inertia[0] + inertia[1]) * ia
+            assert machine.xd_prime == (xd_prime[0] + xd_prime[1]) * ib
+            assert machine.p == (p[0] + p[1]) * ia
+        for machine, given_machine in ((a, sc.devices[0]), (b, sc.devices[2])):
+            assert machine is not given_machine
+            assert machine.name == given_machine.name and machine.bus == given_machine.bus
+            assert machine.damping == given_machine.damping
+            assert machine.q_weight == given_machine.q_weight
+            assert machine.omega_base == given_machine.omega_base
+        # the template itself is left as it was
+        assert sc.devices[0].inertia == inertia[0] and sc.devices[2].xd_prime == xd_prime[1]
+        assert out.events == sc.events and out.network is sc.network
+        for name in ("dt", "t_end", "tolerance", "omega_base", "s_base"):
+            assert getattr(out, name) == getattr(sc, name)
+        assert out.analysis.window == (1.0, 2.0)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.0, 0.5), (1.0, 0.5), (float("nan"), 0.5), (0.5, 0.0), (0.5, 1.0), (0.5, float("nan")),
+    ])
+    def test_shares_outside_the_unit_interval_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="strictly inside"):
+            split_machines(two_machine(), alpha, beta)
+
+    def test_one_machine_rejected(self):
+        with pytest.raises(ValueError, match="two synchronous machines"):
+            split_machines(two_bus_scenario(), 0.3, 0.3)
+
+    def test_two_bus_grid_rejected(self):
+        sc = two_bus_scenario()
+        sc.devices.append(
+            SynchronousMachine("SM2", 1, inertia=4.0, xd_prime=0.05, omega_base=OMEGA_B, p=0.1)
+        )
+        with pytest.raises(ValueError, match="single-bus grid"):
+            split_machines(sc, 0.3, 0.3)
+
+
 class TestAlphaBetaSweep:
     def test_symmetric_valley_and_monotone_growth(self):
         from cfcoherency import alpha_beta_sweep
 
         alphas = np.array([0.3])
         betas = np.array([0.4, 0.55, 0.7, 0.85])
-        res = alpha_beta_sweep(alphas, betas, t_end=2.0)
+        res = alpha_beta_sweep(two_machine(t_end=2.0), alphas, betas)
         assert not res.failures
         row = res.values[0]
         # the valley sits at beta = 1 - alpha; distances grow on both sides
@@ -317,23 +404,24 @@ class TestAlphaBetaSweep:
     def test_grid_validation(self):
         from cfcoherency import alpha_beta_sweep
 
+        sc = two_machine()
         with pytest.raises(ValueError):
-            alpha_beta_sweep([0.0, 0.5], [0.5])
+            alpha_beta_sweep(sc, [0.0, 0.5], [0.5])
         with pytest.raises(ValueError):
-            alpha_beta_sweep([0.5], [1.0])
+            alpha_beta_sweep(sc, [0.5], [1.0])
         with pytest.raises(ValueError):
-            alpha_beta_sweep([float("nan")], [0.5])
+            alpha_beta_sweep(sc, [float("nan")], [0.5])
 
     def test_failed_cells_marked_not_fatal(self, monkeypatch):
         import cfcoherency.coherency as coh
 
-        def flaky(alpha, beta, t_end=3.0, dt=1e-3):
+        def flaky(scenario, alpha, beta):
             if alpha < 0.4:
                 raise RuntimeError("synthetic cell failure")
             return 0.5
 
         monkeypatch.setattr(coh, "two_machine_distance", flaky)
-        res = coh.alpha_beta_sweep([0.3, 0.5], [0.5], t_end=1.0)
+        res = coh.alpha_beta_sweep(two_machine(), [0.3, 0.5], [0.5])
         assert np.isnan(res.values[0, 0]) and res.values[1, 0] == 0.5
         assert len(res.failures) == 1
         assert "synthetic cell failure" in res.failures[0][2]

@@ -20,9 +20,10 @@ from cfcoherency import (
     sm_current_cf,
 )
 from cfcoherency import simulation
-from cfcoherency.coherency import build_two_machine_scenario, cluster_trajectory, device_cf
+from cfcoherency.coherency import cluster_trajectory, device_cf
 from cfcoherency.devices import Device
 from cfcoherency.errors import EmptyWindow, EventError, NewtonDivergence
+from cfcoherency.primitives import MAGNITUDE_GUARD
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import (
     DaeSystem,
@@ -37,6 +38,7 @@ from tests.conftest import (
     reference_devices,
     state_vector,
     two_bus_scenario,
+    two_machine,
 )
 
 
@@ -294,7 +296,7 @@ class TestRun:
             assert np.max(np.abs(cf - 1j)) < 1e-7, name
 
     def test_equilibrium_holds_ten_seconds(self):
-        sc = build_two_machine_scenario(0.35, 0.55, t_end=10.0)
+        sc = two_machine(0.35, 0.55, t_end=10.0)
         sc.events.clear()
         traj = run(sc)
         for name, arr in traj.states.items():
@@ -362,7 +364,7 @@ class TestRun:
     def test_order_two_convergence(self):
         # halving the step shrinks the endpoint error by about four
         def endpoint(dt):
-            sc = build_two_machine_scenario(0.3, 0.3, t_end=1.5, dt=dt)
+            sc = two_machine(0.3, 0.3, t_end=1.5, dt=dt)
             traj = run(sc)
             return np.concatenate([traj.states["SM1"][-1], traj.states["SM2"][-1]])
 
@@ -449,6 +451,26 @@ class TestRun:
         assert np.array_equal(device_cf(traj, "ZL").valid, np.arange(cf.size) < k)
         with pytest.raises(EmptyWindow, match="holds 0 usable sample"):
             cluster_trajectory(traj, 2, ["SM", "ZL"], (0.06, 0.1))
+
+    def test_source_without_current_has_no_cf(self):
+        # the only load goes, so the machine injects nothing: its CF is
+        # NaN wherever its current is at or below the guard, as a load's is
+        # when it draws nothing.  After the event the machine's current is
+        # only solver noise, of the order of the Newton tolerance, so some
+        # of those samples are above the guard.
+        sc = two_bus_scenario(load_p=0.4)
+        sc.t_end = 0.2
+        sc.events = [Event(0.1, "load_disconnect_mw", bus=1, amount=40.0)]
+        traj = run(sc)
+        k = traj.sample_index(0.1)
+        cf = traj.analytic_cf["SM"]
+        dead = np.abs(traj.device_current("SM")) <= MAGNITUDE_GUARD
+        assert not dead[:k].any() and dead[k]
+        assert np.all(np.isfinite(cf[:k].view(float)))
+        assert np.array_equal(np.isnan(cf), dead)
+        assert np.all(np.isnan(traj.analytic_cf["LOAD"][k:]))
+        with pytest.raises(EmptyWindow, match="holds 0 usable sample"):
+            cluster_trajectory(traj, 2, ["SM", "LOAD"], (0.12, 0.2))
 
     def test_set_parameter_event(self):
         sc = two_bus_scenario(load_p=0.4)
