@@ -22,6 +22,11 @@ WINDOW_START_SAMPLES = 5
 
 WINDOW_TOL = 1e-12  # s; a window holds samples this close outside it, as k·dt is off by ulps
 
+# Samples per einsum call.  numpy's einsum cuts a row longer than its
+# 8192-element buffer where the rows beside it put the cut, so that row's
+# sum would depend on them; a row this long is summed whole.
+INTEGRATION_BLOCK = 4096
+
 
 @dataclass
 class CfSeries:
@@ -83,12 +88,16 @@ def device_cf(traj: Trajectory, name: str) -> CfSeries:
     return CfSeries(traj.times, values, ~np.isnan(values))
 
 
+def _same_time_base(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise `TimeBaseMismatch` unless the sample times agree to 1e-12 s; at
+    once when they are one array, as the series of one trajectory share it."""
+    if a is not b and (a.shape != b.shape or not np.allclose(a, b, rtol=0.0, atol=1e-12)):
+        raise TimeBaseMismatch("CF series are sampled on different time bases")
+
+
 def coherency_function(eta1: CfSeries, eta2: CfSeries) -> CfSeries:
     """Instantaneous coherency function: sample-wise CF difference."""
-    if eta1.times.shape != eta2.times.shape or not np.allclose(
-        eta1.times, eta2.times, rtol=0.0, atol=1e-12
-    ):
-        raise TimeBaseMismatch("CF series are sampled on different time bases")
+    _same_time_base(eta1.times, eta2.times)
     return CfSeries(eta1.times.copy(), eta1.values - eta2.values, eta1.valid & eta2.valid)
 
 
@@ -99,8 +108,40 @@ def _window_slice(times: np.ndarray, window: tuple[float, float]) -> slice:
     return slice(lo, hi)
 
 
+def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
+    """Weights w with Σ w_k·y_k the trapezoid rule over the sample times `t`
+    (at least two, in any spacing): half of t_{k+1} - t_{k-1} inside, half
+    an interval at either end."""
+    w = np.empty(t.size)
+    w[1:-1] = 0.5 * (t[2:] - t[:-2])
+    w[0] = 0.5 * (t[1] - t[0])
+    w[-1] = 0.5 * (t[-1] - t[-2])
+    return w
+
+
+def _integrate(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Σ_k y[i, k]·w[k] for each row i of the (m, T) `y`.
+
+    numpy's einsum kernel uses neither BLAS nor threads.  With the rows
+    C-ordered (a masked column pick leaves them F-ordered, and einsum then
+    runs down the columns) and the time axis cut into blocks of
+    `INTEGRATION_BLOCK` samples, each row sums in one fixed order, whatever
+    rows share the call.
+    """
+    y = np.ascontiguousarray(y)
+    return sum(
+        np.einsum("ij,j->i", y[:, s : s + INTEGRATION_BLOCK], w[s : s + INTEGRATION_BLOCK])
+        for s in range(0, w.size, INTEGRATION_BLOCK)
+    )
+
+
 def coherency_distance(eps: CfSeries, t_start: float, t_end: float) -> float:
-    """Time integral of |ε| over the valid samples inside [t_start, t_end]."""
+    """Time integral of |ε| over the valid samples inside [t_start, t_end].
+
+    The trapezoid rule over the valid sample times, as the weighted sum
+    Σ w_k·|ε_k| that `distance_matrix` also takes, so the two give the same
+    bits for a pair.
+    """
     win = _window_slice(eps.times, (t_start, t_end))
     sel = eps.valid[win]
     n = int(np.count_nonzero(sel))
@@ -108,7 +149,8 @@ def coherency_distance(eps: CfSeries, t_start: float, t_end: float) -> float:
         raise EmptyWindow(
             f"window [{t_start}, {t_end}] holds {n} usable sample(s); need at least 2"
         )
-    return float(np.trapezoid(np.abs(eps.values[win][sel]), eps.times[win][sel]))
+    w = _trapezoid_weights(eps.times[win][sel])
+    return float(_integrate(np.abs(eps.values[win][sel])[None], w)[0])
 
 
 @dataclass
@@ -128,13 +170,15 @@ class CoherencyDistanceMatrix:
 def distance_matrix(
     cfs: dict[str, CfSeries], window: tuple[float, float], component: str = "full"
 ) -> CoherencyDistanceMatrix:
-    """Pairwise ∫|ε|dt over the window.
+    """Pairwise ∫|ε|dt over the window, each pair to the bits of
+    `coherency_distance` on its coherency function.
 
     `component` selects what is integrated: the full complex ε ("full") or a
     single part ("rho" / "omega").  The series are grouped by their validity
     mask inside the window, so each pair of groups integrates over one joint
-    set of samples; each row is integrated against the rest of its partner
-    group in one call.
+    set of samples, with one set of trapezoid weights; each row's |ε| against
+    the rest of its partner group is one weighted sum per block of samples.
+    A pair's value does not depend on the label order or the BLAS build.
     """
     labels = list(cfs.keys())
     if len(labels) < 2:
@@ -143,9 +187,7 @@ def distance_matrix(
         raise ValueError(f"unknown component {component!r}")
     times = cfs[labels[0]].times
     for name in labels[1:]:
-        other = cfs[name].times
-        if other.shape != times.shape or not np.allclose(other, times, rtol=0.0, atol=1e-12):
-            raise TimeBaseMismatch("CF series are sampled on different time bases")
+        _same_time_base(cfs[name].times, times)
     t_start, t_end = window
     win = _window_slice(times, window)
     t_win = times[win]
@@ -177,14 +219,14 @@ def distance_matrix(
                     f"window [{t_start}, {t_end}] holds {count} usable sample(s); need at least 2"
                 )
             cols = slice(None) if count == joint.size else joint
-            t = t_win[cols]
+            w = _trapezoid_weights(t_win[cols])
             vg = v[first[g] : first[g + 1], cols]
             vh = v[first[h] : first[h + 1], cols]
             for i, a in enumerate(rows_g):
                 rest = i + 1 if g == h else 0  # each pair of one group once
                 if rest == len(rows_h):
                     continue
-                row = np.trapezoid(np.abs(vg[i] - vh[rest:]), t, axis=-1)
+                row = _integrate(np.abs(vg[i] - vh[rest:]), w)
                 d[a, rows_h[rest:]] = d[rows_h[rest:], a] = row
     return CoherencyDistanceMatrix(d, labels)
 
@@ -447,9 +489,12 @@ def cluster_trajectory(
     window: tuple[float, float] | None = None,
 ) -> tuple[CoherencyDistanceMatrix, ClusterTree, list[set[str]]]:
     """Distance matrix + UPGMA partition of a simulated run; by default of
-    its sources."""
+    its sources.  Raises `ValueError` before any CF is read unless there are
+    at least two devices and 1 <= k <= their number."""
     if device_names is None:
         device_names = source_devices(traj.device_names, traj.device_kinds)
+    if len(device_names) < 2 or not 1 <= k <= len(device_names):
+        raise ValueError(f"cannot cut {len(device_names)} device(s) into k={k} groups")
     if window is None:
         window = default_window(traj)
     cfs = {name: device_cf(traj, name) for name in device_names}

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +27,8 @@ from cfcoherency import (
     numerical_cf,
     split_machines,
 )
-from cfcoherency.coherency import default_window
+from cfcoherency import coherency
+from cfcoherency.coherency import cluster_trajectory, default_window
 from cfcoherency.errors import EmptyWindow, MagnitudeUnderflow, TimeBaseMismatch
 from cfcoherency.simulation import run
 from tests.conftest import OMEGA_B, mixed_scenario, two_bus_scenario, two_machine, zip_load
@@ -273,6 +279,148 @@ class TestDistanceMatrix:
         om = distance_matrix(cfs, (0.0, 0.29), component="omega").pair("a", "b")
         assert rho > 0 and om > 0
         assert max(rho, om) <= full <= rho + om
+
+
+# builds a 40-series, 12,000-sample set with two validity masks and prints
+# the bytes of its distance matrix; run under a given BLAS thread count
+BLAS_PROBE = """
+import numpy as np
+from cfcoherency import CfSeries, distance_matrix
+rng = np.random.default_rng(11)
+times = np.arange(12000) * 1e-3
+valid = np.ones(times.size, dtype=bool)
+valid[5000:5100] = False
+cfs = {
+    f"s{i}": CfSeries(
+        times,
+        1j + 1e-3 * (rng.standard_normal(times.size) + 1j * rng.standard_normal(times.size)),
+        valid if i % 3 else np.ones(times.size, dtype=bool),
+    )
+    for i in range(40)
+}
+print(distance_matrix(cfs, (0.0, 12.0)).values.tobytes().hex())
+"""
+
+
+class TestIntegrationKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matrix_matches_reference_and_label_order_bit_for_bit(self, data):
+        n = data.draw(st.integers(2, 12), label="series")
+        size = data.draw(st.integers(2, 40), label="samples")
+        masks = data.draw(st.lists(
+            st.lists(st.booleans(), min_size=size, max_size=size),
+            min_size=1, max_size=4, unique_by=tuple,
+        ), label="masks")
+        owner = data.draw(st.lists(
+            st.integers(0, len(masks) - 1), min_size=n, max_size=n
+        ), label="owners")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        t0 = data.draw(st.floats(-0.005, size * 1e-3), label="t0")
+        t1 = t0 + data.draw(st.floats(0.0, size * 1e-3), label="length")
+        component = data.draw(st.sampled_from(["full", "rho", "omega"]), label="component")
+        perm = data.draw(st.permutations(range(n)), label="permutation")
+        cfs = {
+            f"s{i}": series(
+                1j + 1e-3 * (rng.standard_normal(size) + 1j * rng.standard_normal(size)),
+                valid=np.array(masks[owner[i]]),
+            )
+            for i in range(n)
+        }
+        labels = list(cfs)
+        try:
+            want = pairwise_distance_matrix(cfs, (t0, t1), component)
+        except EmptyWindow:
+            with pytest.raises(EmptyWindow):
+                distance_matrix(cfs, (t0, t1), component)
+            return
+        got = distance_matrix(cfs, (t0, t1), component).values
+        assert np.array_equal(got, want)
+        permuted = distance_matrix({labels[j]: cfs[labels[j]] for j in perm}, (t0, t1), component)
+        assert np.array_equal(permuted.values, got[np.ix_(perm, perm)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=200),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+    )
+    def test_distance_is_the_trapezoid_rule_on_uneven_samples(self, steps, seed, lo, hi):
+        rng = np.random.default_rng(seed)
+        times = np.concatenate([[0.0], np.cumsum(steps)])
+        values = rng.standard_normal(times.size) + 1j * rng.standard_normal(times.size)
+        valid = rng.random(times.size) < 0.8
+        t_start, t_end = sorted((lo * times[-1], hi * times[-1]))
+        keep = valid & (times >= t_start - 1e-12) & (times <= t_end + 1e-12)
+        eps = CfSeries(times, values, valid)
+        if np.count_nonzero(keep) < 2:
+            with pytest.raises(EmptyWindow):
+                coherency_distance(eps, t_start, t_end)
+            return
+        want = np.trapezoid(np.abs(values[keep]), times[keep])
+        assert abs(coherency_distance(eps, t_start, t_end) - want) <= 1e-14 * want
+
+    def test_bit_identical_to_pairwise_reference_past_the_einsum_buffer(self):
+        # einsum splits a row longer than its 8192-element buffer at points
+        # that depend on the other rows of the call
+        rng = np.random.default_rng(5)
+        size = 2 * 8192 + 7
+        valid = np.ones(size, dtype=bool)
+        valid[9000:9040] = False
+        cfs = {
+            f"s{i}": series(
+                1j + 1e-3 * (rng.standard_normal(size) + 1j * rng.standard_normal(size)),
+                valid=valid if i % 2 else None,
+            )
+            for i in range(6)
+        }
+        window = (0.0, size * 1e-3)
+        got = distance_matrix(cfs, window).values
+        assert np.array_equal(got, pairwise_distance_matrix(cfs, window))
+
+    def test_independent_of_blas_threads(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+            out.append(done.stdout.strip())
+        assert len(out[0]) == 2 * 8 * 40 * 40
+        assert out[0] == out[1]
+
+    def test_series_of_one_trajectory_skip_the_time_comparison(
+        self, mixed_zip_trajectory, monkeypatch
+    ):
+        traj = mixed_zip_trajectory
+        cfs = {name: device_cf(traj, name) for name in traj.device_names}
+
+        def no_comparison(*args, **kwargs):
+            raise AssertionError("time bases compared sample by sample")
+
+        monkeypatch.setattr(np, "allclose", no_comparison)
+        distance_matrix(cfs, (1.05, 1.2))
+        coherency_function(cfs["SM"], cfs["ZL"])
+
+
+class TestClusterTrajectory:
+    @pytest.mark.parametrize("names, k", [
+        (None, 0), (None, 4), (["SM"], 1), ([], 1),
+    ], ids=["k0", "k_above_n", "one_device", "no_device"])
+    def test_k_checked_before_any_integration(self, mixed_zip_trajectory, monkeypatch, names, k):
+        traj = mixed_zip_trajectory
+        assert len(coherency.source_devices(traj.device_names, traj.device_kinds)) == 3
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("CFs read before k was checked")
+
+        monkeypatch.setattr(coherency, "device_cf", no_work)
+        monkeypatch.setattr(coherency, "distance_matrix", no_work)
+        with pytest.raises(ValueError, match="cannot cut"):
+            cluster_trajectory(traj, k, names)
 
 
 class TestComplexProportionality:
