@@ -26,7 +26,6 @@ from .coherency import (
 from .devices import (
     GridFollowingConverter,
     GridFormingConverter,
-    IbrFilter,
     SynchronousMachine,
     ZipLoad,
     ibr_current_cf,
@@ -58,7 +57,6 @@ __all__ = [
     "Event",
     "GridFollowingConverter",
     "GridFormingConverter",
-    "IbrFilter",
     "Network",
     "ObservationPoint",
     "Scenario",

@@ -56,9 +56,11 @@ def _pairs(names: list, first: str, second: str) -> list[str]:
 
 
 def _cmd_run(args) -> int:
-    """Write trajectory.csv (voltages, currents and device CFs) and cf.csv
-    (the CFs with an `event_mask` that flags the samples adjacent to
-    discrete events, where finite-difference estimates are impulsive)."""
+    """Write trajectory.csv (voltages, currents and the devices' closed-form
+    CFs) and cf.csv (the same CFs with an `event_mask` that flags the samples
+    within EVENT_MASK_PAD samples of an event, where a finite-difference CF
+    of the recorded currents, such as the `cf` command computes, straddles
+    the event; `device_cf_numerical` and the observer check leave them out)."""
     scenario = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

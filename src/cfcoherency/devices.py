@@ -30,8 +30,6 @@ leading axes are samples.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import InfeasibleInit, MagnitudeUnderflow
@@ -250,19 +248,12 @@ class SynchronousMachine(Device):
         return 1j * xdot[..., 0] * self.emf(x) * (-1j / self.xd_prime)
 
 
-class ZipParts(NamedTuple):
-    """What `ZipLoad.derive` computes from the draws, the fractions and `v0`."""
-
-    base_p: float  # base powers: the draw at |v| = 1 pu
-    base_q: float
-    sz: complex  # conjugate base power p - jq of the Z part
-    si: complex  # ... of the I part
-    sp: complex  # ... of the P part
-
-
 class ZipLoad(Device):
     """Static ZIP load: constant-impedance / constant-current / constant-power
-    fractions of the base powers, as polynomials in the voltage magnitude."""
+    fractions of the base powers, as polynomials in the voltage magnitude.
+    `derive` turns the draw, the fractions and `v0` into the conjugate base
+    powers `sz`, `si` and `sp` of the three parts, from which the current,
+    its sensitivities and its CF are each the sum of the parts' closed forms."""
 
     params = ("p0", "q0", "v0", "kz_p", "ki_p", "kp_p", "kz_q", "ki_q", "kp_q")
     n_states = 0
@@ -299,32 +290,22 @@ class ZipLoad(Device):
         # once per parameter change instead of at every call
         poly_p = self.kp_p + self.ki_p * self.v0 + self.kz_p * self.v0**2
         poly_q = self.kp_q + self.ki_q * self.v0 + self.kz_q * self.v0**2
-        # no base power where a polynomial is 0 (x / inf, not a 0/0 warning)
+        # the base powers, the draw at |v| = 1 pu; none where a polynomial
+        # is 0 (x / inf, not a 0/0 warning)
         base_p = self.p0 / np.where(poly_p == 0.0, np.inf, poly_p)
         base_q = self.q0 / np.where(poly_q == 0.0, np.inf, poly_q)
-        si = base_p * self.ki_p - 1j * (base_q * self.ki_q)
-        sp = base_p * self.kp_p - 1j * (base_q * self.kp_q)
-        self.parts = ZipParts(
-            base_p=base_p,
-            base_q=base_q,
-            sz=base_p * self.kz_p - 1j * (base_q * self.kz_q),
-            si=si,
-            sp=sp,
-        )
+        # the conjugate base power p - jq of each part
+        self.sz = base_p * self.kz_p - 1j * (base_q * self.kz_q)
+        self.si = base_p * self.ki_p - 1j * (base_q * self.ki_q)
+        self.sp = base_p * self.kp_p - 1j * (base_q * self.kp_q)
         # some I or P part is drawn
-        self.voltage_dependent = bool(np.any(si != 0.0) or np.any(sp != 0.0))
+        self.voltage_dependent = bool(np.any(self.si != 0.0) or np.any(self.sp != 0.0))
 
     def initial_state(self, v, s):
         """Record the power-flow voltage magnitude, at which the load draws
         its scheduled p0 + jq0."""
         self.v0 = np.abs(v)
         return np.empty(np.shape(v) + (0,))
-
-    def drawn_power(self, v_mag):
-        parts = self.parts
-        p = parts.base_p * (self.kp_p + self.ki_p * v_mag + self.kz_p * v_mag**2)
-        q = parts.base_q * (self.kp_q + self.ki_q * v_mag + self.kz_q * v_mag**2)
-        return p, q
 
     def evaluate(self, x, v):
         """No states: empty derivatives, and the drawn current."""
@@ -334,26 +315,25 @@ class ZipLoad(Device):
         """The currents that the I and P parts draw at `v`."""
         v_mag = np.abs(v)
         _require_magnitude(v_mag, "v", self)
-        return self.parts.si * v / v_mag, self.parts.sp / np.conj(v)
+        return self.si * v / v_mag, self.sp / np.conj(v)
 
     def injected_current(self, x, v):
         # Split per component: the Z term never divides by the voltage.
-        i = -self.parts.sz * v
+        i = -self.sz * v
         if self.voltage_dependent:
             i_i, i_p = self._ip_currents(v)
             i = i - i_i - i_p
         return i
 
     def voltage_sensitivity(self, x, v):
+        """The sum of the parts' closed forms: the Z part draws the current
+        s_Z·v̄, the I part s_I·v̄/|v| and the P part s_P/v̄*."""
         v_mag = np.abs(v)
-        p, q = self.drawn_power(v_mag)
         _require_magnitude(v_mag, "v", self)
-        dp = self.parts.base_p * (self.ki_p + 2.0 * self.kz_p * v_mag)
-        dq = self.parts.base_q * (self.ki_q + 2.0 * self.kz_q * v_mag)
-        g = dp - 1j * dq
         vc = np.conj(v)
-        a = -g / (2.0 * v_mag)
-        b = -g * v / (2.0 * v_mag * vc) + (p - 1j * q) / vc**2
+        half_i = self.si / (2.0 * v_mag)
+        a = -self.sz - half_i
+        b = half_i * v / vc + self.sp / vc**2
         return a, b
 
     def analytic_cf(self, x, xdot, v, i, eta_v):
@@ -369,39 +349,25 @@ class ZipLoad(Device):
         return eta_v + np.real(eta_v) * (i_i + 2.0 * i_p) / i
 
 
-class IbrFilter:
-    """Output filter of a converter: series impedance z_f = r + jx, shunt
-    admittance y_f = g + jb and the fixed DC-side voltage."""
+class _Converter(Device):
+    """Shared filter algebra of both converter kinds: an internal voltage
+    behind the output filter, a series impedance z_f = r + jx and a shunt
+    admittance y_f = g + jb, fed from the fixed DC-side voltage `v_dc`."""
 
-    def __init__(
-        self,
-        x_filter: float,
-        r_filter: float = 0.0,
-        g_filter: float = 0.0,
-        b_filter: float = 0.0,
-        v_dc: float = 1.0,
-    ):
+    params = ("z_f", "y_f", "v_dc", "omega_base")
+
+    def __init__(self, name, bus, x_filter, omega_base, p, r_filter, g_filter, b_filter, v_dc):
+        super().__init__(name, bus)
         self.z_f = complex(r_filter, x_filter)
         if abs(self.z_f) == 0.0:
             raise ValueError("filter series impedance must be nonzero")
         self.y_f = complex(g_filter, b_filter)
         self.v_dc = v_dc
-
-
-class _Converter(Device):
-    """Shared filter algebra of both converter kinds: an internal voltage
-    behind the filter, whose values the converter keeps as its own."""
-
-    params = ("z_f", "y_f", "v_dc", "through", "omega_base")
-
-    def __init__(self, name: str, bus: int, filter: IbrFilter, omega_base: float, p: float):
-        super().__init__(name, bus)
-        self.z_f = filter.z_f
-        self.y_f = filter.y_f
-        self.v_dc = filter.v_dc
-        self.through = 1.0 + self.z_f * self.y_f
         self.omega_base = omega_base
         self.p = p
+
+    def derive(self) -> None:
+        self.through = 1.0 + self.z_f * self.y_f
 
     def injected_current(self, x, v):
         return (self.internal_voltage(x) - self.through * v) / self.z_f
@@ -427,8 +393,12 @@ class GridFollowingConverter(_Converter):
         self,
         name: str,
         bus: int,
-        filter: IbrFilter,
+        x_filter: float,
         omega_base: float,
+        r_filter: float = 0.0,
+        g_filter: float = 0.0,
+        b_filter: float = 0.0,
+        v_dc: float = 1.0,
         kp_current: float = 0.2,
         ki_current: float = 5.0,
         t_measure: float = 0.01,
@@ -436,7 +406,7 @@ class GridFollowingConverter(_Converter):
         ki_pll: float = 1.0,
         p: float = 0.0,
     ):
-        super().__init__(name, bus, filter, omega_base, p)
+        super().__init__(name, bus, x_filter, omega_base, p, r_filter, g_filter, b_filter, v_dc)
         if t_measure <= 0.0:
             raise ValueError("measurement time constant must be positive")
         self.kp_current = kp_current
@@ -449,6 +419,7 @@ class GridFollowingConverter(_Converter):
         self.derive()
 
     def derive(self) -> None:
+        super().derive()
         self.i_ref = self.iref_d + 1j * self.iref_q
 
     def initial_state(self, v, s):
@@ -516,8 +487,12 @@ class GridFormingConverter(_Converter):
         self,
         name: str,
         bus: int,
-        filter: IbrFilter,
+        x_filter: float,
         omega_base: float,
+        r_filter: float = 0.0,
+        g_filter: float = 0.0,
+        b_filter: float = 0.0,
+        v_dc: float = 1.0,
         kp_voltage: float = 0.05,
         ki_voltage: float = 5.0,
         t_voltage: float = 0.02,
@@ -525,7 +500,7 @@ class GridFormingConverter(_Converter):
         droop: float = 0.02,
         p: float = 0.0,
     ):
-        super().__init__(name, bus, filter, omega_base, p)
+        super().__init__(name, bus, x_filter, omega_base, p, r_filter, g_filter, b_filter, v_dc)
         if t_voltage <= 0.0 or t_power <= 0.0:
             raise ValueError("measurement time constants must be positive")
         if droop < 0.0:
@@ -537,6 +512,7 @@ class GridFormingConverter(_Converter):
         self.droop = droop
         self.p_ref = 0.0
         self.v_ref = 1.0
+        self.derive()
 
     def initial_state(self, v, s):
         """Fix the power and voltage references at the operating point."""

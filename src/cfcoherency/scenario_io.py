@@ -25,7 +25,6 @@ from .coherency import ObservationPoint
 from .devices import (
     GridFollowingConverter,
     GridFormingConverter,
-    IbrFilter,
     SynchronousMachine,
     ZipLoad,
 )
@@ -146,7 +145,7 @@ _DEVICE = {
     "bus": Key("bus", True, _BUS_REF),
     "p": Key("p", True),
 }
-# the keys of a converter's `IbrFilter`
+# the keys of a converter's output filter
 _FILTER = _optional("r_filter") | _required("x_filter") | _optional("g_filter", "b_filter", "v_dc")
 # one row per device type: its class and the keys of its entry
 _DEVICES = {
@@ -259,9 +258,6 @@ def parse_scenario(doc: dict) -> Scenario:
         del args["type"]
         if not cls.is_load:  # loads are static; the other models run on the system frequency
             args["omega_base"] = omega_base
-        if "x_filter" in keys:
-            filter_args = {key: args.pop(key) for key in _FILTER if key in args}
-            args["filter"] = _construct(path, IbrFilter, **filter_args)
         devices.append(_construct(path, cls, **args))
     names = {d.name for d in devices}
 

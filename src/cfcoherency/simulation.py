@@ -97,8 +97,9 @@ class Scenario:
         run: a positive finite step, horizon and Newton tolerance, events
         inside the horizon, unique device names, every event's device or
         load bus present, no negative scale factor or disconnected amount
-        (either would raise a draw or turn a load into a source) and no
-        disconnect of more load than is left at its bus.  A bad event raises
+        (either would raise a draw or turn a load into a source), no
+        disconnect of more load than is left at its bus, and every dynamic
+        device on the scenario's `omega_base`.  A bad event raises
         `EventError`, which carries its index in `events`.  The analysis
         window, which `run` does not read, is checked against the horizon at
         construction."""
@@ -112,6 +113,12 @@ class Scenario:
         by_name = {d.name: d for d in self.devices}
         if len(by_name) != len(self.devices):
             raise ValueError("device names must be unique")
+        for d in self.devices:
+            if not d.is_load and d.omega_base != self.omega_base:
+                raise ValueError(
+                    f"device {d.name!r} has omega_base {d.omega_base:g}, "
+                    f"the scenario {self.omega_base:g}"
+                )
         labels = {b.index: b.label for b in self.network.buses}
         # the scheduled draw (p0, q0) of each load
         draws = {d.name: np.array([d.p0, d.q0], dtype=float) for d in self.devices if d.is_load}

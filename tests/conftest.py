@@ -13,7 +13,6 @@ from cfcoherency import (
     Event,
     GridFollowingConverter,
     GridFormingConverter,
-    IbrFilter,
     Network,
     Scenario,
     SynchronousMachine,
@@ -65,10 +64,10 @@ def mixed_scenario(t_end=3.0, with_pulse=True) -> Scenario:
             "SM", 0, inertia=10.0, xd_prime=0.08, omega_base=OMEGA_B, damping=2.0, p=1.0
         ),
         GridFollowingConverter(
-            "GFL", 1, IbrFilter(0.15, 0.003, v_dc=2.0), OMEGA_B, p=0.6
+            "GFL", 1, x_filter=0.15, r_filter=0.003, v_dc=2.0, omega_base=OMEGA_B, p=0.6
         ),
         GridFormingConverter(
-            "GFM", 2, IbrFilter(0.15, 0.005, v_dc=2.0), OMEGA_B,
+            "GFM", 2, x_filter=0.15, r_filter=0.005, v_dc=2.0, omega_base=OMEGA_B,
             ki_voltage=2.0, t_power=0.3, droop=0.008, p=0.5,
         ),
         ZipLoad("ZL", 1, p0=1.0, q0=0.3),

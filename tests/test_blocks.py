@@ -20,7 +20,6 @@ from cfcoherency import (
     Event,
     GridFollowingConverter,
     GridFormingConverter,
-    IbrFilter,
     Network,
     SynchronousMachine,
     ZipLoad,
@@ -178,19 +177,19 @@ def make_device(kind, name, bus, rng):
         d = ZipLoad(name, bus, p0=u(0.1, 1), q0=u(-0.3, 0.5), kz_p=kz_p, ki_p=ki_p,
                     kp_p=kp_p, kz_q=kz_q, ki_q=ki_q, kp_q=kp_q)
         return d, []
-    filt = IbrFilter(
+    filt = dict(
         r_filter=u(0.001, 0.01), x_filter=u(0.1, 0.2), b_filter=u(0, 0.05), v_dc=u(1.5, 2.5)
     )
     if kind == "gfl":
         d = GridFollowingConverter(
-            name, bus, filt, OMEGA_B, kp_current=u(0.1, 0.5), ki_current=u(1, 10),
+            name, bus, **filt, omega_base=OMEGA_B, kp_current=u(0.1, 0.5), ki_current=u(1, 10),
             t_measure=u(0.005, 0.05), kp_pll=u(0.05, 0.2), ki_pll=u(0.5, 2),
         )
         d.iref_d, d.iref_q = u(0, 1), u(-0.5, 0.5)
         d.derive()
         return d, [u(0.4, 0.7), u(-0.2, 0.2), u(-1, 1), u(-1, 1), u(-0.01, 0.01), u(-1, 1)]
     d = GridFormingConverter(
-        name, bus, filt, OMEGA_B, kp_voltage=u(0.01, 0.1), ki_voltage=u(1, 10),
+        name, bus, **filt, omega_base=OMEGA_B, kp_voltage=u(0.01, 0.1), ki_voltage=u(1, 10),
         t_voltage=u(0.01, 0.05), t_power=u(0.05, 0.5), droop=u(0, 0.05),
     )
     d.p_ref, d.v_ref = u(0, 1), u(0.95, 1.05)
@@ -273,7 +272,7 @@ class TestBlocksMatchDevices:
         sc.devices += [
             ZipLoad("ZL0", 0, p0=0.3, q0=0.1),
             GridFollowingConverter(
-                "GFL2", 2, IbrFilter(0.12, 0.004, v_dc=2.0), OMEGA_B, p=0.2
+                "GFL2", 2, x_filter=0.12, r_filter=0.004, v_dc=2.0, omega_base=OMEGA_B, p=0.2
             ),
         ]
         sc.devices = [sc.devices[i] for i in order]
@@ -349,8 +348,8 @@ class TestBlocksMatchDevices:
 )
 def test_guard_names_the_device_of_a_sample(cls, states, what):
     # (samples, devices) states of three converters; one |e| or |m| at the guard
-    filt = IbrFilter(0.15, 0.005, v_dc=2.0)
-    blk = cls.stack([cls(f"D{k}", 0, filt, OMEGA_B) for k in range(3)], 0)
+    filt = dict(x_filter=0.15, r_filter=0.005, v_dc=2.0, omega_base=OMEGA_B)
+    blk = cls.stack([cls(f"D{k}", 0, **filt) for k in range(3)], 0)
     x = np.tile(states, (4, 3, 1))
     x[2, 1, :2] = [5e-10, 0.0]
     v = np.ones((4, 3), dtype=complex)
@@ -452,8 +451,8 @@ class TestLoadDrawEvents:
         base, _ = ref.row("LOAD")
         assert load.p0[row] * sc.s_base == pytest.approx(5.0, rel=1e-12)
         # the base power keeps its ratio to the draw, the pure Z part's 1/|v0|^2
-        assert load.parts.base_p[row] / load.p0[row] == pytest.approx(
-            base.parts.base_p[row] / base.p0[row], rel=1e-12
+        assert load.sz[row].real / load.p0[row] == pytest.approx(
+            base.sz[row].real / base.p0[row], rel=1e-12
         )
 
     def test_check_replays_the_draw(self):

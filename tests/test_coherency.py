@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -533,6 +534,50 @@ class TestSplitMachines:
         )
         with pytest.raises(ValueError, match="single-bus grid"):
             split_machines(sc, 0.3, 0.3)
+
+
+# the arguments a copy with share k of a device's current scales: by k
+# (exponent 1) or by 1/k (exponent -1); the rest it takes as they are
+SPLIT_SCALING = {
+    "sm": {"inertia": 1, "damping": 1, "p": 1, "xd_prime": -1},
+    "gfl": {"r_filter": -1, "x_filter": -1, "g_filter": 1, "b_filter": 1, "p": 1,
+            "kp_current": -1, "ki_current": -1},
+    "gfm": {"r_filter": -1, "x_filter": -1, "g_filter": 1, "b_filter": 1, "p": 1, "droop": -1},
+}
+
+
+def constructor_args(device) -> dict:
+    """The keyword arguments, besides the name and the bus, that rebuild `device`."""
+    values = vars(device).copy()
+    if hasattr(device, "z_f"):
+        values |= dict(r_filter=device.z_f.real, x_filter=device.z_f.imag,
+                       g_filter=device.y_f.real, b_filter=device.y_f.imag)
+    names = list(inspect.signature(type(device)).parameters)[2:]
+    return {name: values[name] for name in names}
+
+
+class TestSplitDevice:
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from(["SM", "GFL", "GFM"]), st.floats(0.2, 0.8))
+    def test_copies_are_coherent(self, name, k):
+        # one device split into copies with shares k and 1 - k of its current;
+        # a converter gets a filter shunt first, so that y_f is scaled too
+        sc = mixed_scenario(t_end=2.0)
+        index = [d.name for d in sc.devices].index(name)
+        device = sc.devices[index]
+        args = constructor_args(device)
+        if device.kind != "sm":
+            args |= dict(g_filter=0.002, b_filter=0.03)
+        copies = []
+        for suffix, share in (("a", k), ("b", 1.0 - k)):
+            scaled = {key: args[key] * share**power
+                      for key, power in SPLIT_SCALING[device.kind].items()}
+            copies.append(type(device)(name + suffix, device.bus, **args | scaled))
+        sc.devices[index : index + 1] = copies
+        traj = run(sc)
+        eps = coherency_function(device_cf(traj, name + "a"), device_cf(traj, name + "b"))
+        assert np.all(eps.valid)
+        assert np.max(np.abs(eps.values)) <= 1e-13
 
 
 class TestAlphaBetaSweep:

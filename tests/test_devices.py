@@ -12,7 +12,6 @@ from cfcoherency import (
     Event,
     GridFollowingConverter,
     GridFormingConverter,
-    IbrFilter,
     Network,
     Scenario,
     SynchronousMachine,
@@ -121,9 +120,9 @@ class TestZipLoad:
 
     def test_polynomial_evaluation(self):
         load = ZipLoad("L", 0, p0=1.0, q0=0.0, kz_p=0.5, ki_p=0.3, kp_p=0.2)
-        p, q = load.drawn_power(0.95)
-        assert p == pytest.approx(0.2 + 0.285 + 0.45125, rel=1e-14)
-        assert q == 0.0
+        drawn = -0.95 * np.conj(load.injected_current(np.empty(0), 0.95 + 0j))
+        assert drawn.real == pytest.approx(0.2 + 0.285 + 0.45125, rel=1e-14)
+        assert drawn.imag == 0.0
 
     def test_fraction_sums_validated(self):
         with pytest.raises(ValueError):
@@ -184,6 +183,61 @@ class TestZipLoad:
         assert di_re == pytest.approx(a + b, rel=1e-6)
         assert di_im == pytest.approx(1j * (a - b), rel=1e-6)
 
+    @given(
+        p0=st.floats(-2.0, 2.0),
+        q0=st.floats(-1.0, 1.0),
+        v0=st.floats(0.9, 1.1),
+        v_mag=st.floats(0.5, 1.5),
+        v_angle=st.floats(-np.pi, np.pi),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pure_impedance_sensitivity_is_exact(self, p0, q0, v0, v_mag, v_angle):
+        # ı = -s_Z·v̄ is linear in v̄: no dv̄* term, and a is s_Z itself
+        load = ZipLoad("Z", 0, p0=p0, q0=q0)
+        load.v0 = v0
+        load.derive()
+        a, b = load.voltage_sensitivity(np.empty(0), cmath.rect(v_mag, v_angle))
+        assert a == -load.sz
+        assert b == 0.0
+
+    @given(
+        fractions=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+        p0=st.floats(0.01, 2.0),
+        q0=st.floats(-1.0, 1.0),
+        v0=st.floats(0.9, 1.1),
+        v_mag=st.floats(0.5, 1.5),
+        v_angle=st.floats(-np.pi, np.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sensitivity_is_the_derivative_of_the_drawn_power(
+        self, fractions, p0, q0, v0, v_mag, v_angle
+    ):
+        # the reference differentiates ı = -(p(|v|) - j·q(|v|))/v̄* with the
+        # draw's polynomials p and q in |v|, whose d|v|/dv̄ = v̄*/(2|v|)
+        kz_p, ki_p, kz_q, ki_q = fractions
+        ki_p *= 1.0 - kz_p
+        ki_q *= 1.0 - kz_q
+        kp_p, kp_q = 1.0 - kz_p - ki_p, 1.0 - kz_q - ki_q
+        load = ZipLoad("L", 0, p0=p0, q0=q0, kz_p=kz_p, ki_p=ki_p, kp_p=kp_p,
+                       kz_q=kz_q, ki_q=ki_q, kp_q=kp_q)
+        load.v0 = v0
+        load.derive()
+        base_p = p0 / (kp_p + ki_p * v0 + kz_p * v0**2)
+        base_q = q0 / (kp_q + ki_q * v0 + kz_q * v0**2)
+        drawn = (base_p * (kp_p + ki_p * v_mag + kz_p * v_mag**2)
+                 - 1j * base_q * (kp_q + ki_q * v_mag + kz_q * v_mag**2))
+        slope = (base_p * (ki_p + 2.0 * kz_p * v_mag)
+                 - 1j * base_q * (ki_q + 2.0 * kz_q * v_mag))
+        v = cmath.rect(v_mag, v_angle)
+        vc = v.conjugate()
+        a_ref = -slope / (2.0 * v_mag)
+        b_ref = -slope * v / (2.0 * v_mag * vc) + drawn / vc**2
+        a, b = load.voltage_sensitivity(np.empty(0), v)
+        # relative to the size of the terms, as b cancels for a pure Z load
+        scale = abs(a_ref) + abs(drawn) / v_mag**2
+        assert abs(a - a_ref) <= 1e-12 * scale
+        assert abs(b - b_ref) <= 1e-12 * scale
+
 
 class TestLoadCfs:
     def test_z_load_identity(self):
@@ -217,13 +271,13 @@ class TestIbrCf:
 
 def make_gfl(**kw):
     return GridFollowingConverter(
-        "GFL", 0, IbrFilter(0.15, 0.003, v_dc=2.0), OMEGA_B, **kw
+        "GFL", 0, x_filter=0.15, r_filter=0.003, v_dc=2.0, omega_base=OMEGA_B, **kw
     )
 
 
 def make_gfm(**kw):
     return GridFormingConverter(
-        "GFM", 0, IbrFilter(0.15, 0.005, v_dc=2.0), OMEGA_B, **kw
+        "GFM", 0, x_filter=0.15, r_filter=0.005, v_dc=2.0, omega_base=OMEGA_B, **kw
     )
 
 
@@ -315,7 +369,10 @@ def test_stack_outputs_feed_back_into_the_stack(cls, knock):
     # a stack's own initial_state result and evaluate derivatives go back
     # into evaluate and analytic_cf as they are; a GFL reads its states as
     # complex pairs, which needs a contiguous state axis
-    devices = [cls(f"D{k}", k, IbrFilter(0.15, 0.004, v_dc=2.0), OMEGA_B) for k in range(2)]
+    devices = [
+        cls(f"D{k}", k, x_filter=0.15, r_filter=0.004, v_dc=2.0, omega_base=OMEGA_B)
+        for k in range(2)
+    ]
     stack = cls.stack(devices, 0)
     v = np.array([1.01 * cmath.exp(0.1j), 0.99 * cmath.exp(-0.05j)])
     x = stack.initial_state(v, np.array([0.6 + 0.15j, 0.45 + 0.1j]))

@@ -11,7 +11,6 @@ from cfcoherency.coherency import ObservationPoint
 from cfcoherency.devices import (
     GridFollowingConverter,
     GridFormingConverter,
-    IbrFilter,
     SynchronousMachine,
     ZipLoad,
 )
@@ -22,7 +21,6 @@ from cfcoherency.scenario_io import (
     _BUS,
     _DEVICES,
     _EVENTS,
-    _FILTER,
     _OBSERVER,
     _SHUNT,
     _SIMULATION,
@@ -238,11 +236,11 @@ REQUIRED_ONLY = {
     "zip": ({"p": 0.5}, lambda: ZipLoad("D", 1, p0=0.5)),
     "gfl": (
         {"p": 0.5, "x_filter": 0.15},
-        lambda: GridFollowingConverter("D", 1, IbrFilter(0.15), OMEGA_60, p=0.5),
+        lambda: GridFollowingConverter("D", 1, x_filter=0.15, omega_base=OMEGA_60, p=0.5),
     ),
     "gfm": (
         {"p": 0.5, "x_filter": 0.15},
-        lambda: GridFormingConverter("D", 1, IbrFilter(0.15), OMEGA_60, p=0.5),
+        lambda: GridFormingConverter("D", 1, x_filter=0.15, omega_base=OMEGA_60, p=0.5),
     ),
 }
 
@@ -303,13 +301,12 @@ class TestSingleDeclaration:
         ],
     )
     def test_table_names_constructor_arguments(self, cls, table):
-        """Each key fills a constructor argument (a converter's filter keys
-        one of `IbrFilter`), and an argument without a default is required."""
+        """Each key fills a constructor argument, and an argument without a
+        default is required."""
         for key, spec in table.items():
             if key == "type":  # selects the device row
                 continue
-            owner = IbrFilter if key in _FILTER else cls
-            params = inspect.signature(owner).parameters
+            params = inspect.signature(cls).parameters
             assert spec.arg in params, f"{cls.__name__}: {key!r} fills no argument"
             if params[spec.arg].default is inspect.Parameter.empty:
                 assert spec.required, f"{cls.__name__}: {key!r} has no default"

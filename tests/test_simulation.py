@@ -668,6 +668,19 @@ class TestEventChecks:
             self.with_events(cut, Event(0.1, "load_disconnect_mw", bus=1, amount=25.0))
 
 
+@pytest.mark.parametrize("name", ["SM", "GFL", "GFM"])
+def test_device_off_the_scenario_omega_base_rejected(name):
+    # a device's swing and CF read its own omega_base, the voltage CFs the
+    # scenario's; the loads carry none
+    sc = mixed_scenario(t_end=0.1, with_pulse=False)
+    sc.device(name).omega_base = 2.0 * np.pi * 50.0
+    message = f"device '{name}' has omega_base 314.159, the scenario 376.991"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(sc)
+    sc.device(name).omega_base = OMEGA_B
+    dataclasses.replace(sc)
+
+
 class TestVoltageRates:
     def test_match_trajectory_differences(self):
         # implicit differentiation of the bus equations must agree with
