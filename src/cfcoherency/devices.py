@@ -7,17 +7,15 @@ Conventions shared by every model:
   * reported complex frequencies are stationary-frame per-unit values, i.e.
     the frame-relative log-derivative divided by omega_base plus j*1.
 
-Each kind writes the same four methods the integrator relies on:
+Each kind writes the same three methods the integrator relies on:
 `initial_state`, which back-solves the states and setpoints from the
 power-flow terminal voltage and the device's complex-power share,
 `evaluate`, which returns the state derivatives and the injected current
 from one shared computation (`derivatives` and `injected_current` give each
-alone), and the closed-form current sensitivities used to recover exact
-voltage rates (`voltage_sensitivity`: (a, b) such that dı̄ = a·dv̄ + b·dv̄* at
-fixed states, one per terminal voltage; `current_state_rate`, below).
-`Device.analytic_cf` builds every source's current CF from the two
-sensitivities by the chain rule; a ZIP load's CF is the current-weighted
-mean of its parts' closed forms.
+alone), and `tangent`, the exact derivative of `evaluate` along a state
+direction dx and a terminal-voltage direction dv̄, from which the Newton
+matrix, the voltage rates, `voltage_sensitivity` and every source's
+current CF (`Device.analytic_cf`) take every derivative.
 
 Each kind is one `Device` subclass that declares its parameters (`params`),
 its states and its equations once.  The equations broadcast, so the same
@@ -115,7 +113,8 @@ class Device:
     scenario's device is a read-only spec: a run copies its `params` into
     the stack and changes only those.  `initial_state` writes the operating
     point into the parameters, events edit their rows, and `derive`, which
-    the constructors call, has to run after either.  An instance whose
+    the constructors call, has to run after either.  `tangent(x, v, dx, dv)`
+    returns (df, dı), shaped as `evaluate`'s.  An instance whose
     `voltage_dependent` is False has a `voltage_sensitivity` that depends on
     its parameters only.
     """
@@ -159,23 +158,21 @@ class Device:
         """The injected current, the second part of `evaluate`."""
         return self.evaluate(x, v)[1]
 
-    def current_state_rate(self, x, xdot, v):
-        """State-driven part of dı̄/dt (the voltage-driven part comes from
-        `voltage_sensitivity`).  It is linear in `xdot`, so a unit rate e_k
-        gives ∂ı/∂x_k; the integrator builds its Newton matrix from that."""
-        return 0.0 + 0.0j
+    def voltage_sensitivity(self, x, v):
+        """(a, b) with dı̄ = a·dv̄ + b·dv̄* at fixed states, from the tangents d₁
+        and d_j along dv̄ = 1 and j: a = (d₁ - j·d_j)/2, b = (d₁ + j·d_j)/2."""
+        ones = np.ones(np.shape(v), dtype=complex)
+        d_1, d_j = (self.tangent(x, v, np.zeros(np.shape(x)), dv)[1] for dv in (ones, 1j * ones))
+        return 0.5 * (d_1 - 1j * d_j), 0.5 * (d_1 + 1j * d_j)
 
     def analytic_cf(self, x, xdot, v, i, eta_v):
-        """Stationary-frame CF of the injected current `i`, from the
-        closed-form sensitivities by the chain rule dı̄/dt =
-        `current_state_rate` + a·dv̄/dt + b·(dv̄/dt)*, with (a, b) from
-        `voltage_sensitivity` and dv̄/dt = ω_b·(η_v - j)·v̄ from `eta_v`.
+        """Stationary-frame CF of the injected current `i`: dı̄/dt is the
+        tangent along (ẋ, v̇) with v̇ = ω_b·(η_v - j)·v̄ from `eta_v`.
         `xdot` and `i` are what `evaluate` returns at (x, v), with no zero
         in `i` (`DaeSystem.analytic_cf` masks those).  Reads the kind's
         `omega_base`."""
-        a, b = self.voltage_sensitivity(x, v)
         v_dot = self.omega_base * (eta_v - 1j) * v
-        i_dot = self.current_state_rate(x, xdot, v) + a * v_dot + b * np.conj(v_dot)
+        i_dot = self.tangent(x, v, xdot, v_dot)[1]
         return i_dot / (i * self.omega_base) + 1j
 
     def __repr__(self):
@@ -239,13 +236,15 @@ class SynchronousMachine(Device):
         np.divide(self.p_m - p_e - self.damping * slip, self.inertia, out=f[..., 1])
         return f, i
 
-    def voltage_sensitivity(self, x, v):
-        a = np.broadcast_to(1j / self.xd_prime, np.shape(v))  # the same at every sample
-        return a, 0.0 * a
-
-    def current_state_rate(self, x, xdot, v):
-        # dĒ/dt = j·δ̇·Ē
-        return 1j * xdot[..., 0] * self.emf(x) * (-1j / self.xd_prime)
+    def tangent(self, x, v, dx, dv):
+        """dĒ = j·dδ·Ē and dı = (dĒ - dv̄)/(j·x'_d): a = j/x'_d, b = 0 exactly."""
+        e_vec, g = self.emf(x), -1j / self.xd_prime  # g = 1/(j·x'_d)
+        de = 1j * dx[..., 0] * e_vec
+        di = (de - dv) * g
+        dp_e = (de * np.conj((e_vec - v) * g) + e_vec * np.conj(di)).real
+        d_slip = dx[..., 1]
+        df = _columns(self.omega_base * d_slip, -(dp_e + self.damping * d_slip) / self.inertia)
+        return df, di
 
 
 class ZipLoad(Device):
@@ -336,6 +335,11 @@ class ZipLoad(Device):
         b = half_i * v / vc + self.sp / vc**2
         return a, b
 
+    def tangent(self, x, v, dx, dv):
+        """No state derivatives, and dı = a·dv̄ + b·dv̄*."""
+        a, b = self.voltage_sensitivity(x, v)
+        return np.empty(np.shape(x)), a * dv + b * np.conj(dv)
+
     def analytic_cf(self, x, xdot, v, i, eta_v):
         """The CF of a sum is the current-weighted mean of the parts' CFs:
         η_v for the Z part, its rotation j·Im η_v for the I part and -η_v*
@@ -371,10 +375,6 @@ class _Converter(Device):
 
     def injected_current(self, x, v):
         return (self.internal_voltage(x) - self.through * v) / self.z_f
-
-    def voltage_sensitivity(self, x, v):
-        a = np.broadcast_to(-self.through / self.z_f, np.shape(v))  # the same at every sample
-        return a, 0.0 * a
 
 
 class GridFollowingConverter(_Converter):
@@ -437,9 +437,6 @@ class GridFollowingConverter(_Converter):
     def modulation(self, x):
         return _pair(x, 0) + self.kp_current * (self.i_ref - _pair(x, 2))
 
-    def modulation_rate(self, xdot):
-        return _pair(xdot, 0) - self.kp_current * _pair(xdot, 2)
-
     def internal_voltage(self, x):
         return self.modulation(x) * self.v_dc * np.exp(1j * x[..., 5])
 
@@ -463,12 +460,18 @@ class GridFollowingConverter(_Converter):
         )
         return f, i
 
-    def current_state_rate(self, x, xdot, v):
-        m_dq = self.modulation(x)
-        _require_magnitude(np.abs(m_dq), "m", self)
-        e_vec = self.internal_voltage(x)
-        e_dot = (self.modulation_rate(xdot) / m_dq + 1j * xdot[..., 5]) * e_vec
-        return e_dot / self.z_f
+    def tangent(self, x, v, dx, dv):
+        """ē = m·v_dc·e^{jθ} moves by (dm + j·dθ·m)·v_dc·e^{jθ}; the dq frame turns by dθ."""
+        turn, m_dq, i = np.exp(1j * x[..., 5]), self.modulation(x), self.injected_current(x, v)
+        d_theta, d_im = dx[..., 5], _pair(dx, 2)
+        de = (_pair(dx, 0) - self.kp_current * d_im + 1j * d_theta * m_dq) * self.v_dc * turn
+        di = de / self.z_f - self.through / self.z_f * dv  # a = -(1 + z_f·y_f)/z_f, b = 0
+        d_pi = -self.ki_current * d_im
+        d_meas = ((di - 1j * d_theta * i) * np.conj(turn) - d_im) / self.t_measure
+        dv_q = ((dv - 1j * d_theta * v) * np.conj(turn)).imag
+        d_pll = self.omega_base * (self.kp_pll * dv_q + dx[..., 4])
+        df = _columns(d_pi.real, d_pi.imag, d_meas.real, d_meas.imag, self.ki_pll * dv_q, d_pll)
+        return df, di
 
 
 class GridFormingConverter(_Converter):
@@ -547,7 +550,16 @@ class GridFormingConverter(_Converter):
         )
         return f, i
 
-    def current_state_rate(self, x, xdot, v):
-        _require_magnitude(x[..., 0], "e", self)
-        e_dot = (xdot[..., 0] / x[..., 0] + 1j * xdot[..., 1]) * self.internal_voltage(x)
-        return e_dot / self.z_f
+    def tangent(self, x, v, dx, dv):
+        """ē = e·e^{jδ} moves by (de + j·e·dδ)·e^{jδ}, and |v| by Re(v̄*·dv̄)/|v|."""
+        turn, v_mag = np.exp(1j * x[..., 1]), np.abs(v)
+        _require_magnitude(v_mag, "v", self)
+        i = self.injected_current(x, v)
+        de = (dx[..., 0] + 1j * x[..., 0] * dx[..., 1]) * turn
+        di = de / self.z_f - self.through / self.z_f * dv  # as the GFL's
+        dv_mag, d_vm, d_pm = (np.conj(v) * dv).real / v_mag, dx[..., 2], dx[..., 3]
+        d_e = -self.ki_voltage * d_vm - self.kp_voltage / self.t_voltage * (d_vm - dv_mag)
+        d_v = (dv_mag - d_vm) / self.t_voltage
+        d_p = ((dv * np.conj(i) + v * np.conj(di)).real - d_pm) / self.t_power  # dp_out - dp_m
+        df = _columns(d_e, -self.omega_base * self.droop * d_pm, d_v, d_p)
+        return df, di

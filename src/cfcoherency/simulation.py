@@ -407,11 +407,12 @@ class DaeSystem:
 
     def voltage_rates(self, x: np.ndarray, v: np.ndarray, xdot: np.ndarray) -> np.ndarray:
         """Exact bus-voltage time derivatives by implicit differentiation of
-        the current balance ı(x, v) = Ȳv: J_v·v̇ = -Σ state-driven current rates."""
+        the current balance ı(x, v) = Ȳv: J_v·v̇ = -Σ current tangents along (ẋ, 0)."""
         rates = []
         for blk in self.dynamic:
             xb, vb = self._local(blk, x, v)
-            rates.append(blk.current_state_rate(xb, xdot[..., blk.states].reshape(xb.shape), vb))
+            xdot_b = xdot[..., blk.states].reshape(xb.shape)
+            rates.append(blk.tangent(xb, vb, xdot_b, np.zeros_like(vb))[1])
         return self.solve_voltage(x, v, -self._to_bus(rates, v, self._dynamic_incidence))
 
     def analytic_cf(
@@ -453,25 +454,6 @@ def _diag(d: np.ndarray) -> np.ndarray:
     return out
 
 
-FD_STEP = 1e-7
-
-
-def _fd_sensitivities(blk: Device, xb: np.ndarray, vb: np.ndarray):
-    """Forward differences of a block's state derivatives by each device's own
-    states, (n, n_states, n_states), and terminal voltage (Re, Im), (n,
-    n_states, 2); one block call per perturbed column serves all devices."""
-    f0 = blk.derivatives(xb, vb)
-    df_dx = np.empty(xb.shape + (blk.n_states,))
-    for k in range(blk.n_states):
-        h = FD_STEP * (1.0 + np.abs(xb[:, k]))
-        xp = xb.copy()
-        xp[:, k] += h
-        df_dx[:, :, k] = (blk.derivatives(xp, vb) - f0) / h[:, None]
-    h = FD_STEP * (1.0 + np.abs(vb))
-    df_dv = [(blk.derivatives(xb, vb + dv) - f0) / h[:, None] for dv in (h, 1j * h)]
-    return df_dx, np.stack(df_dv, axis=-1)
-
-
 class TrapezoidalIntegrator:
     """Fixed-step implicit trapezoidal scheme with a lazily refreshed Newton
     matrix and step-halving recovery."""
@@ -496,8 +478,8 @@ class TrapezoidalIntegrator:
     # part is the float view of the complex voltage vector
 
     def _jacobian(self, x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-        """The Newton matrix at (x, v), built per block: each device's ∂f/∂x
-        and ∂f/∂v sit on its own rows, and its ∂ı/∂x in its bus rows."""
+        """The Newton matrix at (x, v), built per block from tangents: each
+        device's ∂f/∂x and ∂f/∂v sit on its own rows, and its ∂ı/∂x in its bus rows."""
         sys = self.system
         nx = sys.n_states
         a = np.zeros((sys.n_vars, sys.n_vars))
@@ -508,13 +490,15 @@ class TrapezoidalIntegrator:
             rows = np.arange(blk.states.start, blk.states.stop).reshape(xb.shape)
             # the (Re v, Im v) variables of each device's bus
             bus_vars = nx + 2 * blk.bus[:, None] + np.arange(2)
-            df_dx, df_dv = _fd_sensitivities(blk, xb, vb)
-            a[rows[:, :, None], rows[:, None, :]] -= 0.5 * dt * df_dx
-            a[rows[:, :, None], bus_vars[:, None, :]] -= 0.5 * dt * df_dv
-            # ∂ı/∂x: the current rate is linear in ẋ, so unit rates give the columns
-            di_dx = [blk.current_state_rate(xb, e_k, vb) for e_k in np.eye(blk.n_states)]
-            a[bus_vars[:, :1], rows] = np.real(di_dx).T
-            a[bus_vars[:, 1:], rows] = np.imag(di_dx).T
+            # one tangent per unit state column gives its ∂f/∂x and ∂ı/∂x,
+            # and one per voltage direction (Re v, Im v) its ∂f/∂v
+            for k, e_k in enumerate(np.eye(blk.n_states)):
+                df, di = blk.tangent(xb, vb, np.tile(e_k, (blk.n, 1)), np.zeros_like(vb))
+                a[rows, rows[:, k : k + 1]] -= 0.5 * dt * df
+                a[bus_vars, rows[:, k : k + 1]] = np.stack((di.real, di.imag), axis=-1)
+            for col, dv in enumerate((1.0, 1j)):
+                df = blk.tangent(xb, vb, np.zeros_like(xb), dv * np.ones_like(vb))[0]
+                a[rows, bus_vars[:, col : col + 1]] -= 0.5 * dt * df
         return a
 
     def _refresh(self, x: np.ndarray, v: np.ndarray, dt: float) -> None:
@@ -614,13 +598,11 @@ def _share(weight: float, weights: list[float]) -> float:
     total = sum(weights)
     return weight / total if total else 1.0 / len(weights)
 
-def initialize(
-    scenario: Scenario, pf: PowerFlowResult | None = None
-) -> tuple[np.ndarray, np.ndarray, DaeSystem]:
-    """Back-solve every device to an exact equilibrium at the power-flow
-    point, into the system's blocks; the scenario's devices are only read."""
-    if pf is None:
-        pf = power_flow(scenario)
+def initialize(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, DaeSystem]:
+    """Back-solve every device to an exact equilibrium at the scenario's
+    power-flow point, into the system's blocks; the scenario's devices are
+    only read."""
+    pf = power_flow(scenario)
     v = pf.voltages.copy()
     system = DaeSystem(scenario.network, scenario.devices, scenario.omega_base)
 

@@ -20,7 +20,6 @@ from cfcoherency import (
     split_machines,
 )
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
-from cfcoherency.simulation import FD_STEP
 
 OMEGA_B = 2.0 * np.pi * 60.0
 
@@ -119,22 +118,23 @@ def reference_devices(system, devices) -> list:
     return refs
 
 
+CENTRAL_STEP = 1e-5  # relative step of the central differences below
+
+
 def device_fd_blocks(dev, x_d: np.ndarray, vb: complex):
-    """Forward-difference sensitivities of one scalar device's state
+    """Central-difference sensitivities of one scalar device's state
     derivatives with respect to its own states and to its terminal voltage
-    (Re, Im), the way the Newton matrix takes them for a whole block."""
+    (Re, Im), the blocks the Newton matrix holds for each device."""
     n = dev.n_states
-    f0 = dev.derivatives(x_d, vb)
     df_dx = np.zeros((n, n))
     for k in range(n):
-        h = FD_STEP * (1.0 + abs(x_d[k]))
-        xp = x_d.copy()
-        xp[k] += h
-        df_dx[:, k] = (dev.derivatives(xp, vb) - f0) / h
-    h = FD_STEP * (1.0 + abs(vb))
+        step = np.zeros(n)
+        step[k] = h = CENTRAL_STEP * (1.0 + abs(x_d[k]))
+        df_dx[:, k] = (dev.derivatives(x_d + step, vb) - dev.derivatives(x_d - step, vb)) / (2 * h)
+    h = CENTRAL_STEP * (1.0 + abs(vb))
     df_dv = np.zeros((n, 2))
     for k, dv in enumerate((h, 1j * h)):
-        df_dv[:, k] = (dev.derivatives(x_d, vb + dv) - f0) / h
+        df_dv[:, k] = (dev.derivatives(x_d, vb + dv) - dev.derivatives(x_d, vb - dv)) / (2 * h)
     return df_dx, df_dv
 
 

@@ -34,6 +34,7 @@ from tests.conftest import (
     reference_devices,
     state_vector,
     two_bus_scenario,
+    zip_load,
 )
 
 REL = 1e-12
@@ -89,7 +90,7 @@ def ref_voltage_jacobian(system, devices, x, v):
 def ref_voltage_rates(system, devices, x, v, xdot):
     c = np.zeros(system.n_bus, dtype=complex)
     for d, sl in zip(devices, system.slices):
-        c[d.bus] += d.current_state_rate(x[sl], xdot[sl], complex(v[d.bus]))
+        c[d.bus] += d.tangent(x[sl], complex(v[d.bus]), xdot[sl], 0j)[1]
     jac = ref_voltage_jacobian(system, devices, x, v)
     return np.linalg.solve(jac, -c.view(float)).view(complex)
 
@@ -338,23 +339,24 @@ class TestBlocksMatchDevices:
 
 
 @pytest.mark.parametrize(
-    "cls, states, what",
+    "device, states",
     [
-        (GridFormingConverter, [1.0, 0.1, 1.0, 0.5], "e"),
-        # m = pi + kp·(i_ref - i_m) with the default zero references
-        (GridFollowingConverter, [0.5, 0.1, 0.0, 0.0, 0.0, 0.2], "m"),
+        (zip_load, []),
+        (lambda name: GridFormingConverter(
+            name, 0, x_filter=0.15, r_filter=0.005, v_dc=2.0, omega_base=OMEGA_B
+        ), [1.0, 0.1, 1.0, 0.5]),
     ],
-    ids=["gfm_e", "gfl_m"],
+    ids=["zip_v", "gfm_v"],
 )
-def test_guard_names_the_device_of_a_sample(cls, states, what):
-    # (samples, devices) states of three converters; one |e| or |m| at the guard
-    filt = dict(x_filter=0.15, r_filter=0.005, v_dc=2.0, omega_base=OMEGA_B)
-    blk = cls.stack([cls(f"D{k}", 0, **filt) for k in range(3)], 0)
-    x = np.tile(states, (4, 3, 1))
-    x[2, 1, :2] = [5e-10, 0.0]
+def test_guard_names_the_device_of_a_sample(device, states):
+    # (samples, devices) terminal voltages of three devices; one |v| at the guard
+    devices = [device(f"D{k}") for k in range(3)]
+    blk = type(devices[0]).stack(devices, 0)
+    x = np.tile(np.array(states, dtype=float), (4, 3, 1))
     v = np.ones((4, 3), dtype=complex)
-    with pytest.raises(MagnitudeUnderflow, match=rf"\|{what}\(D1\)\| = 5\.000e-10 at or below"):
-        blk.current_state_rate(x, np.zeros_like(x), v)
+    v[2, 1] = 5e-10
+    with pytest.raises(MagnitudeUnderflow, match=r"\|v\(D1\)\| = 5\.000e-10 at or below"):
+        blk.tangent(x, v, np.zeros_like(x), v)
 
 
 EVENTS = {

@@ -22,6 +22,7 @@ from cfcoherency import (
     z_load_cf,
 )
 from cfcoherency.errors import MagnitudeUnderflow
+from cfcoherency.scenario_io import _DEVICES
 
 OMEGA_B = 2.0 * np.pi * 60.0
 
@@ -316,7 +317,7 @@ class TestGridFollowing:
         h = 1e-7
         i0 = gfl.injected_current(x0, v)
         i1 = gfl.injected_current(x0 + h * xdot, v)
-        assert (i1 - i0) / h == pytest.approx(gfl.current_state_rate(x0, xdot, v), rel=1e-5)
+        assert (i1 - i0) / h == pytest.approx(gfl.tangent(x0, v, xdot, 0j)[1], rel=1e-5)
 
 
 class TestGridForming:
@@ -347,7 +348,7 @@ class TestGridForming:
         h = 1e-7
         i0 = gfm.injected_current(x0, v)
         i1 = gfm.injected_current(x0 + h * xdot, v)
-        assert (i1 - i0) / h == pytest.approx(gfm.current_state_rate(x0, xdot, v), rel=1e-5)
+        assert (i1 - i0) / h == pytest.approx(gfm.tangent(x0, v, xdot, 0j)[1], rel=1e-5)
 
     def test_settable_params_whitelist(self):
         # a scenario accepts set_parameter events on settable parameters only
@@ -389,3 +390,77 @@ def test_stack_outputs_feed_back_into_the_stack(cls, knock):
     x_c, xdot_c = np.ascontiguousarray(x), np.ascontiguousarray(xdot)
     assert np.array_equal(stack.evaluate(x_c, v)[0], xdot)
     assert np.array_equal(stack.analytic_cf(x_c, xdot_c, v, i, eta_v), cf)
+
+
+# ---------------------------------------------------------------------------
+# The tangent contract of every registered device kind
+# ---------------------------------------------------------------------------
+
+def any_device(kind: str, values):
+    """A device of the registered `kind`, built from its required scenario
+    keys, whose every parameter (`params`) is then set from `values`, two
+    numbers per parameter (real and imaginary part where it is complex)."""
+    cls, keys = _DEVICES[kind]
+    args = {
+        spec.arg: 0.5
+        for key, spec in keys.items()
+        if spec.required and key not in ("type", "name", "bus")
+    }
+    if not cls.is_load:
+        args["omega_base"] = OMEGA_B
+    dev = cls("D", 0, **args)
+    for k, name in enumerate(cls.params):
+        re, im = values[2 * k], values[2 * k + 1]
+        setattr(dev, name, complex(re, im) if isinstance(getattr(dev, name), complex) else re)
+    dev.derive()
+    return dev
+
+
+N_VALUES = 2 * max(len(cls.params) for cls, _ in _DEVICES.values())
+N_STATES = max(cls.n_states for cls, _ in _DEVICES.values())
+POINTS = dict(
+    values=st.lists(st.floats(0.2, 2.0), min_size=N_VALUES, max_size=N_VALUES),
+    x=st.lists(st.floats(-2.0, 2.0), min_size=N_STATES, max_size=N_STATES),
+    dx=st.lists(st.floats(-1.0, 1.0), min_size=N_STATES, max_size=N_STATES),
+    v=st.complex_numbers(min_magnitude=0.5, max_magnitude=1.5),
+    dv=st.complex_numbers(max_magnitude=1.0),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(_DEVICES))
+@settings(max_examples=60, deadline=None)
+@given(**POINTS)
+def test_tangent_is_the_derivative_of_evaluate(kind, values, x, dx, v, dv):
+    # (df, dı) against central differences of `evaluate` along (dx, dv)
+    dev = any_device(kind, values)
+    n = dev.n_states
+    x, dx = np.array(x[:n]), np.array(dx[:n])
+    h = 1e-6
+    plus, minus = dev.evaluate(x + h * dx, v + h * dv), dev.evaluate(x - h * dx, v - h * dv)
+    for exact, up, down in zip(dev.tangent(x, v, dx, dv), plus, minus):
+        fd = (up - down) / (2 * h)
+        scale = max(1.0, np.max(np.abs(fd), initial=0.0))
+        assert np.max(np.abs(exact - fd), initial=0.0) <= 1e-6 * scale
+
+
+# a = ∂ı/∂v̄ of the kinds whose current is an admittance times (ē - v̄)
+VOLTAGE_ADMITTANCE = {
+    "sm": lambda blk: 1j / blk.xd_prime,
+    "gfl": lambda blk: -(1.0 + blk.z_f * blk.y_f) / blk.z_f,
+    "gfm": lambda blk: -(1.0 + blk.z_f * blk.y_f) / blk.z_f,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VOLTAGE_ADMITTANCE))
+def test_voltage_sensitivity_is_the_admittance_bit_for_bit(kind):
+    # the tangents along dv̄ = 1 and j give a = the closed form and b = 0
+    # exactly, so the voltage Jacobian does not move with the states
+    rng = np.random.default_rng(3)
+    cls = _DEVICES[kind][0]
+    devices = [any_device(kind, rng.uniform(0.01, 3.0, 2 * len(cls.params))) for _ in range(500)]
+    blk = cls.stack(devices, 0)
+    x = rng.uniform(-2.0, 2.0, (3, blk.n, cls.n_states))
+    v = rng.uniform(0.5, 1.5, (3, blk.n)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (3, blk.n)))
+    a, b = blk.voltage_sensitivity(x, v)
+    assert np.array_equal(a, np.broadcast_to(VOLTAGE_ADMITTANCE[kind](blk), v.shape))
+    assert np.all(b == 0.0)

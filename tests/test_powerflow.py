@@ -77,7 +77,7 @@ class TestInitialize:
         # delta and e'_q from E = v + j x'_d i at the dispatched operating point
         sc = two_bus_scenario(load_p=0.8, load_q=0.2)
         pf = power_flow(sc)
-        x0, v0, system = initialize(sc, pf)
+        x0, v0, system = initialize(sc)
         sm, row = system.row("SM")
         i = np.conj((pf.bus_injection[0] + 0j) / pf.voltages[0])
         e_expected = pf.voltages[0] + 1j * sm.xd_prime[row] * i

@@ -59,11 +59,8 @@ class _LinearTestDevice(Device):
     def evaluate(self, x, v):
         return (self.lam * x[..., 0])[..., None], np.ones_like(v)
 
-    def voltage_sensitivity(self, x, v):
-        return 0.0j * v, 0.0j * v
-
-    def current_state_rate(self, x, xdot, v):
-        return 0.0j * v
+    def tangent(self, x, v, dx, dv):
+        return self.lam * dx, 0.0j * dv
 
 
 def diverge_once(newton_step):
@@ -698,9 +695,9 @@ class TestVoltageRates:
 
 @pytest.mark.parametrize("name", ["mixed", "ieee39_mod"])
 def test_paper_closed_forms_give_the_recorded_source_cfs(name):
-    # the chain-rule CF that a run records for each source, against the
+    # the CF that a run records from the tangent for each source, against the
     # paper's closed form on the same recorded samples, through an event;
-    # a converter's internal-voltage CF comes from its own current rate.
+    # a converter's internal-voltage CF comes from the tangent of its current.
     # No event changes a source's parameters, so the initialized ones hold
     if name == "mixed":
         sc = mixed_scenario(t_end=1.1)
@@ -720,7 +717,7 @@ def test_paper_closed_forms_give_the_recorded_source_cfs(name):
         if d.kind == "sm":
             want = sm_current_cf(s, i_mag, d.xd_prime, x[:, 1], eta_v)
         else:
-            rate = d.current_state_rate(x, d.derivatives(x, v), v)
+            rate = d.tangent(x, v, d.derivatives(x, v), np.zeros_like(v))[1]
             eta_e = d.z_f * rate / d.internal_voltage(x) / d.omega_base + 1j
             want = ibr_current_cf(s, i_mag, d.z_f, d.y_f, eta_e, eta_v)
         got = traj.analytic_cf[d.name]
@@ -762,9 +759,9 @@ class TestSensitivities:
         return integ._jacobian(x, v, self.DT)
 
     def test_state_columns_match_finite_differences(self):
-        # ∂ı/∂x_k is the current rate at the unit state rate e_k: per scalar
-        # device against central differences, and per block in the network
-        # rows of the Newton matrix
+        # ∂ı/∂x_k is the current's tangent along the unit state rate e_k:
+        # per scalar device against central differences, and per block in
+        # the network rows of the Newton matrix
         devices, system, x, v = _off_equilibrium()
         for dev, sl in zip(devices, system.slices):
             vb = complex(v[dev.bus])
@@ -774,7 +771,7 @@ class TestSensitivities:
                 fd = (
                     dev.injected_current(x[sl] + dx, vb) - dev.injected_current(x[sl] - dx, vb)
                 ) / (2 * self.H)
-                exact = dev.current_state_rate(x[sl], np.eye(dev.n_states)[k], vb)
+                exact = dev.tangent(x[sl], vb, np.eye(dev.n_states)[k], 0j)[1]
                 assert abs(exact - fd) < 1e-7 * max(1.0, abs(fd)), (dev.name, k)
         newton = self._newton(system, x, v)
         nx = system.n_states
@@ -782,7 +779,7 @@ class TestSensitivities:
         for blk in system.dynamic:
             xb, vb = x[blk.states].reshape(blk.n, blk.n_states), v[blk.bus]
             for k, e_k in enumerate(np.eye(blk.n_states)):
-                rate = blk.current_state_rate(xb, e_k, vb)
+                rate = blk.tangent(xb, vb, np.tile(e_k, (blk.n, 1)), np.zeros_like(vb))[1]
                 for row, name in enumerate(blk.name):
                     u = nx + 2 * blk.bus[row]
                     col = newton[u : u + 2, system.slices[names.index(name)].start + k]
@@ -790,7 +787,7 @@ class TestSensitivities:
         assert np.array_equal(newton[nx:, nx:], system.voltage_jacobian(x, v))
 
     def test_device_rows_match_scalar_finite_differences(self):
-        # the block-built ∂f/∂x and ∂f/∂v against per-device forward
+        # the block-built ∂f/∂x and ∂f/∂v against per-device central
         # differences of the scalar equations; nothing else on the state rows
         devices, system, x, v = _off_equilibrium()
         newton = self._newton(system, x, v)
@@ -805,3 +802,47 @@ class TestSensitivities:
             got[sl, sl] += np.eye(dev.n_states) / (0.5 * self.DT)
             want[sl, sl], want[sl, u : u + 2] = device_fd_blocks(dev, x[sl], complex(v[dev.bus]))
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def linearization(name):
+    """The state matrix A = F_x - F_v·J_v⁻¹·I_x of a bundled scenario at its
+    initial point, Kron-reduced from the blocks of the Newton matrix at
+    dt = 2, whose state rows are then I - F_x and -F_v; and its system."""
+    x, v, system = initialize(load_scenario(bundled_scenario_path(name)))
+    newton = TrapezoidalIntegrator(system)._jacobian(x, v, 2.0)
+    nx = system.n_states
+    f_x, f_v = np.eye(nx) - newton[:nx, :nx], -newton[:nx, nx:]
+    i_x, j_v = newton[nx:, :nx], newton[nx:, nx:]
+    return f_x - f_v @ np.linalg.solve(j_v, i_x), system
+
+
+class TestExactLinearization:
+    """The Newton matrix holds the exact linearization, so the modes of the
+    classical machines come out as their equations fix them."""
+
+    def test_ieee39_uniform_damping(self):
+        # with D/M = 0.5 at every machine, each swing mode decays at -D/(2M)
+        # and the two real modes are the angle reference 0 and -D/M
+        a, system = linearization("ieee39")
+        [machines] = system.dynamic
+        assert np.all(machines.damping / machines.inertia == 0.5)
+        lam = np.linalg.eigvals(a)
+        swing = lam[np.abs(lam.imag) > 1e-3]
+        assert swing.size == 18
+        assert np.max(np.abs(swing.real + 0.25)) <= 1e-12
+        real = np.sort(lam[np.abs(lam.imag) <= 1e-3].real)
+        assert real.size == 2
+        assert abs(real[0] + 0.5) <= 1e-9 and abs(real[1]) <= 1e-9
+
+    def test_twomachine_undamped_double_zero(self):
+        # no damping: the angle reference is a double zero
+        a, _ = linearization("twomachine")
+        assert np.sort(np.abs(np.linalg.eigvals(a)))[1] <= 1e-5
+
+    def test_ieee39_mod_grows(self):
+        # the growing mode that README's scenario table states
+        a, _ = linearization("ieee39_mod")
+        growing = np.linalg.eigvals(a)
+        growing = growing[growing.real > 1e-3]
+        assert growing.size == 2  # one conjugate pair
+        assert np.min(np.abs(growing - (0.1021237 + 3.3098812j))) <= 1e-3
