@@ -377,7 +377,11 @@ class DaeSystem:
         """∂(ı - Ȳv)/∂(Re v, Im v) at fixed states, with rows and columns
         interleaved per bus as (Re, Im).  Each device contributes its
         closed-form dı = a·dv̄ + b·dv̄* to the diagonal of its bus."""
-        ab = [blk.voltage_sensitivity(*self._local(blk, x, v)) for blk in self.blocks]
+        ab, first = [], (0,) * (v.ndim - 1)
+        for blk in self.blocks:  # one that is not voltage dependent, at the first sample only
+            at = (x, v) if blk.voltage_dependent else (x[first], v[first])
+            ab.append([np.broadcast_to(s, v.shape[:-1] + (blk.n,))
+                       for s in blk.voltage_sensitivity(*self._local(blk, *at))])
         a_bus = self._to_bus([a for a, _ in ab], v)
         b_bus = self._to_bus([b for _, b in ab], v)
         m = _diag(a_bus) - self.y
@@ -387,6 +391,27 @@ class DaeSystem:
         jac[..., 1::2, 0::2] = m.imag + _diag(b_bus.imag)
         jac[..., 1::2, 1::2] = m.real - _diag(b_bus.real)
         return jac
+
+    def linearize(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The exact Jacobian blocks (F_x, F_v, I_x, J_v) of f and ı - Ȳv at one
+        point, x (n_states,) and v (n_bus,), the bus variables (Re v, Im v)
+        interleaved per bus; J_v is `voltage_jacobian`.  Per block with states,
+        one `tangent` per unit state column fills that column of F_x and I_x,
+        and one per voltage direction, 1 and j, fills F_v."""
+        nx, nv = self.n_states, 2 * self.n_bus
+        f_x, f_v, i_x = np.zeros((nx, nx)), np.zeros((nx, nv)), np.zeros((nv, nx))
+        for blk in self.dynamic:
+            xb, vb = self._local(blk, x, v)
+            rows = np.arange(blk.states.start, blk.states.stop).reshape(xb.shape)
+            bus_vars = 2 * blk.bus[:, None] + np.arange(2)  # each device's (Re v, Im v)
+            for k, e_k in enumerate(np.eye(blk.n_states)):
+                df, di = blk.tangent(xb, vb, np.tile(e_k, (blk.n, 1)), np.zeros_like(vb))
+                f_x[rows, rows[:, k : k + 1]] = df
+                i_x[bus_vars, rows[:, k : k + 1]] = np.stack((di.real, di.imag), axis=-1)
+            for col, dv in enumerate((1.0, 1j)):
+                df = blk.tangent(xb, vb, np.zeros_like(xb), dv * np.ones_like(vb))[0]
+                f_v[rows, bus_vars[:, col : col + 1]] = df
+        return f_x, f_v, i_x, self.voltage_jacobian(x, v)
 
     def solve_voltage(self, x: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """dv with voltage_jacobian(x, v)·dv = rhs, for complex bus vectors.
@@ -474,35 +499,13 @@ class TrapezoidalIntegrator:
 
     # -- Newton matrix --------------------------------------------------------
 
-    # the Newton variables are the states, then (Re v, Im v) per bus: the bus
-    # part is the float view of the complex voltage vector
-
-    def _jacobian(self, x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-        """The Newton matrix at (x, v), built per block from tangents: each
-        device's ∂f/∂x and ∂f/∂v sit on its own rows, and its ∂ı/∂x in its bus rows."""
-        sys = self.system
-        nx = sys.n_states
-        a = np.zeros((sys.n_vars, sys.n_vars))
-        a[:nx, :nx] = np.eye(nx)
-        a[nx:, nx:] = sys.voltage_jacobian(x, v)
-        for blk in sys.dynamic:
-            xb, vb = sys._local(blk, x, v)
-            rows = np.arange(blk.states.start, blk.states.stop).reshape(xb.shape)
-            # the (Re v, Im v) variables of each device's bus
-            bus_vars = nx + 2 * blk.bus[:, None] + np.arange(2)
-            # one tangent per unit state column gives its ∂f/∂x and ∂ı/∂x,
-            # and one per voltage direction (Re v, Im v) its ∂f/∂v
-            for k, e_k in enumerate(np.eye(blk.n_states)):
-                df, di = blk.tangent(xb, vb, np.tile(e_k, (blk.n, 1)), np.zeros_like(vb))
-                a[rows, rows[:, k : k + 1]] -= 0.5 * dt * df
-                a[bus_vars, rows[:, k : k + 1]] = np.stack((di.real, di.imag), axis=-1)
-            for col, dv in enumerate((1.0, 1j)):
-                df = blk.tangent(xb, vb, np.zeros_like(xb), dv * np.ones_like(vb))[0]
-                a[rows, bus_vars[:, col : col + 1]] -= 0.5 * dt * df
-        return a
-
     def _refresh(self, x: np.ndarray, v: np.ndarray, dt: float) -> None:
-        self._jinv = np.linalg.inv(self._jacobian(x, v, dt))
+        """Invert [[I - h·F_x, -h·F_v], [I_x, J_v]], h = dt/2, the trapezoid assembly
+        of `DaeSystem.linearize` at (x, v); the states, then the bus variables."""
+        f_x, f_v, i_x, j_v = self.system.linearize(x, v)
+        a = np.block([[np.eye(len(f_x)), np.zeros(f_v.shape)], [i_x, j_v]])
+        a[: len(f_x)] -= 0.5 * dt * np.hstack((f_x, f_v))
+        self._jinv = np.linalg.inv(a)
         self._j_dt = dt
         self.refreshes += 1
 

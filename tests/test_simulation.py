@@ -738,7 +738,6 @@ def _off_equilibrium():
 
 class TestSensitivities:
     H = 1e-6
-    DT = 1e-3
 
     def test_voltage_jacobian_matches_finite_differences(self):
         devices, system, x, v = _off_equilibrium()
@@ -754,14 +753,33 @@ class TestSensitivities:
             fd[1::2, col] = diff.imag / (2 * self.H)
         assert np.max(np.abs(jac - fd)) < 1e-7 * np.max(np.abs(jac))
 
-    def _newton(self, system, x, v):
-        integ = TrapezoidalIntegrator(system)
-        return integ._jacobian(x, v, self.DT)
+    def test_voltage_jacobian_asks_sources_at_one_sample(self, monkeypatch):
+        # the S-load makes the Jacobian vary per sample; a source's (a, b)
+        # depends on its parameters only, so a 64-sample call evaluates each
+        # source block's two voltage tangents at one sample, and returns the
+        # per-sample matrices bit for bit
+        _, system, x, v = _off_equilibrium()
+        assert system.voltage_dependent
+        rng = np.random.default_rng(3)
+        xs = x + 1e-3 * rng.standard_normal((64, x.size))
+        vs = v * (1.0 + 1e-3 * (rng.standard_normal((64, v.size)) + 1j))
+        want = np.stack([system.voltage_jacobian(xk, vk) for xk, vk in zip(xs, vs)])
+        calls = []
+        for blk in system.dynamic:
+
+            def counted(dev, x, v, dx, dv, tangent=type(blk).tangent):
+                calls.append((dev.kind, np.shape(v)))
+                return tangent(dev, x, v, dx, dv)
+
+            monkeypatch.setattr(type(blk), "tangent", counted)
+        assert np.array_equal(system.voltage_jacobian(xs, vs), want)
+        assert {blk.kind for blk in system.dynamic} == {"sm", "gfl", "gfm"}
+        assert sorted(calls) == sorted([(blk.kind, (blk.n,)) for blk in system.dynamic] * 2)
 
     def test_state_columns_match_finite_differences(self):
         # ∂ı/∂x_k is the current's tangent along the unit state rate e_k:
         # per scalar device against central differences, and per block in
-        # the network rows of the Newton matrix
+        # the I_x of `linearize`
         devices, system, x, v = _off_equilibrium()
         for dev, sl in zip(devices, system.slices):
             vb = complex(v[dev.bus])
@@ -773,52 +791,45 @@ class TestSensitivities:
                 ) / (2 * self.H)
                 exact = dev.tangent(x[sl], vb, np.eye(dev.n_states)[k], 0j)[1]
                 assert abs(exact - fd) < 1e-7 * max(1.0, abs(fd)), (dev.name, k)
-        newton = self._newton(system, x, v)
-        nx = system.n_states
+        _, _, i_x, j_v = system.linearize(x, v)
         names = [d.name for d in devices]
         for blk in system.dynamic:
             xb, vb = x[blk.states].reshape(blk.n, blk.n_states), v[blk.bus]
             for k, e_k in enumerate(np.eye(blk.n_states)):
                 rate = blk.tangent(xb, vb, np.tile(e_k, (blk.n, 1)), np.zeros_like(vb))[1]
                 for row, name in enumerate(blk.name):
-                    u = nx + 2 * blk.bus[row]
-                    col = newton[u : u + 2, system.slices[names.index(name)].start + k]
+                    u = 2 * blk.bus[row]
+                    col = i_x[u : u + 2, system.slices[names.index(name)].start + k]
                     assert np.array_equal(col, [rate[row].real, rate[row].imag]), (name, k)
-        assert np.array_equal(newton[nx:, nx:], system.voltage_jacobian(x, v))
+        assert np.array_equal(j_v, system.voltage_jacobian(x, v))
 
     def test_device_rows_match_scalar_finite_differences(self):
-        # the block-built ∂f/∂x and ∂f/∂v against per-device central
-        # differences of the scalar equations; nothing else on the state rows
+        # the block-built ∂f/∂x and ∂f/∂v of `linearize` against per-device
+        # central differences of the scalar equations; nothing else on the state rows
         devices, system, x, v = _off_equilibrium()
-        newton = self._newton(system, x, v)
-        nx = system.n_states
-        got = np.zeros((nx, system.n_vars))
+        got = np.hstack(system.linearize(x, v)[:2])
         want = np.zeros_like(got)
+        nx = system.n_states
         for dev, sl in zip(devices, system.slices):
             if not dev.n_states:
                 continue
             u = nx + 2 * dev.bus
-            got[sl] = newton[sl] / (-0.5 * self.DT)
-            got[sl, sl] += np.eye(dev.n_states) / (0.5 * self.DT)
             want[sl, sl], want[sl, u : u + 2] = device_fd_blocks(dev, x[sl], complex(v[dev.bus]))
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def linearization(name):
     """The state matrix A = F_x - F_v·J_v⁻¹·I_x of a bundled scenario at its
-    initial point, Kron-reduced from the blocks of the Newton matrix at
-    dt = 2, whose state rows are then I - F_x and -F_v; and its system."""
+    initial point, Kron-reduced from the blocks of `DaeSystem.linearize`;
+    and its system."""
     x, v, system = initialize(load_scenario(bundled_scenario_path(name)))
-    newton = TrapezoidalIntegrator(system)._jacobian(x, v, 2.0)
-    nx = system.n_states
-    f_x, f_v = np.eye(nx) - newton[:nx, :nx], -newton[:nx, nx:]
-    i_x, j_v = newton[nx:, :nx], newton[nx:, nx:]
+    f_x, f_v, i_x, j_v = system.linearize(x, v)
     return f_x - f_v @ np.linalg.solve(j_v, i_x), system
 
 
 class TestExactLinearization:
-    """The Newton matrix holds the exact linearization, so the modes of the
-    classical machines come out as their equations fix them."""
+    """`DaeSystem.linearize` is exact, so the modes of the classical
+    machines come out as their equations fix them."""
 
     def test_ieee39_uniform_damping(self):
         # with D/M = 0.5 at every machine, each swing mode decays at -D/(2M)
