@@ -30,15 +30,19 @@ INTEGRATION_BLOCK = 4096
 
 @dataclass
 class CfSeries:
-    """Sampled complex-frequency trajectory with a validity mask."""
+    """Sampled complex-frequency trajectory, NaN where undefined or untrustworthy."""
 
     times: np.ndarray
     values: np.ndarray  # complex, rho + j*omega in pu
-    valid: np.ndarray  # bool, False where estimates are untrustworthy
 
     def __post_init__(self):
-        if not (self.times.shape == self.values.shape == self.valid.shape):
-            raise ValueError("times, values and valid must share one shape")
+        if self.times.shape != self.values.shape:
+            raise ValueError("times and values must share one shape")
+
+    @property
+    def valid(self) -> np.ndarray:
+        """False exactly where the sample is NaN."""
+        return ~np.isnan(self.values)
 
 
 def numerical_cf(samples, dt: float, omega_base: float) -> CfSeries:
@@ -69,23 +73,21 @@ def numerical_cf(samples, dt: float, omega_base: float) -> CfSeries:
 
     values = (diff(log_mag) + 1j * diff(phase)) / omega_base
     times = np.arange(x.size) * dt
-    return CfSeries(times, values, np.ones(x.size, dtype=bool))
+    return CfSeries(times, values)
 
 
 def device_cf_numerical(traj: Trajectory, name: str, pad: int = EVENT_MASK_PAD) -> CfSeries:
     """Estimator CF of a device's injected current, shifted to the stationary
-    frame and masked around events."""
+    frame, and NaN within `pad` samples of an event."""
     series = numerical_cf(traj.device_current(name), traj.dt, traj.omega_base)
-    return CfSeries(traj.times, series.values + 1j, series.valid & traj.estimator_valid(pad))
+    return CfSeries(traj.times, np.where(traj.estimator_valid(pad), series.values + 1j, np.nan))
 
 
 def device_cf(traj: Trajectory, name: str) -> CfSeries:
     """Stationary-frame CF of a device's current, as `run` recorded it in
-    closed form, valid wherever it is defined (not NaN, which it is where a
-    load draws no current); shares the trajectory's arrays, since no
-    CfSeries is ever written to."""
-    values = traj.analytic_cf[name]
-    return CfSeries(traj.times, values, ~np.isnan(values))
+    closed form, NaN where the device draws no current; shares the
+    trajectory's arrays, since no CfSeries is ever written to."""
+    return CfSeries(traj.times, traj.analytic_cf[name])
 
 
 def _same_time_base(a: np.ndarray, b: np.ndarray) -> None:
@@ -96,9 +98,9 @@ def _same_time_base(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def coherency_function(eta1: CfSeries, eta2: CfSeries) -> CfSeries:
-    """Instantaneous coherency function: sample-wise CF difference."""
+    """Instantaneous coherency function: sample-wise CF difference, NaN where either CF is."""
     _same_time_base(eta1.times, eta2.times)
-    return CfSeries(eta1.times.copy(), eta1.values - eta2.values, eta1.valid & eta2.valid)
+    return CfSeries(eta1.times, eta1.values - eta2.values)
 
 
 def _window_slice(times: np.ndarray, window: tuple[float, float]) -> slice:
@@ -136,9 +138,9 @@ def _integrate(y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def coherency_distance(eps: CfSeries, t_start: float, t_end: float) -> float:
-    """Time integral of |ε| over the valid samples inside [t_start, t_end].
+    """Time integral of |ε| over the samples inside [t_start, t_end] that are not NaN.
 
-    The trapezoid rule over the valid sample times, as the weighted sum
+    The trapezoid rule over those sample times, as the weighted sum
     Σ w_k·|ε_k| that `distance_matrix` also takes, so the two give the same
     bits for a pair.
     """
@@ -174,10 +176,11 @@ def distance_matrix(
     `coherency_distance` on its coherency function.
 
     `component` selects what is integrated: the full complex ε ("full") or a
-    single part ("rho" / "omega").  The series are grouped by their validity
-    mask inside the window, so each pair of groups integrates over one joint
-    set of samples, with one set of trapezoid weights; each row's |ε| against
-    the rest of its partner group is one weighted sum per block of samples.
+    single part ("rho" / "omega").  The series are grouped by their NaN
+    samples inside the window, so each pair of groups integrates over one
+    joint set of samples, with one set of trapezoid weights; each row's |ε|
+    against the rest of its partner group is one weighted sum per block of
+    samples.
     A pair's value does not depend on the label order or the BLAS build.
     """
     labels = list(cfs.keys())
@@ -196,14 +199,14 @@ def distance_matrix(
     for i, name in enumerate(labels):
         members.setdefault(cfs[name].valid[win].tobytes(), []).append(i)
     groups = list(members.values())
-    masks = [cfs[labels[rows[0]]].valid[win] for rows in groups]
     # stacked group by group, so the rows of one group are one contiguous block
     v = np.stack([cfs[labels[i]].values[win] for rows in groups for i in rows])
+    first = np.cumsum([0] + [len(rows) for rows in groups])
+    heads = v[first[:-1]]  # complex, as the part of a NaN that `component` keeps may be a number
     if component == "rho":
         v = v.real
     elif component == "omega":
         v = v.imag
-    first = np.cumsum([0] + [len(rows) for rows in groups])
 
     n = len(labels)
     d = np.zeros((n, n))
@@ -212,7 +215,7 @@ def distance_matrix(
             rows_h = groups[h]
             if g == h and len(rows_g) < 2:
                 continue
-            joint = masks[g] & masks[h]
+            joint = ~np.isnan(heads[g] - heads[h])  # where the pair's ε is not NaN
             count = int(np.count_nonzero(joint))
             if count < 2:
                 raise EmptyWindow(
@@ -352,6 +355,7 @@ def observer_independence_check(
     eps_direct = coherency_function(device_cf(traj, d1), device_cf(traj, d2))
     b1 = traj.device_buses[traj.device_index(d1)]
     b2 = traj.device_buses[traj.device_index(d2)]
+    estimator_valid = traj.estimator_valid()
 
     worst = 0.0
     for pt in points:
@@ -363,12 +367,8 @@ def observer_independence_check(
         s2 = power_contribution(dir_current, z[pt.bus, b2], traj.device_current(d2))
         cf_s1 = numerical_cf(s1, traj.dt, traj.omega_base)
         cf_s2 = numerical_cf(s2, traj.dt, traj.omega_base)
-        eps_obs = CfSeries(
-            traj.times.copy(),
-            cf_s1.values - cf_s2.values,
-            cf_s1.valid & cf_s2.valid & traj.estimator_valid(),
-        )
-        dev = coherency_function(eps_obs, eps_direct)
+        eps_obs = np.where(estimator_valid, cf_s1.values - cf_s2.values, np.nan)
+        dev = coherency_function(CfSeries(traj.times, eps_obs), eps_direct)
         win = _window_slice(dev.times, window)
         sel = dev.valid[win]
         if not np.any(sel):

@@ -197,12 +197,9 @@ class Network:
     def __post_init__(self):
         self._y = build_admittance(self.buses, self.branches, self.shunts)
         self._z: np.ndarray | None = None
-        self._branch_map: dict[tuple[int, int], Branch] = {}
-        for br in self.branches:
-            # Keep the first branch for each ordered pair; parallel branches
-            # get observed through their combined terms below.
-            self._branch_map.setdefault((br.from_bus, br.to_bus), br)
-            self._branch_map.setdefault((br.to_bus, br.from_bus), br)
+        # the ordered bus pairs that a branch joins, both ways round
+        self._bus_pairs = {(br.from_bus, br.to_bus) for br in self.branches}
+        self._bus_pairs |= {(j, h) for h, j in self._bus_pairs}
 
     @property
     def n_bus(self) -> int:
@@ -217,7 +214,7 @@ class Network:
         return self._z
 
     def has_branch(self, h: int, j: int) -> bool:
-        return (h, j) in self._branch_map
+        return (h, j) in self._bus_pairs
 
     def branch_current(self, h: int, j: int, bus_voltages: np.ndarray) -> complex | np.ndarray:
         """Current leaving bus h into the branch(es) towards bus j.

@@ -218,7 +218,8 @@ class TestRunCommand:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["--out", str(tmp_path / "o"), "run", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"$.events[2]: {action} event at t=0.2: {field} {value:g} must not be negative" in err
+        message = f"{action} event at t=0.2: {field} {value:g} must not be negative"
+        assert f"$.events[2]: {message}" in err
         assert not (tmp_path / "o").exists()
 
 

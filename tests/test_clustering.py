@@ -181,8 +181,7 @@ class TestScaling:
             for m, scale in enumerate(rng.uniform(0.95, 1.05, size)):
                 noise = 1e-5 * (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
                 rows.append((f"S{g}_{m}", 1j + scale * mode + noise))
-        valid = np.ones(t.size, dtype=bool)
-        cfs = {name: CfSeries(t, values, valid) for name, values in
+        cfs = {name: CfSeries(t, values) for name, values in
                (rows[i] for i in rng.permutation(len(rows)))}
 
         start = time.perf_counter()

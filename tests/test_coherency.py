@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcoherency import (
@@ -27,6 +28,7 @@ from cfcoherency import (
     distance_matrix,
     numerical_cf,
     split_machines,
+    upgma_tree,
 )
 from cfcoherency import coherency
 from cfcoherency.coherency import cluster_trajectory, default_window
@@ -36,10 +38,11 @@ from tests.conftest import OMEGA_B, mixed_scenario, two_bus_scenario, two_machin
 
 
 def series(values, dt=1e-3, valid=None):
+    """A CF series sampled every `dt`, NaN where `valid` is False."""
     values = np.asarray(values, dtype=complex)
-    if valid is None:
-        valid = np.ones(values.size, dtype=bool)
-    return CfSeries(np.arange(values.size) * dt, values, valid)
+    if valid is not None:
+        values = np.where(valid, values, np.nan)
+    return CfSeries(np.arange(values.size) * dt, values)
 
 
 class TestNumericalCf:
@@ -141,7 +144,7 @@ class TestCoherencyDistance:
         # integral of a smooth |eps| converges to the fine-grid value
         def value(dt):
             t = np.arange(0.0, 1.0 + dt / 2, dt)
-            eps = CfSeries(t, 0.01 * np.sin(2 * np.pi * t) + 0j, np.ones(t.size, bool))
+            eps = CfSeries(t, 0.01 * np.sin(2 * np.pi * t) + 0j)
             return coherency_distance(eps, 0.0, 1.0)
 
         coarse = value(1e-3)
@@ -154,12 +157,36 @@ class TestCoherencyDistance:
             coherency_distance(eps, 0.5, 0.4)
 
     def test_masked_samples_excluded(self):
-        valid = np.ones(1001, dtype=bool)
-        valid[300:400] = False
-        spiky = np.full(1001, 0.01j)
-        spiky[300:400] = 1e6j  # masked garbage must not contribute
-        eps = series(spiky, valid=valid)
+        values = np.full(1001, 0.01j)
+        values[300:400] = np.nan  # undefined samples must not contribute
+        eps = series(values)
         assert coherency_distance(eps, 0.0, 1.0) == pytest.approx(0.01, rel=1e-6)
+
+    def test_nan_samples_leave_distances_and_grouping_finite(self):
+        # a NaN sample is undefined with no mask beside it; b and c are the
+        # closest pair, and no two distances tie
+        t = np.arange(201) * 1e-2
+        a = 1j + 0.01 * np.sin(3.0 * t)
+        b = a + 0.02 + 0.01j * t
+        c = b + 0.01 * np.cos(t)
+        a[50:60] = np.nan
+        b[120:126] = np.nan
+        cfs = {"a": series(a, dt=1e-2), "b": series(b, dt=1e-2), "c": series(c, dt=1e-2)}
+        window = (0.0, 2.0)
+        matrix = distance_matrix(cfs, window)
+        assert not np.isnan(matrix.values).any()
+        for x, y in (("a", "b"), ("a", "c"), ("b", "c")):
+            eps = coherency_function(cfs[x], cfs[y])
+            keep = ~np.isnan(eps.values)
+            want = np.trapezoid(np.abs(eps.values[keep]), t[keep])
+            assert coherency_distance(eps, *window) == pytest.approx(want, rel=1e-14)
+            assert matrix.pair(x, y) == coherency_distance(eps, *window)
+            # the omega part of a NaN is no sample either, though nan + 0j has imag 0
+            omega = distance_matrix(cfs, window, component="omega").pair(x, y)
+            assert omega == pytest.approx(np.trapezoid(np.abs(eps.values[keep].imag), t[keep]))
+        distances = sorted(matrix.values[np.triu_indices(3, 1)])
+        assert distances[0] < distances[1] < distances[2] == matrix.pair("a", "c")
+        assert upgma_tree(matrix).cut(2) == [{"a"}, {"b", "c"}]
 
 
 def pairwise_distance_matrix(cfs, window, component="full"):
@@ -169,10 +196,9 @@ def pairwise_distance_matrix(cfs, window, component="full"):
     for ia, a in enumerate(labels):
         for ib in range(ia + 1, len(labels)):
             eps = coherency_function(cfs[a], cfs[labels[ib]])
-            if component == "rho":
-                eps = CfSeries(eps.times, eps.values.real + 0j, eps.valid)
-            elif component == "omega":
-                eps = CfSeries(eps.times, 1j * eps.values.imag, eps.valid)
+            if component != "full":
+                part = eps.values.real + 0j if component == "rho" else 1j * eps.values.imag
+                eps = CfSeries(eps.times, np.where(eps.valid, part, np.nan))
             d[ia, ib] = d[ib, ia] = coherency_distance(eps, *window)
     return d
 
@@ -282,23 +308,19 @@ class TestDistanceMatrix:
         assert max(rho, om) <= full <= rho + om
 
 
-# builds a 40-series, 12,000-sample set with two validity masks and prints
-# the bytes of its distance matrix; run under a given BLAS thread count
+# builds a 40-series, 12,000-sample set with two sets of NaN samples and
+# prints the bytes of its distance matrix; run under a given BLAS thread count
 BLAS_PROBE = """
 import numpy as np
 from cfcoherency import CfSeries, distance_matrix
 rng = np.random.default_rng(11)
 times = np.arange(12000) * 1e-3
-valid = np.ones(times.size, dtype=bool)
-valid[5000:5100] = False
-cfs = {
-    f"s{i}": CfSeries(
-        times,
-        1j + 1e-3 * (rng.standard_normal(times.size) + 1j * rng.standard_normal(times.size)),
-        valid if i % 3 else np.ones(times.size, dtype=bool),
-    )
-    for i in range(40)
-}
+cfs = {}
+for i in range(40):
+    values = 1j + 1e-3 * (rng.standard_normal(times.size) + 1j * rng.standard_normal(times.size))
+    if i % 3:
+        values[5000:5100] = np.nan
+    cfs[f"s{i}"] = CfSeries(times, values)
 print(distance_matrix(cfs, (0.0, 12.0)).values.tobytes().hex())
 """
 
@@ -353,7 +375,7 @@ class TestIntegrationKernel:
         valid = rng.random(times.size) < 0.8
         t_start, t_end = sorted((lo * times[-1], hi * times[-1]))
         keep = valid & (times >= t_start - 1e-12) & (times <= t_end + 1e-12)
-        eps = CfSeries(times, values, valid)
+        eps = CfSeries(times, np.where(valid, values, np.nan))
         if np.count_nonzero(keep) < 2:
             with pytest.raises(EmptyWindow):
                 coherency_distance(eps, t_start, t_end)
@@ -556,13 +578,28 @@ def constructor_args(device) -> dict:
     return {name: values[name] for name in names}
 
 
+# the grids a device is split on: the mixed grid across its pulse, and the
+# two-bus grid with its load stepped up by 10% at 0.3 s
+SPLIT_GRIDS = {
+    "mixed": lambda: mixed_scenario(t_end=2.0),
+    "two-bus": lambda: dataclasses.replace(
+        two_bus_scenario(load_p=0.5), events=[Event(0.3, "load_scale", bus=1, factor=1.1)]
+    ),
+}
+
+
 class TestSplitDevice:
     @settings(max_examples=6, deadline=None)
-    @given(st.sampled_from(["SM", "GFL", "GFM"]), st.floats(0.2, 0.8))
-    def test_copies_are_coherent(self, name, k):
+    @given(
+        st.sampled_from([("mixed", "SM"), ("mixed", "GFL"), ("mixed", "GFM"), ("two-bus", "SM")]),
+        st.floats(0.2, 0.8),
+    )
+    @example(("two-bus", "SM"), 0.37)  # whatever else is drawn
+    def test_copies_are_coherent(self, grid_and_device, k):
         # one device split into copies with shares k and 1 - k of its current;
         # a converter gets a filter shunt first, so that y_f is scaled too
-        sc = mixed_scenario(t_end=2.0)
+        grid, name = grid_and_device
+        sc = SPLIT_GRIDS[grid]()
         index = [d.name for d in sc.devices].index(name)
         device = sc.devices[index]
         args = constructor_args(device)
