@@ -34,7 +34,6 @@ from .devices import (
     z_load_cf,
 )
 from .network import Branch, Bus, Network, Shunt, build_admittance, impedance_matrix
-from .primitives import unwrap_phase
 from .simulation import (
     AnalysisOptions,
     Event,
@@ -82,7 +81,6 @@ __all__ = [
     "s_load_cf",
     "sm_current_cf",
     "split_machines",
-    "unwrap_phase",
     "upgma_tree",
     "z_load_cf",
 ]

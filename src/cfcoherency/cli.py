@@ -16,17 +16,19 @@ from pathlib import Path
 import numpy as np
 
 from .coherency import (
+    EVENT_MASK_PAD,
     alpha_beta_sweep,
     cluster_trajectory,
     default_window,
     device_cf,
+    estimator_valid,
     numerical_cf,
     observer_independence_check,
     source_devices,
 )
 from .errors import CfCoherencyError, SchemaError
 from .scenario_io import load_scenario, parse_window, scenario_error
-from .simulation import EVENT_MASK_PAD, Scenario, run
+from .simulation import Scenario, run
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -57,10 +59,10 @@ def _pairs(names: list, first: str, second: str) -> list[str]:
 
 def _cmd_run(args) -> int:
     """Write trajectory.csv (voltages, currents and the devices' closed-form
-    CFs) and cf.csv (the same CFs with an `event_mask` that flags the samples
-    within EVENT_MASK_PAD samples of an event, where a finite-difference CF
-    of the recorded currents, such as the `cf` command computes, straddles
-    the event; `device_cf_numerical` and the observer check leave them out)."""
+    CFs, NaN where a current is solver noise) and cf.csv (the same CFs with
+    an `event_mask` that flags where `estimator_valid` is False: there a
+    finite-difference CF of the recorded currents, such as the `cf` command
+    computes, straddles an event)."""
     scenario = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -71,7 +73,7 @@ def _cmd_run(args) -> int:
     header = ["time"] + _pairs(traj.bus_labels, "v{}_re", "v{}_im")
     header += _pairs(names, "i_{}_re", "i_{}_im") + cf_header[1:]
     _write_csv(out / "trajectory.csv", header, _table(traj.times, traj.voltages, traj.currents, cf))
-    mask = ~traj.estimator_valid()
+    mask = ~estimator_valid(traj)
     fmt = [FLOAT] * len(cf_header) + ["%d"]
     _write_csv(out / "cf.csv", cf_header + ["event_mask"], _table(traj.times, cf, mask), fmt)
     n_steps = traj.times.size - 1

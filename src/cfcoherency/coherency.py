@@ -11,11 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import SynchronousMachine
+from .devices import MAGNITUDE_GUARD, SynchronousMachine
 from .errors import EmptyWindow, MagnitudeUnderflow, TimeBaseMismatch
 from .network import Network, power_contribution
-from .primitives import MAGNITUDE_GUARD, unwrap_phase
-from .simulation import EVENT_MASK_PAD, Scenario, Trajectory, run
+from .simulation import Scenario, Trajectory, run
+
+EVENT_MASK_PAD = 2  # samples on each side of an event where the estimator's stencil straddles it
 
 # The distance window opens this many samples after the last event.
 WINDOW_START_SAMPLES = 5
@@ -62,7 +63,7 @@ def numerical_cf(samples, dt: float, omega_base: float) -> CfSeries:
             f"series magnitude dips to {np.min(mags):.3e}, below the guard"
         )
     log_mag = np.log(mags)
-    phase = unwrap_phase(np.angle(x))
+    phase = np.unwrap(np.angle(x))
 
     def diff(y: np.ndarray) -> np.ndarray:
         d = np.empty_like(y)
@@ -76,11 +77,21 @@ def numerical_cf(samples, dt: float, omega_base: float) -> CfSeries:
     return CfSeries(times, values)
 
 
-def device_cf_numerical(traj: Trajectory, name: str, pad: int = EVENT_MASK_PAD) -> CfSeries:
+def estimator_valid(traj: Trajectory) -> np.ndarray:
+    """False within `EVENT_MASK_PAD` samples of an event, where a
+    finite-difference CF of the trajectory straddles it."""
+    valid = np.ones(traj.times.size, dtype=bool)
+    for te in traj.event_times:
+        k = traj.sample_index(te)
+        valid[max(0, k - EVENT_MASK_PAD) : k + EVENT_MASK_PAD + 1] = False
+    return valid
+
+
+def device_cf_numerical(traj: Trajectory, name: str) -> CfSeries:
     """Estimator CF of a device's injected current, shifted to the stationary
-    frame, and NaN within `pad` samples of an event."""
+    frame, and NaN where `estimator_valid` is False."""
     series = numerical_cf(traj.device_current(name), traj.dt, traj.omega_base)
-    return CfSeries(traj.times, np.where(traj.estimator_valid(pad), series.values + 1j, np.nan))
+    return CfSeries(traj.times, np.where(estimator_valid(traj), series.values + 1j, np.nan))
 
 
 def device_cf(traj: Trajectory, name: str) -> CfSeries:
@@ -355,7 +366,7 @@ def observer_independence_check(
     eps_direct = coherency_function(device_cf(traj, d1), device_cf(traj, d2))
     b1 = traj.device_buses[traj.device_index(d1)]
     b2 = traj.device_buses[traj.device_index(d2)]
-    estimator_valid = traj.estimator_valid()
+    valid = estimator_valid(traj)
 
     worst = 0.0
     for pt in points:
@@ -367,7 +378,7 @@ def observer_independence_check(
         s2 = power_contribution(dir_current, z[pt.bus, b2], traj.device_current(d2))
         cf_s1 = numerical_cf(s1, traj.dt, traj.omega_base)
         cf_s2 = numerical_cf(s2, traj.dt, traj.omega_base)
-        eps_obs = np.where(estimator_valid, cf_s1.values - cf_s2.values, np.nan)
+        eps_obs = np.where(valid, cf_s1.values - cf_s2.values, np.nan)
         dev = coherency_function(CfSeries(traj.times, eps_obs), eps_direct)
         win = _window_slice(dev.times, window)
         sel = dev.valid[win]

@@ -31,9 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InfeasibleInit, MagnitudeUnderflow
-from .primitives import MAGNITUDE_GUARD
 
 ZIP_FRACTION_TOL = 1e-12
+MAGNITUDE_GUARD = 1e-9  # at or below this magnitude a log-derivative is undefined
 
 
 def _require_magnitude(value, what: str, owner, error=MagnitudeUnderflow) -> None:

@@ -19,7 +19,6 @@ import numpy as np
 from .devices import Device
 from .errors import EventError, InfeasibleInit, NewtonDivergence, NonConvergence
 from .network import Network
-from .primitives import MAGNITUDE_GUARD
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +32,7 @@ NEWTON_REFRESH_ITER = 8  # rebuild the chord matrix at this iteration of a step
 MAX_HALVINGS = 4  # nested step halvings before a divergence is reported
 ALGEBRAIC_MAX_ITER = 50  # post-event re-solve of the bus equations
 RECORD_CHUNK = 64  # samples evaluated together when a segment is recorded; bounds the temporaries
-EVENT_MASK_PAD = 2  # samples on each side of an event where finite-difference CFs are masked
+CURRENT_FLOOR = 10.0  # Newton tolerances; a current at or below this many is solver noise
 
 
 @dataclass
@@ -441,13 +440,14 @@ class DaeSystem:
         return self.solve_voltage(x, v, -self._to_bus(rates, v, self._dynamic_incidence))
 
     def analytic_cf(
-        self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, i: np.ndarray, eta_v: np.ndarray
+        self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, i: np.ndarray, eta_v: np.ndarray,
+        floor: float,
     ) -> np.ndarray:
         """Closed-form current CF of every device, in block order; NaN for a
-        device whose current is at or below the magnitude guard, whether a
-        load that draws none or a source that injects none.  `xdot` and the
-        currents `i` are what `evaluate` returns at (x, v)."""
-        live = np.abs(i) > MAGNITUDE_GUARD
+        device whose current is at or below `floor`, whether a load that
+        draws none or a source that injects none.  `xdot` and the currents
+        `i` are what `evaluate` returns at (x, v)."""
+        live = np.abs(i) > floor
         i = np.where(live, i, 1.0)  # the blocks divide by it
         out = []
         col = 0
@@ -520,17 +520,17 @@ class TrapezoidalIntegrator:
         dt: float,
         t: float = 0.0,
         _depth=0,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One step of length `dt` from time `t`, where `f` and `rn` are the
         state derivatives and the bus current balance at (x, v), as
-        `DaeSystem.residual` gives them; returns the new states and voltages,
-        the pair at them, and the Newton iterations.  The pair a step returns
-        is the one its last Newton residual evaluated, so the next step starts
-        without evaluating the devices; a step that meets the tolerance at the
-        pair it is handed returns (x, v, f, rn, 0) as they are.  A step whose
-        Newton solve diverges is split into two halves, at most
-        `MAX_HALVINGS` deep; a half has another length, so it builds its own
-        Newton matrix."""
+        `DaeSystem.residual` gives them; returns the new states and voltages
+        and the pair at them, and adds the Newton iterations to
+        `total_newton_iters`.  The pair a step returns is the one its last
+        Newton residual evaluated, so the next step starts without evaluating
+        the devices; a step that meets the tolerance at the pair it is handed
+        returns (x, v, f, rn) as they are.  A step whose Newton solve diverges
+        is split into two halves, at most `MAX_HALVINGS` deep; a half has
+        another length, so it builds its own Newton matrix."""
         try:
             return self._newton_step(x, v, f, rn, dt)
         except NewtonDivergence:
@@ -538,13 +538,12 @@ class TrapezoidalIntegrator:
                 raise
             self.halvings += 1
             log.warning("step at t=%.6g s halved to dt=%.3g s (depth %d)", t, 0.5 * dt, _depth + 1)
-            x1, v1, f1, rn1, n1 = self.step(x, v, f, rn, 0.5 * dt, t, _depth + 1)
-            x2, v2, f2, rn2, n2 = self.step(x1, v1, f1, rn1, 0.5 * dt, t + 0.5 * dt, _depth + 1)
-            return x2, v2, f2, rn2, n1 + n2
+            half = self.step(x, v, f, rn, 0.5 * dt, t, _depth + 1)
+            return self.step(*half, 0.5 * dt, t + 0.5 * dt, _depth + 1)
 
     def _newton_step(
         self, x: np.ndarray, v: np.ndarray, f_prev: np.ndarray, rn_prev: np.ndarray, dt: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         sys = self.system
         h = 0.5 * dt
         # the first iterate is (x, v) itself, whose pair was handed in
@@ -561,7 +560,7 @@ class TrapezoidalIntegrator:
                 raise NewtonDivergence(f"non-finite residual at dt={dt:.3e}")
             if norm < self.tol:
                 self.total_newton_iters += it
-                return x1, v1, f, rn, it
+                return x1, v1, f, rn
             if r0 is None:
                 r0 = norm
             elif norm > 1e3 * max(r0, 1.0):
@@ -678,17 +677,6 @@ class Trajectory:
     def sample_index(self, t: float) -> int:
         return int(round(t / self.dt))
 
-    def estimator_valid(self, pad: int = EVENT_MASK_PAD) -> np.ndarray:
-        """True where finite-difference CF estimates are trustworthy: away
-        from event instants by more than `pad` samples."""
-        valid = np.ones(self.times.size, dtype=bool)
-        for te in self.event_times:
-            k = self.sample_index(te)
-            lo = max(0, k - pad)
-            hi = min(self.times.size, k + pad + 1)
-            valid[lo:hi] = False
-        return valid
-
 
 def run(scenario: Scenario) -> Trajectory:
     """Simulate the scenario and sample every step.
@@ -711,6 +699,7 @@ def run(scenario: Scenario) -> Trajectory:
     event_times = [times[k] for k, _, _ in scenario.scheduled_events()]
 
     integ = TrapezoidalIntegrator(system, tol=scenario.tolerance)
+    floor = CURRENT_FLOOR * scenario.tolerance
 
     devices = scenario.devices
     voltages = np.empty((n_steps + 1, system.n_bus), dtype=complex)
@@ -723,9 +712,9 @@ def run(scenario: Scenario) -> Trajectory:
 
     for k in range(n_steps + 1):
         if k:
-            x, v, f, rn, _ = integ.step(x, v, f, rn, dt, t=times[k - 1])
+            x, v, f, rn = integ.step(x, v, f, rn, dt, t=times[k - 1])
         if k in writes:
-            _record(system, slice(start, k), xs, voltages, currents, voltage_cf, cfs)
+            _record(system, slice(start, k), floor, xs, voltages, currents, voltage_cf, cfs)
             start = k
             for name, param, value in writes[k]:
                 blk, row = system.row(name)
@@ -735,7 +724,7 @@ def run(scenario: Scenario) -> Trajectory:
             integ.invalidate()
         xs[k] = x
         voltages[k] = v
-    _record(system, slice(start, n_steps + 1), xs, voltages, currents, voltage_cf, cfs)
+    _record(system, slice(start, n_steps + 1), floor, xs, voltages, currents, voltage_cf, cfs)
 
     for label, arr in (("voltages", voltages), ("currents", currents)):
         if not np.all(np.isfinite(arr.view(float))):
@@ -763,10 +752,13 @@ def run(scenario: Scenario) -> Trajectory:
     )
 
 
-def _record(system: DaeSystem, seg: slice, xs, voltages, currents, voltage_cf, cfs) -> None:
+def _record(
+    system: DaeSystem, seg: slice, floor: float, xs, voltages, currents, voltage_cf, cfs
+) -> None:
     """Fill the rows `seg` of the device currents, bus voltage CFs and (in
     the columns) analytic device CFs from those of the states and voltages,
-    under the system's present parameters, `RECORD_CHUNK` samples per call."""
+    under the system's present parameters, `RECORD_CHUNK` samples per call;
+    a device CF is NaN where the current is at or below `floor`."""
     for c in range(seg.start, seg.stop, RECORD_CHUNK):
         chunk = slice(c, min(c + RECORD_CHUNK, seg.stop))
         x, v = xs[chunk], voltages[chunk]
@@ -774,4 +766,4 @@ def _record(system: DaeSystem, seg: slice, xs, voltages, currents, voltage_cf, c
         currents[chunk, system.order] = i
         eta_v = system.voltage_cf(v, system.voltage_rates(x, v, xdot))
         voltage_cf[chunk] = eta_v
-        cfs[system.order, chunk] = system.analytic_cf(x, xdot, v, i, eta_v).T
+        cfs[system.order, chunk] = system.analytic_cf(x, xdot, v, i, eta_v, floor).T

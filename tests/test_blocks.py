@@ -25,6 +25,7 @@ from cfcoherency import (
     ZipLoad,
 )
 from cfcoherency import simulation
+from cfcoherency.devices import MAGNITUDE_GUARD
 from cfcoherency.errors import EventError, MagnitudeUnderflow
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import RECORD_CHUNK, DaeSystem, initialize, run
@@ -121,7 +122,9 @@ def check_against_reference(system, devices, x, v, xdot):
     assert_close(in_device_order(system, currents), ref_currents(system, devices, x, v))
     eta_v = system.voltage_cf(v, vdot)
     want = ref_analytic_cf(system, devices, x, xdot, v, eta_v)
-    got = in_device_order(system, system.analytic_cf(x, xdot, v, currents, eta_v))
+    got = in_device_order(
+        system, system.analytic_cf(x, xdot, v, currents, eta_v, MAGNITUDE_GUARD)
+    )
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert_close(got[~np.isnan(want)], want[~np.isnan(want)])
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from cfcoherency.cli import main
-from cfcoherency.coherency import device_cf, numerical_cf
+from cfcoherency.coherency import EVENT_MASK_PAD, device_cf, estimator_valid, numerical_cf
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
-from cfcoherency.simulation import EVENT_MASK_PAD, run
+from cfcoherency.simulation import run
 
 
 @pytest.fixture()
@@ -527,7 +527,7 @@ class TestCsvCells:
         header, rows = csv_cells(out / "cf.csv")
         assert header == ["time"] + cf_head + ["event_mask"]
         assert [row[:-1] for row in rows] == expected_rows([traj.times] + cf_cols, n)
-        valid = traj.estimator_valid()
+        valid = estimator_valid(traj)
         assert [row[-1] for row in rows] == ["0" if ok else "1" for ok in valid]
         assert not valid.all()
 
@@ -581,6 +581,24 @@ class TestRuntimeImports:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
+
+    def test_cli_import_loads_numpy_and_the_standard_library_only(self):
+        # numpy is the one runtime dependency
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import cfcoherency.cli\n"
+            "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'cfcoherency'}))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestCfCommand:

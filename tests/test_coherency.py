@@ -74,6 +74,18 @@ class TestNumericalCf:
         assert abs(cf.values[0].real - expected[0]) < 1e-10
         assert abs(cf.values[-1].real - expected[-1]) < 1e-10
 
+    def test_phase_crosses_pi_between_samples(self):
+        # steps of up to 3 rad, of either sign, carry the angle across ±pi
+        # between samples; the unwrap restores the true phase, whose
+        # central difference is then the rotational part
+        phase = np.cumsum(np.linspace(-3.0, 3.0, 41))
+        x = 0.8 * np.exp(1j * phase)
+        assert np.sum(np.abs(np.diff(np.angle(x))) > np.pi) == 10
+        cf = numerical_cf(x, 1e-3, OMEGA_B)
+        want = (phase[2:] - phase[:-2]) / (2e-3 * OMEGA_B)
+        assert np.max(np.abs(cf.values.imag[1:-1] - want)) < 1e-9
+        assert np.max(np.abs(cf.values.real)) < 1e-12
+
     def test_magnitude_guard(self):
         x = np.array([1.0, 1e-10, 1.0], dtype=complex)
         with pytest.raises(MagnitudeUnderflow):
@@ -211,17 +223,28 @@ def mixed_zip_trajectory():
     return run(sc)
 
 
+def nan_around_events(traj, values, half_width):
+    """A CF series of the trajectory's samples `values`, NaN within
+    `half_width` samples of each event."""
+    values = values.copy()
+    for te in traj.event_times:
+        k = traj.sample_index(te)
+        values[max(0, k - half_width) : k + half_width + 1] = np.nan
+    return CfSeries(traj.times, values)
+
+
 def masked_mix(traj):
-    """Each device's analytic series and its estimator with a pad of 1 to
-    3, but ZL's estimator, with the default pad, in place of both: four
-    validity masks in interleaved label order."""
+    """Each device's analytic series and its estimator, NaN within 1 to 3
+    samples of an event, but ZL's estimator, with its own mask, in place of
+    both: four NaN masks in interleaved label order."""
     cfs = {}
     for name in traj.device_names:
         if name == "ZL":
             cfs[name] = device_cf_numerical(traj, name)
         else:
             cfs[name] = device_cf(traj, name)
-            cfs[f"{name}~"] = device_cf_numerical(traj, name, pad=1 + len(cfs) % 3)
+            est = numerical_cf(traj.device_current(name), traj.dt, traj.omega_base)
+            cfs[f"{name}~"] = nan_around_events(traj, est.values + 1j, 1 + len(cfs) % 3)
     return cfs
 
 
