@@ -488,6 +488,8 @@ class TrapezoidalIntegrator:
         self.tol = tol
         self._jinv: np.ndarray | None = None
         self._j_dt: float | None = None
+        # refined corrections of the last accepted steps, newest first
+        self._corrections: tuple[np.ndarray, ...] = ()
         self.total_newton_iters = 0
         self.refreshes = 0  # Newton matrices built
         self.halvings = 0
@@ -507,6 +509,7 @@ class TrapezoidalIntegrator:
         a[: len(f_x)] -= 0.5 * dt * np.hstack((f_x, f_v))
         self._jinv = np.linalg.inv(a)
         self._j_dt = dt
+        self._corrections = ()
         self.refreshes += 1
 
     # -- stepping -------------------------------------------------------------
@@ -544,11 +547,15 @@ class TrapezoidalIntegrator:
     def _newton_step(
         self, x: np.ndarray, v: np.ndarray, f_prev: np.ndarray, rn_prev: np.ndarray, dt: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The Newton solve of one step.  Its first iterate is (x, v), whose
+        pair was handed in.  The second, z1, is the chord iterate from it,
+        moved by the quadratic extrapolation 3(c0 - c1) + c2 of the refined
+        corrections c = (z - J⁻¹·r) - z1 of the last three accepted steps
+        under the same Newton matrix, once three are kept."""
         sys = self.system
         h = 0.5 * dt
-        # the first iterate is (x, v) itself, whose pair was handed in
         x1, v1, f, rn = x, v, f_prev, rn_prev
-        z = None  # the Newton variables, packed once the iterate has to move
+        z = z1 = None  # the Newton variables, packed once the iterate has to move
         r0 = None
         for it in range(NEWTON_MAX_ITER):
             if it:
@@ -560,6 +567,10 @@ class TrapezoidalIntegrator:
                 raise NewtonDivergence(f"non-finite residual at dt={dt:.3e}")
             if norm < self.tol:
                 self.total_newton_iters += it
+                if z is None:
+                    self._corrections = ()
+                else:
+                    self._corrections = (z - self._jinv @ r - z1, *self._corrections[:2])
                 return x1, v1, f, rn
             if r0 is None:
                 r0 = norm
@@ -568,8 +579,12 @@ class TrapezoidalIntegrator:
             if self._jinv is None or self._j_dt != dt or it == NEWTON_REFRESH_ITER:
                 self._refresh(x1, v1, dt)
             if z is None:
-                z = np.concatenate((x, v.view(float)))
-            z = z - self._jinv @ r
+                z = z1 = np.concatenate((x, v.view(float))) - self._jinv @ r
+                if len(self._corrections) == 3:
+                    c0, c1, c2 = self._corrections
+                    z = z1 + 3 * (c0 - c1) + c2
+            else:
+                z = z - self._jinv @ r
             x1, v1 = z[: sys.n_states], z[sys.n_states :].view(complex)
         raise NewtonDivergence(
             f"no convergence in {NEWTON_MAX_ITER} iterations at dt={dt:.3e}"
