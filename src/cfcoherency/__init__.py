@@ -28,10 +28,6 @@ from .devices import (
     GridFormingConverter,
     SynchronousMachine,
     ZipLoad,
-    ibr_current_cf,
-    s_load_cf,
-    sm_current_cf,
-    z_load_cf,
 )
 from .network import Branch, Bus, Network, Shunt, build_admittance, impedance_matrix
 from .simulation import (
@@ -71,16 +67,12 @@ __all__ = [
     "device_cf",
     "device_cf_numerical",
     "distance_matrix",
-    "ibr_current_cf",
     "impedance_matrix",
     "initialize",
     "numerical_cf",
     "observer_independence_check",
     "power_flow",
     "run",
-    "s_load_cf",
-    "sm_current_cf",
     "split_machines",
     "upgma_tree",
-    "z_load_cf",
 ]

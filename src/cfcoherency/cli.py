@@ -81,7 +81,7 @@ def _cmd_run(args) -> int:
         f"run: {n_steps} steps, {traj.newton_iters} Newton iterations, "
         f"{traj.refreshes} Newton matrix refresh(es), {traj.residuals} residual evaluation(s), "
         f"{traj.halvings} step halving(s), "
-        f"{traj.events_applied} event(s) applied"
+        f"{len(traj.event_times)} event(s) applied"
     )
     print(f"wrote {out / 'trajectory.csv'} and {out / 'cf.csv'}")
     return EXIT_OK

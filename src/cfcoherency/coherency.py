@@ -181,24 +181,20 @@ class CoherencyDistanceMatrix:
 
 
 def distance_matrix(
-    cfs: dict[str, CfSeries], window: tuple[float, float], component: str = "full"
+    cfs: dict[str, CfSeries], window: tuple[float, float]
 ) -> CoherencyDistanceMatrix:
     """Pairwise ∫|ε|dt over the window, each pair to the bits of
     `coherency_distance` on its coherency function.
 
-    `component` selects what is integrated: the full complex ε ("full") or a
-    single part ("rho" / "omega").  The series are grouped by their NaN
-    samples inside the window, so each pair of groups integrates over one
-    joint set of samples, with one set of trapezoid weights; each row's |ε|
-    against the rest of its partner group is one weighted sum per block of
-    samples.
+    The series are grouped by their NaN samples inside the window, so each
+    pair of groups integrates over one joint set of samples, with one set of
+    trapezoid weights; each row's |ε| against the rest of its partner group
+    is one weighted sum per block of samples.
     A pair's value does not depend on the label order or the BLAS build.
     """
     labels = list(cfs.keys())
     if len(labels) < 2:
         raise ValueError("need at least two devices")
-    if component not in ("full", "rho", "omega"):
-        raise ValueError(f"unknown component {component!r}")
     times = cfs[labels[0]].times
     for name in labels[1:]:
         _same_time_base(cfs[name].times, times)
@@ -213,11 +209,6 @@ def distance_matrix(
     # stacked group by group, so the rows of one group are one contiguous block
     v = np.stack([cfs[labels[i]].values[win] for rows in groups for i in rows])
     first = np.cumsum([0] + [len(rows) for rows in groups])
-    heads = v[first[:-1]]  # complex, as the part of a NaN that `component` keeps may be a number
-    if component == "rho":
-        v = v.real
-    elif component == "omega":
-        v = v.imag
 
     n = len(labels)
     d = np.zeros((n, n))
@@ -226,7 +217,7 @@ def distance_matrix(
             rows_h = groups[h]
             if g == h and len(rows_g) < 2:
                 continue
-            joint = ~np.isnan(heads[g] - heads[h])  # where the pair's ε is not NaN
+            joint = ~np.isnan(v[first[g]] - v[first[h]])  # where the pair's ε is not NaN
             count = int(np.count_nonzero(joint))
             if count < 2:
                 raise EmptyWindow(

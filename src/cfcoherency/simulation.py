@@ -286,7 +286,6 @@ class DaeSystem:
     """
 
     def __init__(self, network: Network, devices: list[Device], omega_base: float):
-        self.network = network
         self.omega_base = omega_base
         self.y = network.admittance()
         self.n_bus = network.n_bus
@@ -587,7 +586,8 @@ class TrapezoidalIntegrator:
                 z = z - self._jinv @ r
             x1, v1 = z[: sys.n_states], z[sys.n_states :].view(complex)
         raise NewtonDivergence(
-            f"no convergence in {NEWTON_MAX_ITER} iterations at dt={dt:.3e}"
+            f"no convergence in {NEWTON_MAX_ITER} iterations at dt={dt:.3e} "
+            f"(residual {norm:.1e}, tolerance {self.tol:.1e})"
         )
 
     def solve_algebraic(
@@ -678,7 +678,6 @@ class Trajectory:
     dt: float
     omega_base: float
     newton_iters: int = 0
-    events_applied: int = 0
     halvings: int = 0
     refreshes: int = 0  # Newton matrices built
     residuals: int = 0  # DaeSystem.residual calls by the steps and the event re-solves
@@ -760,7 +759,6 @@ def run(scenario: Scenario) -> Trajectory:
         dt=dt,
         omega_base=scenario.omega_base,
         newton_iters=integ.total_newton_iters,
-        events_applied=len(event_times),
         halvings=integ.halvings,
         refreshes=integ.refreshes,
         residuals=integ.residuals,

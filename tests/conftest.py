@@ -24,6 +24,43 @@ from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 OMEGA_B = 2.0 * np.pi * 60.0
 
 
+# The paper's closed-form current CFs, the oracles the recorded CFs are
+# checked against.  A source's CF comes from `Device.analytic_cf`; a ZIP
+# load's CF is the current-weighted mean of its parts' CFs, of which the last
+# two are the Z and P parts' (`ZipLoad.analytic_cf`).
+
+def sm_current_cf(s, i_mag, xd_prime, omega_r, eta_v):
+    """CF of the current injected by a classical machine.
+
+    `s` is the terminal complex power v̄·ı̄*, `i_mag` the current magnitude,
+    `omega_r` the rotor speed in pu and `eta_v` the stationary-frame CF of
+    the terminal voltage.  Broadcasts over numpy arrays.
+    """
+    j_omega = 1j * omega_r
+    return s / (1j * xd_prime * i_mag**2) * (j_omega - eta_v) + j_omega
+
+
+def ibr_current_cf(s, i_mag, z_f, y_f, eta_e, eta_v):
+    """CF of the current injected by a voltage source ē behind a series
+    impedance z̄_f and shunt admittance ȳ_f.
+
+    Degenerates to `sm_current_cf` for z̄_f = j·x'_d, ȳ_f = 0 and
+    η̄_e = j·ω_r.
+    """
+    return s / (z_f * i_mag**2) * (1.0 + z_f * y_f) * (eta_e - eta_v) + eta_e
+
+
+def z_load_cf(eta_v):
+    """Constant-impedance load: the current CF equals the voltage CF."""
+    return eta_v
+
+
+def s_load_cf(eta_v):
+    """Constant-power load: the current CF is the negated conjugate of the
+    voltage CF (rho flips sign, omega is preserved)."""
+    return -np.conj(eta_v)
+
+
 def two_bus_scenario(load_p=0.1, load_q=0.0, x_line=0.1, **load_fracs) -> Scenario:
     """Slack machine feeding a single load over one reactive branch."""
     net = Network(

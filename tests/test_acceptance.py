@@ -22,11 +22,17 @@ from cfcoherency import (
     observer_independence_check,
 )
 from cfcoherency.coherency import default_window, two_machine_distance
-from cfcoherency.devices import ibr_current_cf, sm_current_cf
 from cfcoherency.network import power_contribution
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import run
-from tests.conftest import OMEGA_B, mixed_scenario, two_machine, zip_load
+from tests.conftest import (
+    OMEGA_B,
+    ibr_current_cf,
+    mixed_scenario,
+    sm_current_cf,
+    two_machine,
+    zip_load,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:

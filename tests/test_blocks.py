@@ -430,7 +430,7 @@ class TestParametersAfterEvents:
         traj = run(sc)
         [system], [devices] = systems, refs
         apply_to_reference(devices, event, sc.s_base)
-        assert traj.events_applied == 1
+        assert len(traj.event_times) == 1
         assert system.voltage_dependent is not pure_z
         x = state_vector(system, traj, -1)
         v = traj.voltages[-1]

@@ -75,6 +75,15 @@ class TestRunCommand:
         assert header_cf[-1] == "event_mask"
         assert cf[:, -1].sum() == 10  # two events, +/-2 samples each
 
+    def test_summary_counts_events_that_share_a_step(self, tmp_path, capsys):
+        # both of twomachine's events, the second moved to snap onto the first's step
+        doc = json.loads(bundled_scenario_path("twomachine").read_text())
+        doc["events"][1]["time"] = doc["events"][0]["time"] + 2e-4
+        path = tmp_path / "one_step.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--out", str(tmp_path / "o"), "--t-end", "1.05", "run", str(path)]) == 0
+        assert ", 2 event(s) applied\n" in capsys.readouterr().out
+
     def test_no_event_scenario_cf_is_synchronous(self, small_scenario, tmp_path):
         doc = json.loads(small_scenario.read_text())
         doc.pop("events")

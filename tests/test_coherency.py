@@ -193,24 +193,18 @@ class TestCoherencyDistance:
             want = np.trapezoid(np.abs(eps.values[keep]), t[keep])
             assert coherency_distance(eps, *window) == pytest.approx(want, rel=1e-14)
             assert matrix.pair(x, y) == coherency_distance(eps, *window)
-            # the omega part of a NaN is no sample either, though nan + 0j has imag 0
-            omega = distance_matrix(cfs, window, component="omega").pair(x, y)
-            assert omega == pytest.approx(np.trapezoid(np.abs(eps.values[keep].imag), t[keep]))
         distances = sorted(matrix.values[np.triu_indices(3, 1)])
         assert distances[0] < distances[1] < distances[2] == matrix.pair("a", "c")
         assert upgma_tree(matrix).cut(2) == [{"a"}, {"b", "c"}]
 
 
-def pairwise_distance_matrix(cfs, window, component="full"):
+def pairwise_distance_matrix(cfs, window):
     """Reference: one coherency function and one masked integral per pair."""
     labels = list(cfs)
     d = np.zeros((len(labels), len(labels)))
     for ia, a in enumerate(labels):
         for ib in range(ia + 1, len(labels)):
             eps = coherency_function(cfs[a], cfs[labels[ib]])
-            if component != "full":
-                part = eps.values.real + 0j if component == "rho" else 1j * eps.values.imag
-                eps = CfSeries(eps.times, np.where(eps.valid, part, np.nan))
             d[ia, ib] = d[ib, ia] = coherency_distance(eps, *window)
     return d
 
@@ -248,22 +242,36 @@ def masked_mix(traj):
     return cfs
 
 
+# label orders of the masked mix: its own, with each NaN mask's series
+# contiguous, and reversed
+LABEL_ORDERS = {
+    "interleaved": lambda cfs: list(cfs),
+    "grouped": lambda cfs: sorted(cfs, key=lambda name: cfs[name].valid.tobytes()),
+    "reversed": lambda cfs: list(cfs)[::-1],
+}
+
+
 class TestDistanceMatrix:
-    @pytest.mark.parametrize("component", ["full", "rho", "omega"])
+    @pytest.mark.parametrize("order", list(LABEL_ORDERS))
     @pytest.mark.parametrize(
         "window", [(0.9, 1.2), (1.0, 1.2), (0.95, 1.01), (1.013, 1.2)],
         ids=["across_events", "opens_on_event", "closes_on_event", "opens_in_mask"],
     )
     def test_matches_pairwise_reference_on_masked_series(
-        self, mixed_zip_trajectory, window, component
+        self, mixed_zip_trajectory, window, order
     ):
-        cfs = masked_mix(mixed_zip_trajectory)
+        mix = masked_mix(mixed_zip_trajectory)
+        labels = LABEL_ORDERS[order](mix)
+        cfs = {name: mix[name] for name in labels}
         assert len({cf.valid.tobytes() for cf in cfs.values()}) == 4
-        got = distance_matrix(cfs, window, component).values
-        want = pairwise_distance_matrix(cfs, window, component)
+        got = distance_matrix(cfs, window).values
+        want = pairwise_distance_matrix(cfs, window)
         assert np.all(want[~np.eye(len(cfs), dtype=bool)] > 0.0)
         assert np.max(np.abs(got - want) / np.where(want > 0.0, want, 1.0)) < 1e-12
         assert np.array_equal(got, got.T)
+        # each pair's value is the same bits whatever the label order
+        idx = [list(mix).index(name) for name in labels]
+        assert np.array_equal(got, distance_matrix(mix, window).values[np.ix_(idx, idx)])
 
     def test_bit_identical_to_pairwise_reference_when_all_valid(self):
         rng = np.random.default_rng(3)
@@ -271,9 +279,8 @@ class TestDistanceMatrix:
             f"s{i}": series(1j + 1e-3 * (rng.standard_normal(400) + 1j * rng.standard_normal(400)))
             for i in range(12)
         }
-        for component in ("full", "rho", "omega"):
-            got = distance_matrix(cfs, (0.05, 0.3), component).values
-            assert np.array_equal(got, pairwise_distance_matrix(cfs, (0.05, 0.3), component))
+        got = distance_matrix(cfs, (0.05, 0.3)).values
+        assert np.array_equal(got, pairwise_distance_matrix(cfs, (0.05, 0.3)))
 
     def test_empty_joint_mask_raises_like_reference(self, mixed_zip_trajectory):
         # inside the estimators' event mask only the analytic pairs have samples
@@ -318,18 +325,6 @@ class TestDistanceMatrix:
         assert np.allclose(np.diag(v), 0.0)
         assert np.array_equal(v, v.T)
 
-    def test_component_selection(self):
-        rng = np.linspace(0, 5, 300)
-        cfs = {
-            "a": series(0.01 * np.sin(rng) + 1j),
-            "b": series(1j + 0.02j * np.sin(rng)),
-        }
-        full = distance_matrix(cfs, (0.0, 0.29)).pair("a", "b")
-        rho = distance_matrix(cfs, (0.0, 0.29), component="rho").pair("a", "b")
-        om = distance_matrix(cfs, (0.0, 0.29), component="omega").pair("a", "b")
-        assert rho > 0 and om > 0
-        assert max(rho, om) <= full <= rho + om
-
 
 # builds a 40-series, 12,000-sample set with two sets of NaN samples and
 # prints the bytes of its distance matrix; run under a given BLAS thread count
@@ -364,7 +359,6 @@ class TestIntegrationKernel:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         t0 = data.draw(st.floats(-0.005, size * 1e-3), label="t0")
         t1 = t0 + data.draw(st.floats(0.0, size * 1e-3), label="length")
-        component = data.draw(st.sampled_from(["full", "rho", "omega"]), label="component")
         perm = data.draw(st.permutations(range(n)), label="permutation")
         cfs = {
             f"s{i}": series(
@@ -375,14 +369,14 @@ class TestIntegrationKernel:
         }
         labels = list(cfs)
         try:
-            want = pairwise_distance_matrix(cfs, (t0, t1), component)
+            want = pairwise_distance_matrix(cfs, (t0, t1))
         except EmptyWindow:
             with pytest.raises(EmptyWindow):
-                distance_matrix(cfs, (t0, t1), component)
+                distance_matrix(cfs, (t0, t1))
             return
-        got = distance_matrix(cfs, (t0, t1), component).values
+        got = distance_matrix(cfs, (t0, t1)).values
         assert np.array_equal(got, want)
-        permuted = distance_matrix({labels[j]: cfs[labels[j]] for j in perm}, (t0, t1), component)
+        permuted = distance_matrix({labels[j]: cfs[labels[j]] for j in perm}, (t0, t1))
         assert np.array_equal(permuted.values, got[np.ix_(perm, perm)])
 
     @settings(max_examples=100, deadline=None)

@@ -16,13 +16,10 @@ from cfcoherency import (
     Scenario,
     SynchronousMachine,
     ZipLoad,
-    ibr_current_cf,
-    s_load_cf,
-    sm_current_cf,
-    z_load_cf,
 )
 from cfcoherency.errors import MagnitudeUnderflow
 from cfcoherency.scenario_io import _DEVICES
+from tests.conftest import ibr_current_cf, s_load_cf, sm_current_cf, z_load_cf
 
 OMEGA_B = 2.0 * np.pi * 60.0
 

@@ -110,7 +110,7 @@ class TestNetworkResidual:
 
     def test_linearity_in_voltage(self):
         system = shunted_pair_system()
-        y = system.network.admittance()
+        y = system.y
         v = np.array([1.0 + 0j, 0.98 - 0.02j])
         base = system.network_residual(np.zeros(0), v)
         delta = 1e-3 + 2e-3j
