@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -78,7 +79,8 @@ def _cmd_run(args) -> int:
     _write_csv(out / "cf.csv", cf_header + ["event_mask"], _table(traj.times, cf, mask), fmt)
     n_steps = traj.times.size - 1
     print(
-        f"run: {n_steps} steps, {traj.newton_iters} Newton iterations, "
+        f"run: {n_steps} steps ({traj.filled} filled at a fixed point), "
+        f"{traj.newton_iters} Newton iterations, "
         f"{traj.refreshes} Newton matrix refresh(es), {traj.residuals} residual evaluation(s), "
         f"{traj.halvings} step halving(s), "
         f"{len(traj.event_times)} event(s) applied"
@@ -134,9 +136,9 @@ def _cmd_cluster(args) -> int:
     )
     print(
         f"cluster: k={k}, window=[{window[0]:g}, {window[1]:g}], simulated to "
-        f"{traj.times[-1]:g} s in {traj.times.size - 1} steps, {traj.newton_iters} Newton "
-        f"iterations, {traj.refreshes} Newton matrix refresh(es), "
-        f"{traj.residuals} residual evaluation(s)"
+        f"{traj.times[-1]:g} s in {traj.times.size - 1} steps ({traj.filled} filled at a "
+        f"fixed point), {traj.newton_iters} Newton iterations, {traj.refreshes} Newton matrix "
+        f"refresh(es), {traj.residuals} residual evaluation(s)"
     )
     for gid, group in enumerate(groups):
         print(f"  group {gid}: {', '.join(sorted(group))}")
@@ -338,7 +340,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, which is the solver-failure code here
         return EXIT_SCHEMA if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a block-buffered stdout finds a closed pipe here
+        return code
+    except BrokenPipeError:
+        # stdout was closed; each command writes its files before it prints
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

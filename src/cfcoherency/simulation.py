@@ -530,9 +530,11 @@ class TrapezoidalIntegrator:
         `total_newton_iters`.  The pair a step returns is the one its last
         Newton residual evaluated, so the next step starts without evaluating
         the devices; a step that meets the tolerance at the pair it is handed
-        returns (x, v, f, rn) as they are.  A step whose Newton solve diverges
-        is split into two halves, at most `MAX_HALVINGS` deep; a half has
-        another length, so it builds its own Newton matrix."""
+        returns (x, v, f, rn) as they are; it read only them, dt and the
+        tolerance and changed only the correction history, which it empties,
+        so the next step from them returns them again.  A step whose Newton
+        solve diverges is split into two halves, at most `MAX_HALVINGS` deep;
+        a half has another length, so it builds its own Newton matrix."""
         try:
             return self._newton_step(x, v, f, rn, dt)
         except NewtonDivergence:
@@ -681,6 +683,7 @@ class Trajectory:
     halvings: int = 0
     refreshes: int = 0  # Newton matrices built
     residuals: int = 0  # DaeSystem.residual calls by the steps and the event re-solves
+    filled: int = 0  # steps `run` filled from one that returned its handed pair
 
     def device_index(self, name: str) -> int:
         return self.device_names.index(name)
@@ -699,10 +702,12 @@ def run(scenario: Scenario) -> Trajectory:
     CFs of an event segment, the samples under one set of parameters, are
     evaluated when it ends: before the events that end it, and at t_end.  A
     sample at an event carries the post-event state and opens the next
-    segment.  Initialization and events change only the parameters in the
-    system's blocks, so `scenario` is left as it was.  The scenario is
-    checked again first, because its fields may have been assigned after
-    construction.
+    segment.  After a step that returns the states and voltages it was
+    handed, without a halving, every step up to the next event would do the
+    same, so those rows are filled instead (`Trajectory.filled`).
+    Initialization and events change only the parameters in the system's
+    blocks, so `scenario` is left as it was.  The scenario is checked again
+    first, because its fields may have been assigned after construction.
     """
     writes = scenario.check()
     x, v, system = initialize(scenario)
@@ -723,10 +728,20 @@ def run(scenario: Scenario) -> Trajectory:
     cfs = np.empty((len(devices), n_steps + 1), dtype=complex)
     voltage_cf = np.empty((n_steps + 1, system.n_bus), dtype=complex)
     start = 0  # first sample of the current event segment
+    filled = 0
 
-    for k in range(n_steps + 1):
+    k = 0
+    while k <= n_steps:
         if k:
-            x, v, f, rn = integ.step(x, v, f, rn, dt, t=times[k - 1])
+            halvings = integ.halvings
+            x1, v1, f, rn = integ.step(x, v, f, rn, dt, t=times[k - 1])
+            if x1 is x and v1 is v and integ.halvings == halvings:
+                stop = min(s for s in (*writes, n_steps) if s >= k)
+                xs[k:stop] = x
+                voltages[k:stop] = v
+                filled += stop - k
+                k = stop
+            x, v = x1, v1
         if k in writes:
             _record(system, slice(start, k), floor, xs, voltages, currents, voltage_cf, cfs)
             start = k
@@ -738,6 +753,7 @@ def run(scenario: Scenario) -> Trajectory:
             integ.invalidate()
         xs[k] = x
         voltages[k] = v
+        k += 1
     _record(system, slice(start, n_steps + 1), floor, xs, voltages, currents, voltage_cf, cfs)
 
     for label, arr in (("voltages", voltages), ("currents", currents)):
@@ -762,6 +778,7 @@ def run(scenario: Scenario) -> Trajectory:
         halvings=integ.halvings,
         refreshes=integ.refreshes,
         residuals=integ.residuals,
+        filled=filled,
     )
 
 
@@ -771,9 +788,19 @@ def _record(
     """Fill the rows `seg` of the device currents, bus voltage CFs and (in
     the columns) analytic device CFs from those of the states and voltages,
     under the system's present parameters, `RECORD_CHUNK` samples per call;
-    a device CF is NaN where the current is at or below `floor`."""
+    a device CF is NaN where the current is at or below `floor`.  A chunk
+    whose states and voltages are the bytes of the one before copies its
+    results."""
+    last = None
     for c in range(seg.start, seg.stop, RECORD_CHUNK):
         chunk = slice(c, min(c + RECORD_CHUNK, seg.stop))
+        if last is not None and all(
+            a[chunk].tobytes() == a[last].tobytes() for a in (xs, voltages)
+        ):
+            currents[chunk], voltage_cf[chunk] = currents[last], voltage_cf[last]
+            cfs[:, chunk] = cfs[:, last]
+            continue
+        last = chunk
         x, v = xs[chunk], voltages[chunk]
         xdot, i = system.evaluate(x, v)
         currents[chunk, system.order] = i

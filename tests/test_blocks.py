@@ -340,6 +340,29 @@ class TestBlocksMatchDevices:
             recorded = np.array([traj.analytic_cf[d.name][k] for d in refs])
             assert_close(recorded, cf)
 
+    def test_steady_segment_evaluated_once_per_chunk_length(self, monkeypatch):
+        # 1,000 samples at the equilibrium: `run` fills them from its first
+        # step, and the recording evaluates one full chunk and the tail;
+        # every other chunk holds the same samples and copies the first
+        n = 1000
+        sc = mixed_scenario(t_end=(n - 1) * 1e-3, with_pulse=False)
+        calls = []
+        rates = DaeSystem.voltage_rates
+
+        def counted(system, x, v, xdot):
+            calls.append(x.shape[:-1])
+            return rates(system, x, v, xdot)
+
+        monkeypatch.setattr(DaeSystem, "voltage_rates", counted)
+        traj = run(sc)
+        assert traj.filled == n - 2
+        assert calls == [(RECORD_CHUNK,), (n % RECORD_CHUNK,)]
+        series = [traj.voltages, traj.currents, traj.voltage_cf, *traj.states.values()]
+        series += [cf[:, None] for cf in traj.analytic_cf.values()]
+        for rows in series:
+            assert rows.shape[0] == n
+            assert rows.tobytes() == np.repeat(rows[:1], n, axis=0).tobytes()
+
 
 def central_linearization(system, x, v, h):
     """(F_x, F_v, I_x, J_v) by central differences of `DaeSystem.residual`:

@@ -232,6 +232,40 @@ class TestRunCommand:
         assert not (tmp_path / "o").exists()
 
 
+    def test_summary_line_on_ieee39(self, tmp_path, capsys):
+        argv = ["--out", str(tmp_path / "o"), "--t-end", "2.4", "run"]
+        assert main([*argv, str(bundled_scenario_path("ieee39"))]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "run: 2400 steps (999 filled at a fixed point), 1400 Newton iterations, "
+            "1 Newton matrix refresh(es), 1402 residual evaluation(s), 0 step halving(s), "
+            "1 event(s) applied"
+        )
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "block_buffered"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, unbuffered):
+        # the reader of stdout is gone before the first print: the files are
+        # complete, so the command succeeds without a traceback
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONUNBUFFERED=unbuffered)
+        out = tmp_path / "o"
+        scenario = str(bundled_scenario_path("twomachine"))
+        argv = ["--out", str(out), "--t-end", "1.2", "run", scenario]
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "cfcoherency.cli", *argv],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, "")
+        for name in ("trajectory.csv", "cf.csv"):
+            header, data = read_csv(out / name)
+            assert data.shape[0] == 1201 and len(header) == data.shape[1]
+
+
 class TestClusterCommand:
     def test_small_system_single_group(self, small_scenario, tmp_path, capsys):
         doc = json.loads(small_scenario.read_text())
@@ -352,12 +386,18 @@ class TestClusterHorizonCut:
 
 
 class TestClusterIeee39:
-    def test_four_area_partition(self, tmp_path):
+    def test_four_area_partition(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
             ["--out", str(out), "cluster", str(bundled_scenario_path("ieee39")), "--k", "4"]
         )
         assert code == 0
+        # the steps before the event at 1 s return their handed pair
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "cluster: k=4, window=[1.005, 2.4], simulated to 2.403 s in 2403 steps "
+            "(999 filled at a fixed point), 1403 Newton iterations, "
+            "1 Newton matrix refresh(es), 1405 residual evaluation(s)"
+        )
         rows = (out / "partition.csv").read_text().strip().splitlines()[1:]
         group_of = dict(row.split(",") for row in rows)
         by_group: dict[str, set[str]] = {}

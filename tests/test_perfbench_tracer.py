@@ -27,7 +27,7 @@ def tracer_module():
     return module
 
 
-def test_tracer_finds_every_name_it_patches(tracer_module, tmp_path):
+def test_tracer_finds_every_name_it_patches(tracer_module, tmp_path, capsys):
     doc = json.loads(bundled_scenario_path("twomachine").read_text())
     doc.pop("events")
     path = tmp_path / "quiet.json"
@@ -48,7 +48,9 @@ def test_tracer_finds_every_name_it_patches(tracer_module, tmp_path):
         s for s in spans
         if s[0] == "simulation.step" and (s[3] < 0 or spans[s[3]][0] != "simulation.step")
     ]
-    assert len(top_steps) == 50
+    # the first step returns its handed pair, so `run` fills the other 49
+    assert len(top_steps) == 1
+    assert "50 steps (49 filled at a fixed point)" in capsys.readouterr().out
     metrics = tracer_module.layer_metrics(tracer, wall_s=1.0)
     assert {f"{key}.calls" for key in tracer_module.COUNT_METRICS} <= metrics.keys()
     assert not hasattr(cli.main, "__wrapped__")  # the patches are undone

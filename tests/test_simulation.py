@@ -275,14 +275,14 @@ class TestStepMatchesReference:
     def test_mixed_grid_across_its_pulse(self, monkeypatch):
         traj, iters = self.run_checked(monkeypatch, mixed_scenario(t_end=1.05))
         assert len(traj.event_times) == 2
-        assert len(iters) == 1050 and max(iters) >= 2 and iters.count(0) > 900
+        assert len(iters) == 51 and max(iters) >= 2 and iters.count(0) == 1
 
     def test_ieee39_across_its_event(self, monkeypatch):
         sc = load_scenario(bundled_scenario_path("ieee39"))
         sc.t_end = 1.05  # the analysis window is not read by `run`
         traj, iters = self.run_checked(monkeypatch, sc)
         assert len(traj.event_times) == 1
-        assert iters == [0] * 1000 + [1] * 50
+        assert iters == [0] + [1] * 50
 
     def test_forced_halving(self, monkeypatch):
         for cls in (TrapezoidalIntegrator, _ReferenceIntegrator):
@@ -374,6 +374,119 @@ class TestCorrectionHistory:
         self.assert_fresh_step(integ, state)
 
 
+def step_lengths(monkeypatch, copy=False):
+    """The length of every step call, halves included, in the returned
+    list.  With `copy`, every step returns copies of its outputs, so none
+    returns the arrays it was handed and `run` takes every step."""
+    step = TrapezoidalIntegrator.step
+    calls = []
+
+    def wrapped(self, *args, **kwargs):
+        calls.append(args[4])
+        out = step(self, *args, **kwargs)
+        return tuple(a.copy() for a in out) if copy else out
+
+    monkeypatch.setattr(TrapezoidalIntegrator, "step", wrapped)
+    return calls
+
+
+def assert_same_trajectory(got, want):
+    """Every array of two trajectories equal byte for byte and every other
+    field equal, but the count of filled steps."""
+    for name in (f.name for f in dataclasses.fields(got) if f.name != "filled"):
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, dict):
+            assert a.keys() == b.keys(), name
+            pairs = [(a[key], b[key]) for key in a]
+        elif isinstance(a, np.ndarray):
+            pairs = [(a, b)]
+        else:
+            assert a == b, name
+            continue
+        for x, y in pairs:
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+            assert x.tobytes() == y.tobytes(), name
+
+
+class TestFixedPointFill:
+    """A step that returns the arrays it was handed, without a halving, is a
+    fixed point: `run` fills the rows up to the next event instead of taking
+    the steps, and must give what a run that takes every step gives, byte
+    for byte, with the same solver counts."""
+
+    @staticmethod
+    def both(monkeypatch, make):
+        """`run` of a fresh `make()` as it is and with every step taken, and
+        the step calls of each."""
+        with monkeypatch.context() as m:
+            calls = step_lengths(m)
+            traj = run(make())
+        with monkeypatch.context() as m:
+            forced_calls = step_lengths(m, copy=True)
+            forced = run(make())
+        assert_same_trajectory(traj, forced)
+        assert forced.filled == 0
+        return traj, calls, forced_calls
+
+    @pytest.mark.parametrize("name", ["twomachine", "ieee39", "ieee39_mod", "mixed"])
+    def test_equals_a_run_that_takes_every_step(self, monkeypatch, name):
+        def make():
+            if name == "mixed":
+                return mixed_scenario(t_end=3.0)
+            return dataclasses.replace(load_scenario(bundled_scenario_path(name)), t_end=3.0)
+
+        traj, calls, forced_calls = self.both(monkeypatch, make)
+        # each scenario holds its equilibrium until its first event at 1 s
+        assert traj.filled == 999
+        assert len(calls) == 3000 - 999 and len(forced_calls) == 3000
+
+    def test_equilibrium_without_events_takes_one_step(self, monkeypatch):
+        def make():
+            return dataclasses.replace(two_machine(t_end=10.0), events=[])
+
+        traj, calls, forced_calls = self.both(monkeypatch, make)
+        assert traj.filled == 9999 and len(calls) == 1 and len(forced_calls) == 10000
+
+    @pytest.mark.parametrize("step", [1, 100, 200])
+    def test_event_ends_the_fill_at_its_step(self, monkeypatch, step):
+        # at the first step, at one that is no `RECORD_CHUNK` boundary and
+        # at the last
+        def make():
+            sc = two_bus_scenario(load_p=0.4)
+            sc.t_end = 0.2
+            sc.events = [Event(step * sc.dt, "load_scale", bus=1, factor=1.05)]
+            return sc
+
+        traj, calls, _ = self.both(monkeypatch, make)
+        assert step % simulation.RECORD_CHUNK
+        assert traj.filled == step - 1 and len(calls) == 200 - (step - 1)
+        v = traj.voltages
+        assert v[:step].tobytes() == np.repeat(v[:1], step, axis=0).tobytes()
+        assert abs(v[step, 1]) < abs(v[step - 1, 1])  # the load step pulls the voltage down
+
+    def test_halved_steps_are_not_filled(self, monkeypatch):
+        # every step of full length diverges and both its halves meet the
+        # tolerance at their handed pair, so each step returns its handed
+        # arrays; a fill after the first would skip every later halving
+        dt = 1e-3
+        newton_step = TrapezoidalIntegrator._newton_step
+
+        def diverge_at_full_length(self, x, v, f, rn, h):
+            if h == dt:
+                raise NewtonDivergence("forced")
+            return newton_step(self, x, v, f, rn, h)
+
+        def make():
+            sc = two_bus_scenario(load_p=0.4)
+            sc.t_end = 0.05
+            return sc
+
+        monkeypatch.setattr(TrapezoidalIntegrator, "_newton_step", diverge_at_full_length)
+        traj, calls, forced_calls = self.both(monkeypatch, make)
+        assert (traj.halvings, traj.newton_iters, traj.filled) == (50, 0, 0)
+        assert calls == forced_calls == [dt, 0.5 * dt, 0.5 * dt] * 50
+
+
 class TestRun:
     def test_no_events_everything_frozen(self):
         sc = mixed_scenario(t_end=2.0, with_pulse=False)
@@ -429,9 +542,10 @@ class TestRun:
 
     def test_solver_counts_at_the_cluster_horizon(self, monkeypatch):
         # `cluster ieee39` simulates EVENT_MASK_PAD + 1 samples past its
-        # window: the 1,000 steps before the event meet the tolerance at the
-        # pair they are handed, and each of the 1,403 after it takes one
-        # iteration on the matrix built at the event
+        # window: the first step meets the tolerance at the pair it is
+        # handed, so `run` fills the 999 after it up to the event, and each
+        # of the 1,403 steps after the event takes one iteration on the
+        # matrix built there
         sc = load_scenario(bundled_scenario_path("ieee39"))
         horizon = sc.analysis.window[1] + (EVENT_MASK_PAD + 1) * sc.dt
         step = TrapezoidalIntegrator.step
@@ -446,7 +560,7 @@ class TestRun:
         monkeypatch.setattr(TrapezoidalIntegrator, "step", counted_step)
         traj = run(dataclasses.replace(sc, t_end=horizon))
         assert traj.times.size - 1 == 2403
-        assert iters == [0] * 1000 + [1] * 1403
+        assert iters == [0] + [1] * 1403 and traj.filled == 999
         assert (traj.newton_iters, traj.refreshes, traj.halvings) == (1403, 1, 0)
         assert traj.residuals == 1405
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,3 +18,15 @@ def test_no_source_line_is_longer_than_100_characters():
         if len(line) > MAX_LINE
     ]
     assert long == []
+
+
+def test_only_the_cli_prints():
+    # library code logs through `logging`; only the command line writes to stdout
+    printing = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "cfcoherency").glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+    assert printing == []
