@@ -186,10 +186,9 @@ def distance_matrix(
     """Pairwise ∫|ε|dt over the window, each pair to the bits of
     `coherency_distance` on its coherency function.
 
-    The series are grouped by their NaN samples inside the window, so each
-    pair of groups integrates over one joint set of samples, with one set of
-    trapezoid weights; each row's |ε| against the rest of its partner group
-    is one weighted sum per block of samples.
+    Each row's |ε| against the later rows is one weighted sum per block of
+    samples, with one set of trapezoid weights over the window; a pair whose
+    ε has NaN samples there sums to NaN and goes to `coherency_distance`.
     A pair's value does not depend on the label order or the BLAS build.
     """
     labels = list(cfs.keys())
@@ -198,41 +197,19 @@ def distance_matrix(
     times = cfs[labels[0]].times
     for name in labels[1:]:
         _same_time_base(cfs[name].times, times)
-    t_start, t_end = window
     win = _window_slice(times, window)
     t_win = times[win]
-
-    members: dict[bytes, list[int]] = {}  # window mask -> rows, in label order
-    for i, name in enumerate(labels):
-        members.setdefault(cfs[name].valid[win].tobytes(), []).append(i)
-    groups = list(members.values())
-    # stacked group by group, so the rows of one group are one contiguous block
-    v = np.stack([cfs[labels[i]].values[win] for rows in groups for i in rows])
-    first = np.cumsum([0] + [len(rows) for rows in groups])
-
-    n = len(labels)
-    d = np.zeros((n, n))
-    for g, rows_g in enumerate(groups):
-        for h in range(g, len(groups)):
-            rows_h = groups[h]
-            if g == h and len(rows_g) < 2:
-                continue
-            joint = ~np.isnan(v[first[g]] - v[first[h]])  # where the pair's ε is not NaN
-            count = int(np.count_nonzero(joint))
-            if count < 2:
-                raise EmptyWindow(
-                    f"window [{t_start}, {t_end}] holds {count} usable sample(s); need at least 2"
-                )
-            cols = slice(None) if count == joint.size else joint
-            w = _trapezoid_weights(t_win[cols])
-            vg = v[first[g] : first[g + 1], cols]
-            vh = v[first[h] : first[h + 1], cols]
-            for i, a in enumerate(rows_g):
-                rest = i + 1 if g == h else 0  # each pair of one group once
-                if rest == len(rows_h):
-                    continue
-                row = _integrate(np.abs(vg[i] - vh[rest:]), w)
-                d[a, rows_h[rest:]] = d[rows_h[rest:], a] = row
+    v = np.stack([cfs[name].values[win] for name in labels])
+    if t_win.size < 2:  # every pair has too few samples: the first one raises
+        coherency_distance(CfSeries(t_win, v[0] - v[1]), *window)
+    w = _trapezoid_weights(t_win)
+    d = np.zeros((len(labels), len(labels)))
+    for i in range(len(labels) - 1):
+        eps = v[i] - v[i + 1 :]
+        row = _integrate(np.abs(eps), w)
+        for j in np.flatnonzero(np.isnan(row)):  # pairs with NaN samples in the window
+            row[j] = coherency_distance(CfSeries(t_win, eps[j]), *window)
+        d[i, i + 1 :] = d[i + 1 :, i] = row
     return CoherencyDistanceMatrix(d, labels)
 
 

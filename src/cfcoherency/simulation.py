@@ -704,7 +704,7 @@ def run(scenario: Scenario) -> Trajectory:
     sample at an event carries the post-event state and opens the next
     segment.  After a step that returns the states and voltages it was
     handed, without a halving, every step up to the next event would do the
-    same, so those rows are filled instead (`Trajectory.filled`).
+    same, so those rows copy the sample before them (`Trajectory.filled`).
     Initialization and events change only the parameters in the system's
     blocks, so `scenario` is left as it was.  The scenario is checked again
     first, because its fields may have been assigned after construction.
@@ -737,10 +737,11 @@ def run(scenario: Scenario) -> Trajectory:
             x1, v1, f, rn = integ.step(x, v, f, rn, dt, t=times[k - 1])
             if x1 is x and v1 is v and integ.halvings == halvings:
                 stop = min(s for s in (*writes, n_steps) if s >= k)
-                xs[k:stop] = x
-                voltages[k:stop] = v
+                _record(system, slice(start, k), floor, xs, voltages, currents, voltage_cf, cfs)
+                for rows in (xs, voltages, currents, voltage_cf, cfs.T):
+                    rows[k:stop] = rows[k - 1]
                 filled += stop - k
-                k = stop
+                start = k = stop
             x, v = x1, v1
         if k in writes:
             _record(system, slice(start, k), floor, xs, voltages, currents, voltage_cf, cfs)
@@ -788,19 +789,9 @@ def _record(
     """Fill the rows `seg` of the device currents, bus voltage CFs and (in
     the columns) analytic device CFs from those of the states and voltages,
     under the system's present parameters, `RECORD_CHUNK` samples per call;
-    a device CF is NaN where the current is at or below `floor`.  A chunk
-    whose states and voltages are the bytes of the one before copies its
-    results."""
-    last = None
+    a device CF is NaN where the current is at or below `floor`."""
     for c in range(seg.start, seg.stop, RECORD_CHUNK):
         chunk = slice(c, min(c + RECORD_CHUNK, seg.stop))
-        if last is not None and all(
-            a[chunk].tobytes() == a[last].tobytes() for a in (xs, voltages)
-        ):
-            currents[chunk], voltage_cf[chunk] = currents[last], voltage_cf[last]
-            cfs[:, chunk] = cfs[:, last]
-            continue
-        last = chunk
         x, v = xs[chunk], voltages[chunk]
         xdot, i = system.evaluate(x, v)
         currents[chunk, system.order] = i

@@ -340,10 +340,11 @@ class TestBlocksMatchDevices:
             recorded = np.array([traj.analytic_cf[d.name][k] for d in refs])
             assert_close(recorded, cf)
 
-    def test_steady_segment_evaluated_once_per_chunk_length(self, monkeypatch):
-        # 1,000 samples at the equilibrium: `run` fills them from its first
-        # step, and the recording evaluates one full chunk and the tail;
-        # every other chunk holds the same samples and copies the first
+    def test_steady_segment_evaluated_at_its_first_and_last_sample(self, monkeypatch):
+        # 1,000 samples at the equilibrium: `run` evaluates the first sample
+        # when its first step returns the pair it was handed, fills the 998
+        # after it with copies of that sample, and evaluates the last, at
+        # t_end, as the one sample of the final segment
         n = 1000
         sc = mixed_scenario(t_end=(n - 1) * 1e-3, with_pulse=False)
         calls = []
@@ -356,7 +357,7 @@ class TestBlocksMatchDevices:
         monkeypatch.setattr(DaeSystem, "voltage_rates", counted)
         traj = run(sc)
         assert traj.filled == n - 2
-        assert calls == [(RECORD_CHUNK,), (n % RECORD_CHUNK,)]
+        assert calls == [(1,), (1,)]
         series = [traj.voltages, traj.currents, traj.voltage_cf, *traj.states.values()]
         series += [cf[:, None] for cf in traj.analytic_cf.values()]
         for rows in series:

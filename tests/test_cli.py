@@ -664,6 +664,20 @@ class TestCfCommand:
         omega_cols = [i for i, h in enumerate(header) if h.startswith("omega_")]
         assert np.max(np.abs(data[10:80, omega_cols])) < 1e-6
 
+    def test_dead_current_names_its_signal(self, small_scenario, tmp_path, capsys):
+        # the load goes to zero, so its recorded current is exactly 0; the
+        # machine still charges the line
+        doc = json.loads(small_scenario.read_text())
+        doc["events"] = [{"time": 0.1, "action": "load_scale", "bus": 2, "factor": 0.0}]
+        small_scenario.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--t-end", "0.2", "run", str(small_scenario)]) == 0
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path / "o"), "cf", str(out / "trajectory.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MagnitudeUnderflow: signal i_L1: series magnitude dips")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "cf", str(tmp_path / "nope.csv")]) == 1
 

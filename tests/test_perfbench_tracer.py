@@ -2,7 +2,8 @@
 
 The tracer wraps functions and methods of `cfcoherency` by name, so a rename
 or a changed call pattern in `src/` silently empties its per-layer metrics.
-This runs it as the benchmark does, on a short twomachine run.
+This runs it as the benchmark does, on a short twomachine run and a
+cluster of the same scenario.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ def test_tracer_finds_every_name_it_patches(tracer_module, tmp_path, capsys):
         tracer_module.install(tracer)  # raises AttributeError for a missing name
         patched = [getattr(owner, attr) for owner, attr, _ in tracer.patches._saved]
         assert all(hasattr(fn, "__wrapped__") for fn in patched)
-        argv = ["--out", str(tmp_path / "out"), "--t-end", "0.05", "run", str(path)]
-        assert cli.main(argv) == 0
+        for command in ("run", "cluster"):
+            argv = ["--out", str(tmp_path / command), "--t-end", "0.05", command, str(path)]
+            assert cli.main(argv) == 0
     finally:
         tracer.patches.restore()
 
@@ -48,9 +50,14 @@ def test_tracer_finds_every_name_it_patches(tracer_module, tmp_path, capsys):
         s for s in spans
         if s[0] == "simulation.step" and (s[3] < 0 or spans[s[3]][0] != "simulation.step")
     ]
-    # the first step returns its handed pair, so `run` fills the other 49
-    assert len(top_steps) == 1
+    # in each command the first step returns its handed pair, so `run` fills the other 49
+    assert [s[4] for s in top_steps] == [1, 2]
     assert "50 steps (49 filled at a fixed point)" in capsys.readouterr().out
     metrics = tracer_module.layer_metrics(tracer, wall_s=1.0)
     assert {f"{key}.calls" for key in tracer_module.COUNT_METRICS} <= metrics.keys()
+    # the cluster of the two machines: one matrix of one pair, and one tree
+    summary = tracer.summary()
+    assert summary["coherency.distance_matrix"]["calls"] == 1
+    assert summary["coherency.upgma_tree"]["calls"] == 1
+    assert metrics["coherency.distance_matrix.pairs"] == (1, "count")
     assert not hasattr(cli.main, "__wrapped__")  # the patches are undone

@@ -464,6 +464,28 @@ class TestFixedPointFill:
         assert v[:step].tobytes() == np.repeat(v[:1], step, axis=0).tobytes()
         assert abs(v[step, 1]) < abs(v[step - 1, 1])  # the load step pulls the voltage down
 
+    def test_fill_after_an_event(self, monkeypatch):
+        # the machines turn at the nominal speed, so more damping leaves the
+        # equilibrium as it is: the steps after the event fill too, and the
+        # segment it opens records its first sample before the fill
+        def make():
+            event = Event(0.5, "set_parameter", device="SM1", param="damping", value=5.0)
+            return two_machine(t_end=2.0, events=[event])
+
+        traj, calls, forced_calls = self.both(monkeypatch, make)
+        assert traj.filled == 1998 and len(calls) == 2 and len(forced_calls) == 2000
+        shapes = []
+        rates = DaeSystem.voltage_rates
+
+        def counted(system, x, v, xdot):
+            shapes.append(x.shape[:-1])
+            return rates(system, x, v, xdot)
+
+        monkeypatch.setattr(DaeSystem, "voltage_rates", counted)
+        run(make())
+        # the first sample, the event's and the last
+        assert shapes == [(1,)] * 3
+
     def test_halved_steps_are_not_filled(self, monkeypatch):
         # every step of full length diverges and both its halves meet the
         # tolerance at their handed pair, so each step returns its handed
