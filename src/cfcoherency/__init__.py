@@ -16,7 +16,6 @@ from .coherency import (
     coherency_function,
     cluster_trajectory,
     device_cf,
-    device_cf_numerical,
     distance_matrix,
     numerical_cf,
     observer_independence_check,
@@ -65,7 +64,6 @@ __all__ = [
     "coherency_distance",
     "coherency_function",
     "device_cf",
-    "device_cf_numerical",
     "distance_matrix",
     "impedance_matrix",
     "initialize",

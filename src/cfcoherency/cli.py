@@ -27,7 +27,7 @@ from .coherency import (
     observer_independence_check,
     source_devices,
 )
-from .errors import CfCoherencyError, MagnitudeUnderflow, SchemaError
+from .errors import CfCoherencyError, SchemaError
 from .scenario_io import load_scenario, parse_window, scenario_error
 from .simulation import Scenario, run
 
@@ -243,12 +243,7 @@ def _cmd_cf(args) -> int:
     if not 0.0 < args.f_nominal < np.inf:
         raise SchemaError("--f-nominal", "base frequency must be positive and finite")
     omega_base = 2.0 * np.pi * args.f_nominal
-    cf = []
-    for name, c in pairs:
-        try:
-            cf.append(numerical_cf(data[:, c] + 1j * data[:, c + 1], dt, omega_base).values)
-        except MagnitudeUnderflow as exc:
-            raise MagnitudeUnderflow(f"signal {name}: {exc}") from exc
+    cf = [numerical_cf(data[:, c] + 1j * data[:, c + 1], dt, omega_base).values for _, c in pairs]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import MAGNITUDE_GUARD, SynchronousMachine
-from .errors import EmptyWindow, MagnitudeUnderflow, TimeBaseMismatch
+from .devices import MAGNITUDE_GUARD, UNDEFINED_CF, SynchronousMachine
+from .errors import EmptyWindow, TimeBaseMismatch
 from .network import Network, power_contribution
 from .simulation import Scenario, Trajectory, run
 
@@ -51,19 +51,19 @@ def numerical_cf(samples, dt: float, omega_base: float) -> CfSeries:
 
     Second-order stencils throughout: 3-point central differences inside,
     3-point one-sided at both ends.  The radial part differentiates
-    log-magnitude, the rotational part the unwrapped phase; both are
-    normalized by `omega_base`.
+    log-magnitude, the rotational part the phase unwrapped over the defined
+    samples; both are normalized by `omega_base`.  A sample at or below
+    `MAGNITUDE_GUARD`, and every sample whose stencil reads one, is `UNDEFINED_CF`.
     """
     x = np.asarray(samples, dtype=complex)
     if x.ndim != 1 or x.size < 3:
         raise ValueError("need a 1-D series with at least 3 samples")
     mags = np.abs(x)
-    if np.min(mags) <= MAGNITUDE_GUARD:
-        raise MagnitudeUnderflow(
-            f"series magnitude dips to {np.min(mags):.3e}, below the guard"
-        )
-    log_mag = np.log(mags)
-    phase = np.unwrap(np.angle(x))
+    ok = mags > MAGNITUDE_GUARD
+    # NaN at an undefined sample, so that every stencil reading it is NaN
+    log_mag, phase = np.full((2, x.size), np.nan)
+    log_mag[ok] = np.log(mags[ok])
+    phase[ok] = np.unwrap(np.angle(x[ok]))
 
     def diff(y: np.ndarray) -> np.ndarray:
         d = np.empty_like(y)
@@ -73,6 +73,8 @@ def numerical_cf(samples, dt: float, omega_base: float) -> CfSeries:
         return d
 
     values = (diff(log_mag) + 1j * diff(phase)) / omega_base
+    # the central stencil skips its own sample; a NaN part voids both
+    values[~ok | np.isnan(values)] = UNDEFINED_CF
     times = np.arange(x.size) * dt
     return CfSeries(times, values)
 
@@ -85,13 +87,6 @@ def estimator_valid(traj: Trajectory) -> np.ndarray:
         k = traj.sample_index(te)
         valid[max(0, k - EVENT_MASK_PAD) : k + EVENT_MASK_PAD + 1] = False
     return valid
-
-
-def device_cf_numerical(traj: Trajectory, name: str) -> CfSeries:
-    """Estimator CF of a device's injected current, shifted to the stationary
-    frame, and NaN where `estimator_valid` is False."""
-    series = numerical_cf(traj.device_current(name), traj.dt, traj.omega_base)
-    return CfSeries(traj.times, np.where(estimator_valid(traj), series.values + 1j, np.nan))
 
 
 def device_cf(traj: Trajectory, name: str) -> CfSeries:
@@ -346,7 +341,7 @@ def observer_independence_check(
         s2 = power_contribution(dir_current, z[pt.bus, b2], traj.device_current(d2))
         cf_s1 = numerical_cf(s1, traj.dt, traj.omega_base)
         cf_s2 = numerical_cf(s2, traj.dt, traj.omega_base)
-        eps_obs = np.where(valid, cf_s1.values - cf_s2.values, np.nan)
+        eps_obs = np.where(valid, cf_s1.values - cf_s2.values, UNDEFINED_CF)
         dev = coherency_function(CfSeries(traj.times, eps_obs), eps_direct)
         win = _window_slice(dev.times, window)
         sel = dev.valid[win]

@@ -34,6 +34,7 @@ from .errors import InfeasibleInit, MagnitudeUnderflow
 
 ZIP_FRACTION_TOL = 1e-12
 MAGNITUDE_GUARD = 1e-9  # at or below this magnitude a log-derivative is undefined
+UNDEFINED_CF = complex(np.nan, np.nan)  # a CF sample with no value: NaN in both parts
 
 
 def _require_magnitude(value, what: str, owner, error=MagnitudeUnderflow) -> None:

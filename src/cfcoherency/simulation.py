@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import Device
+from .devices import UNDEFINED_CF, Device
 from .errors import EventError, InfeasibleInit, NewtonDivergence, NonConvergence
 from .network import Network
 
@@ -171,12 +171,6 @@ class Scenario:
         n = self.n_steps
         steps = [min(max(int(round(ev.time / self.dt)), 0), n) for ev in self.events]
         return sorted(zip(steps, range(len(steps)), self.events), key=lambda item: item[0])
-
-    def device(self, name: str) -> Device:
-        for d in self.devices:
-            if d.name == name:
-                return d
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +331,6 @@ class DaeSystem:
     ) -> np.ndarray:
         """Sum per-device values given in block order onto their buses, in
         the shape of the bus voltages `v`."""
-        if not parts:
-            return np.zeros_like(v)
         return _matvec(
             self.incidence if incidence is None else incidence, np.concatenate(parts, axis=-1)
         )
@@ -353,8 +345,6 @@ class DaeSystem:
             if blk.n_states:
                 f[..., blk.states] = f_b.reshape(x.shape[:-1] + (-1,))
             currents.append(i_b)
-        if not currents:
-            return f, np.empty(v.shape[:-1] + (0,), dtype=complex)
         return f, np.concatenate(currents, axis=-1)
 
     def residual(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,10 +432,10 @@ class DaeSystem:
         self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, i: np.ndarray, eta_v: np.ndarray,
         floor: float,
     ) -> np.ndarray:
-        """Closed-form current CF of every device, in block order; NaN for a
-        device whose current is at or below `floor`, whether a load that
-        draws none or a source that injects none.  `xdot` and the currents
-        `i` are what `evaluate` returns at (x, v)."""
+        """Closed-form current CF of every device, in block order;
+        `UNDEFINED_CF` for a device whose current is at or below `floor`,
+        whether a load that draws none or a source that injects none.  `xdot`
+        and the currents `i` are what `evaluate` returns at (x, v)."""
         live = np.abs(i) > floor
         i = np.where(live, i, 1.0)  # the blocks divide by it
         out = []
@@ -456,7 +446,7 @@ class DaeSystem:
             i_b = i[..., col : col + blk.n]
             out.append(blk.analytic_cf(xb, xdot_b, vb, i_b, eta_v[..., blk.bus]))
             col += blk.n
-        return np.where(live, np.concatenate(out, axis=-1), np.nan)
+        return np.where(live, np.concatenate(out, axis=-1), UNDEFINED_CF)
 
     def voltage_cf(self, v: np.ndarray, vdot: np.ndarray) -> np.ndarray:
         """Stationary-frame CF of every bus voltage, per unit."""
@@ -789,7 +779,7 @@ def _record(
     """Fill the rows `seg` of the device currents, bus voltage CFs and (in
     the columns) analytic device CFs from those of the states and voltages,
     under the system's present parameters, `RECORD_CHUNK` samples per call;
-    a device CF is NaN where the current is at or below `floor`."""
+    a device CF is `UNDEFINED_CF` where the current is at or below `floor`."""
     for c in range(seg.start, seg.stop, RECORD_CHUNK):
         chunk = slice(c, min(c + RECORD_CHUNK, seg.stop))
         x, v = xs[chunk], voltages[chunk]

@@ -17,8 +17,11 @@ from cfcoherency import (
     Scenario,
     SynchronousMachine,
     ZipLoad,
+    numerical_cf,
     split_machines,
 )
+from cfcoherency.coherency import CfSeries, estimator_valid
+from cfcoherency.devices import UNDEFINED_CF
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 
 OMEGA_B = 2.0 * np.pi * 60.0
@@ -59,6 +62,30 @@ def s_load_cf(eta_v):
     """Constant-power load: the current CF is the negated conjugate of the
     voltage CF (rho flips sign, omega is preserved)."""
     return -np.conj(eta_v)
+
+
+def device_cf_numerical(traj, name: str) -> CfSeries:
+    """The estimator oracle: `numerical_cf` of a device's injected current,
+    shifted to the stationary frame, and `UNDEFINED_CF` where
+    `estimator_valid` is False."""
+    series = numerical_cf(traj.device_current(name), traj.dt, traj.omega_base)
+    return CfSeries(traj.times, np.where(estimator_valid(traj), series.values + 1j, UNDEFINED_CF))
+
+
+def stencil_dilation(bad: np.ndarray) -> np.ndarray:
+    """The samples whose estimator stencil reads a sample of `bad`: each such
+    sample and its neighbours, and at an end the three samples of the
+    one-sided stencil."""
+    out = bad.copy()
+    out[1:-1] |= bad[:-2] | bad[2:]
+    out[0] |= bad[:3].any()
+    out[-1] |= bad[-3:].any()
+    return out
+
+
+def find_device(scenario: Scenario, name: str):
+    """The device of `scenario` named `name`."""
+    return next(d for d in scenario.devices if d.name == name)
 
 
 def two_bus_scenario(load_p=0.1, load_q=0.0, x_line=0.1, **load_fracs) -> Scenario:

@@ -16,7 +16,6 @@ from cfcoherency import (
     cluster_trajectory,
     coherency_function,
     device_cf,
-    device_cf_numerical,
     distance_matrix,
     numerical_cf,
     observer_independence_check,
@@ -27,6 +26,8 @@ from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import run
 from tests.conftest import (
     OMEGA_B,
+    device_cf_numerical,
+    find_device,
     ibr_current_cf,
     mixed_scenario,
     sm_current_cf,
@@ -102,7 +103,7 @@ class TestCriterion2SmCondition:
 
     def test_inertia_ratio_violation_detected(self):
         def bump(sc):
-            sc.device("SM2").inertia *= 1.1
+            find_device(sc, "SM2").inertia *= 1.1
 
         value = self._max_eps(bump)
         assert report(
@@ -111,7 +112,7 @@ class TestCriterion2SmCondition:
 
     def test_reactance_ratio_violation_detected(self):
         def bump(sc):
-            sc.device("SM2").xd_prime *= 1.1
+            find_device(sc, "SM2").xd_prime *= 1.1
 
         value = self._max_eps(bump)
         assert report(
@@ -140,8 +141,8 @@ class TestCriterion2SmCondition:
         shift = 0.5 * (lo + hi)
 
         def bump(sc):
-            sc.device("SM1").q_weight = alpha * s_total.imag - shift
-            sc.device("SM2").q_weight = (1 - alpha) * s_total.imag + shift
+            find_device(sc, "SM1").q_weight = alpha * s_total.imag - shift
+            find_device(sc, "SM2").q_weight = (1 - alpha) * s_total.imag + shift
 
         value = self._max_eps(bump)
         # Known red check, kept at the 1e-3 detection threshold on purpose.

@@ -31,6 +31,7 @@ from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import RECORD_CHUNK, DaeSystem, initialize, run
 from tests.conftest import (
     OMEGA_B,
+    find_device,
     mixed_scenario,
     reference_devices,
     state_vector,
@@ -304,7 +305,7 @@ class TestBlocksMatchDevices:
         n = 2 * RECORD_CHUNK + 20
         sc = mixed_scenario(t_end=n * 1e-3, with_pulse=False)
         if pure_z:
-            sl = sc.device("SL")
+            sl = find_device(sc, "SL")
             sl.kz_p = sl.kz_q = 1.0
             sl.kp_p = sl.kp_q = 0.0
         sc.events = [
@@ -447,7 +448,7 @@ class TestParametersAfterEvents:
         monkeypatch.setattr(simulation, "initialize", capture)
         sc = mixed_scenario(t_end=0.04, with_pulse=False)
         if pure_z:
-            sl = sc.device("SL")
+            sl = find_device(sc, "SL")
             sl.kz_p = sl.kz_q = 1.0
             sl.kp_p = sl.kp_q = 0.0
         sc.events = [event]
@@ -482,7 +483,7 @@ class TestLoadDrawEvents:
             Event(0.3, "set_parameter", device="SM1", param="p_m", value=0.6),
             t_end=0.5,
         )
-        q = sc.device("LOAD").q0
+        q = find_device(sc, "LOAD").q0
         factor = 1.0 - 0.4 / 0.45
         p2, q2 = 0.45 * factor, q * factor
         assert sc.check() == {

@@ -12,8 +12,10 @@ import pytest
 
 from cfcoherency.cli import main
 from cfcoherency.coherency import EVENT_MASK_PAD, device_cf, estimator_valid, numerical_cf
+from cfcoherency.devices import MAGNITUDE_GUARD
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import run
+from tests.conftest import stencil_dilation
 
 
 @pytest.fixture()
@@ -411,6 +413,24 @@ class TestClusterIeee39:
         ]
 
 
+    def test_observer_through_a_disconnected_load(self, tmp_path, capsys):
+        # power observed into load L01, which draws nothing from 1.2 s on:
+        # the contributions' CFs are undefined there, and the check reads
+        # the samples before
+        doc = json.loads(bundled_scenario_path("ieee39").read_text())
+        doc["events"].append({"time": 1.2, "action": "load_scale", "bus": 1, "factor": 0.0})
+        doc["analysis"].update(
+            window=[1.005, 1.5], observation_points=[{"bus": 1, "device": "L01"}]
+        )
+        doc["simulation"]["t_end"] = 1.6
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--out", str(tmp_path / "out"), "cluster", str(path)]) == 0
+        observer = capsys.readouterr().out.splitlines()[-2]
+        assert observer.startswith("observer-independence spot check (G1, G2): ")
+        assert float(observer.split()[-2]) < 1e-8
+
+
 class TestSweepCommand:
     def test_center_cell_is_coherent(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -664,19 +684,29 @@ class TestCfCommand:
         omega_cols = [i for i, h in enumerate(header) if h.startswith("omega_")]
         assert np.max(np.abs(data[10:80, omega_cols])) < 1e-6
 
-    def test_dead_current_names_its_signal(self, small_scenario, tmp_path, capsys):
+    def test_dead_current_reads_back(self, small_scenario, tmp_path):
         # the load goes to zero, so its recorded current is exactly 0; the
-        # machine still charges the line
+        # machine still charges the line.  Every file marks an undefined CF
+        # sample NaN in both parts, and `cf` reads the trajectory back
         doc = json.loads(small_scenario.read_text())
         doc["events"] = [{"time": 0.1, "action": "load_scale", "bus": 2, "factor": 0.0}]
         small_scenario.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["--out", str(out), "--t-end", "0.2", "run", str(small_scenario)]) == 0
-        capsys.readouterr()
-        assert main(["--out", str(tmp_path / "o"), "cf", str(out / "trajectory.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: MagnitudeUnderflow: signal i_L1: series magnitude dips")
-        assert not (tmp_path / "o").exists()
+        assert main(["--out", str(tmp_path / "o"), "cf", str(out / "trajectory.csv")]) == 0
+        for path in (out / "trajectory.csv", out / "cf.csv", tmp_path / "o" / "cf.csv"):
+            header, data = read_csv(path)
+            rho = [k for k, h in enumerate(header) if h.startswith("rho_")]
+            omega = [header.index("omega_" + header[k][4:]) for k in rho]
+            assert np.array_equal(np.isnan(data[:, rho]), np.isnan(data[:, omega])), path
+        header, data = read_csv(out / "trajectory.csv")
+        current = data[:, header.index("i_L1_re")] + 1j * data[:, header.index("i_L1_im")]
+        dead = np.abs(current) <= MAGNITUDE_GUARD
+        assert np.count_nonzero(dead) == 101  # from the event at sample 100 on
+        cf_header, cf_data = read_csv(tmp_path / "o" / "cf.csv")
+        undefined = np.isnan(cf_data[:, cf_header.index("rho_i_L1")])
+        assert np.array_equal(undefined, stencil_dilation(dead))
+        assert not np.isnan(cf_data[:, cf_header.index("rho_i_G1")]).any()
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "cf", str(tmp_path / "nope.csv")]) == 1

@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from cfcoherency import (
     coherency_distance,
     coherency_function,
     device_cf,
-    device_cf_numerical,
     distance_matrix,
     numerical_cf,
     split_machines,
@@ -32,9 +32,18 @@ from cfcoherency import (
 )
 from cfcoherency import coherency
 from cfcoherency.coherency import cluster_trajectory, default_window
-from cfcoherency.errors import EmptyWindow, MagnitudeUnderflow, TimeBaseMismatch
+from cfcoherency.devices import MAGNITUDE_GUARD
+from cfcoherency.errors import EmptyWindow, TimeBaseMismatch
 from cfcoherency.simulation import run
-from tests.conftest import OMEGA_B, mixed_scenario, two_bus_scenario, two_machine, zip_load
+from tests.conftest import (
+    OMEGA_B,
+    device_cf_numerical,
+    mixed_scenario,
+    stencil_dilation,
+    two_bus_scenario,
+    two_machine,
+    zip_load,
+)
 
 
 def series(values, dt=1e-3, valid=None):
@@ -43,6 +52,26 @@ def series(values, dt=1e-3, valid=None):
     if valid is not None:
         values = np.where(valid, values, np.nan)
     return CfSeries(np.arange(values.size) * dt, values)
+
+
+def second_order_derivative(y: np.ndarray, dt: float) -> np.ndarray:
+    """numpy's second-order gradient: central inside, one-sided at the ends."""
+    return np.gradient(y.real, dt, edge_order=2) + 1j * np.gradient(y.imag, dt, edge_order=2)
+
+
+def guard_free_cf(x: np.ndarray, dt: float, omega_base: float) -> np.ndarray:
+    """`numerical_cf`'s arithmetic on a series with no sample at or below the
+    guard: log|x| and the phase unwrapped over every sample, through its stencils."""
+    log_mag, phase = np.log(np.abs(x)), np.unwrap(np.angle(x))
+
+    def diff(y):
+        d = np.empty_like(y)
+        d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
+        d[0] = (-1.5 * y[0] + 2.0 * y[1] - 0.5 * y[2]) / dt
+        d[-1] = (1.5 * y[-1] - 2.0 * y[-2] + 0.5 * y[-3]) / dt
+        return d
+
+    return (diff(log_mag) + 1j * diff(phase)) / omega_base
 
 
 class TestNumericalCf:
@@ -87,9 +116,46 @@ class TestNumericalCf:
         assert np.max(np.abs(cf.values.real)) < 1e-12
 
     def test_magnitude_guard(self):
-        x = np.array([1.0, 1e-10, 1.0], dtype=complex)
-        with pytest.raises(MagnitudeUnderflow):
-            numerical_cf(x, 1e-3, OMEGA_B)
+        # samples 3 and 7 are at or below the guard: each is undefined, and
+        # so are 2 and 4, whose central stencils read 3, and 6, which reads
+        # 7; the last sample's one-sided stencil reads 7 itself
+        x = np.exp(0.1j * np.arange(8))
+        x[3], x[7] = 1e-10, 0.0
+        cf = numerical_cf(x, 1e-3, OMEGA_B)
+        assert np.array_equal(np.flatnonzero(np.isnan(cf.values.real)), [2, 3, 4, 6, 7])
+        assert np.array_equal(np.isnan(cf.values.imag), np.isnan(cf.values.real))
+        assert np.allclose(cf.values[[0, 1, 5]], 0.1j / (1e-3 * OMEGA_B), rtol=0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(3, 40),
+        rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(size=3, rate=0.0, seed=0)
+    @example(size=3, rate=1.0, seed=0)
+    def test_undefined_samples_void_the_stencils_that_read_them(self, size, rate, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.1, 10.0, size) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+        bad = rng.random(size) < rate
+        # real or imaginary, so |x| is exactly the drawn value, the guard included
+        low = MAGNITUDE_GUARD * rng.choice([0.0, 0.5, 1.0], size)
+        x[bad] = np.where(rng.random(size) < 0.5, low, 1j * low)[bad]
+        dt = 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numerical_cf(x, dt, OMEGA_B).values
+        undefined = stencil_dilation(bad)
+        assert np.array_equal(np.isnan(got.real), undefined)
+        assert np.array_equal(np.isnan(got.imag), undefined)
+        ok = ~bad
+        log_mag, phase = np.zeros(size), np.zeros(size)  # any finite filler
+        log_mag[ok] = np.log(np.abs(x[ok]))
+        phase[ok] = np.unwrap(np.angle(x[ok]))
+        want = second_order_derivative(log_mag + 1j * phase, dt) / OMEGA_B
+        assert np.all(np.abs(got - want)[~undefined] <= 1e-12)
+        if not bad.any():
+            assert np.array_equal(got, guard_free_cf(x, dt, OMEGA_B))
 
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cfcoherency import Branch, Bus, Network, Shunt, build_admittance, impedance_matrix
+from cfcoherency import Branch, Bus, Network, Shunt, ZipLoad, build_admittance, impedance_matrix
 from cfcoherency.errors import (
     DisconnectedNetwork,
     NoSuchBranch,
@@ -85,13 +85,14 @@ class TestImpedanceMatrix:
 
 
 def shunted_pair_system():
-    # device-free two-bus system: the bus-current residual reduces to -Y v
+    # two-bus system whose one device, a load, draws nothing: the
+    # bus-current residual reduces to -Y v
     net = Network(
         two_buses(),
         [Branch(0, 1, 0.0, 0.1)],
         [Shunt(0, susceptance=0.02), Shunt(1, susceptance=0.01)],
     )
-    return DaeSystem(net, [], omega_base=2 * np.pi * 60)
+    return DaeSystem(net, [ZipLoad("L", 1, p0=0.0)], omega_base=2 * np.pi * 60)
 
 
 class TestNetworkResidual:

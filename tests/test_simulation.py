@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from cfcoherency.simulation import (
 from tests.conftest import (
     OMEGA_B,
     device_fd_blocks,
+    find_device,
     ibr_current_cf,
     mixed_scenario,
     reference_devices,
@@ -832,6 +837,34 @@ def mixed_events(draw):
     return events
 
 
+# prints the SHA-256 of the bus voltages of twomachine and ieee39 run to 3 s.
+# ieee39_mod is left out: its run inverts a 118x118 matrix with
+# np.linalg.inv, whose result depends on the BLAS thread count (ROADMAP item 2)
+BLAS_PROBE = """
+import dataclasses, hashlib
+from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
+from cfcoherency.simulation import run
+for name in ("twomachine", "ieee39"):
+    sc = dataclasses.replace(load_scenario(bundled_scenario_path(name)), t_end=3.0)
+    print(name, hashlib.sha256(run(sc).voltages.tobytes()).hexdigest())
+"""
+
+
+def test_voltages_independent_of_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        out.append(done.stdout.split())
+    assert len(out[0]) == 4
+    assert out[0] == out[1]
+
+
 class TestRunLeavesScenario:
     @settings(max_examples=20, deadline=None)
     @given(mixed_events())
@@ -949,11 +982,11 @@ def test_device_off_the_scenario_omega_base_rejected(name):
     # a device's swing and CF read its own omega_base, the voltage CFs the
     # scenario's; the loads carry none
     sc = mixed_scenario(t_end=0.1, with_pulse=False)
-    sc.device(name).omega_base = 2.0 * np.pi * 50.0
+    find_device(sc, name).omega_base = 2.0 * np.pi * 50.0
     message = f"device '{name}' has omega_base 314.159, the scenario 376.991"
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(sc)
-    sc.device(name).omega_base = OMEGA_B
+    find_device(sc, name).omega_base = OMEGA_B
     dataclasses.replace(sc)
 
 
