@@ -27,7 +27,7 @@ from .coherency import (
     observer_independence_check,
     source_devices,
 )
-from .errors import CfCoherencyError, SchemaError
+from .errors import CfCoherencyError, SchemaError, SingularAdmittance
 from .scenario_io import load_scenario, parse_window, scenario_error
 from .simulation import Scenario, run
 
@@ -143,11 +143,15 @@ def _cmd_cluster(args) -> int:
     for gid, group in enumerate(groups):
         print(f"  group {gid}: {', '.join(sorted(group))}")
     if scenario.analysis.observation_points and len(labels) >= 2:
-        dev = observer_independence_check(
-            traj, scenario.network, labels[0], labels[1],
-            scenario.analysis.observation_points, window,
-        )
-        print(f"observer-independence spot check ({labels[0]}, {labels[1]}): {dev:.3e} pu")
+        try:
+            dev = observer_independence_check(
+                traj, scenario.network, labels[0], labels[1],
+                scenario.analysis.observation_points, window,
+            )
+            result = f"{dev:.3e} pu"
+        except SingularAdmittance as exc:  # only this check needs Z̄
+            result = f"not available, the admittance matrix is singular ({exc})"
+        print(f"observer-independence spot check ({labels[0]}, {labels[1]}): {result}")
     print(f"wrote distance.csv, partition.csv, dendrogram.csv under {out}")
     return EXIT_OK
 

@@ -19,7 +19,8 @@ from .errors import (
     ZeroImpedanceBranch,
 )
 
-# Reciprocal-condition threshold below which Ȳ is treated as singular.
+# Ȳ is treated as singular below this 1/κ₁, where κ₁ = ‖Ȳ‖₁·‖Z̄‖₁ is the
+# 1-norm condition number of the explicit inverse Z̄.
 RCOND_LIMIT = 1e-12
 
 # Maximum allowed element of |Ȳ·Z̄ - I|.
@@ -152,7 +153,8 @@ def _check_connected(labels: list[int], branches) -> None:
 
 
 def impedance_matrix(y: np.ndarray) -> np.ndarray:
-    """Invert Ȳ, rejecting (numerically) singular matrices.
+    """Invert Ȳ, rejecting (numerically) singular matrices: a zero pivot,
+    1/κ₁ < RCOND_LIMIT or max|Ȳ·Z̄ - I| >= INVERSE_RESIDUAL_LIMIT.
 
     The footnote case det(Ȳ)=0 is surfaced as SingularAdmittance rather than
     silently returning garbage; the coherency function itself stays usable,
@@ -161,13 +163,17 @@ def impedance_matrix(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
         raise ValueError("admittance matrix must be square")
-    cond = np.linalg.cond(y)
+    try:
+        z = np.linalg.inv(y)
+        with np.errstate(all="ignore"):  # inf·0 where Ȳ holds an inf
+            cond = np.linalg.norm(y, 1) * np.linalg.norm(z, 1)
+    except np.linalg.LinAlgError:  # an exact zero pivot
+        cond = np.inf
     if not np.isfinite(cond) or 1.0 / cond < RCOND_LIMIT:
         raise SingularAdmittance(
             f"reciprocal condition estimate {0.0 if not np.isfinite(cond) else 1.0 / cond:.2e} "
             f"below {RCOND_LIMIT:.0e}"
         )
-    z = np.linalg.inv(y)
     residual = np.max(np.abs(y @ z - np.eye(y.shape[0])))
     if residual >= INVERSE_RESIDUAL_LIMIT:
         raise SingularAdmittance(

@@ -333,6 +333,29 @@ class TestClusterCommand:
         # the identical machines stay together, the load on its own
         assert groups["SM1"] == groups["SM2"] != groups["LOAD"]
 
+    def test_singular_admittance_skips_only_the_spot_check(self, tmp_path, capsys):
+        # twomachine's one bus has no shunt, so Ȳ = [[0]] has no inverse: the
+        # clustering does not need one, the observer check does
+        twomachine = bundled_scenario_path("twomachine")
+        doc = json.loads(twomachine.read_text())
+        doc["analysis"]["observation_points"] = [{"bus": 1, "device": "LOAD"}]
+        path = tmp_path / "observed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        plain = tmp_path / "plain"
+        assert main(["--out", str(plain), "--t-end", "2", "cluster", str(twomachine)]) == 0
+        expected = capsys.readouterr().out.splitlines()
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--t-end", "2", "cluster", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == (
+            "observer-independence spot check (SM1, SM2): not available, the admittance "
+            "matrix is singular (reciprocal condition estimate 0.00e+00 below 1e-12)"
+        )
+        assert lines[:-2] == expected[:-1]
+        assert lines[-1] == expected[-1].replace(str(plain), str(out))
+        for name in ("distance.csv", "partition.csv", "dendrogram.csv"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
+
 
 class TestClusterHorizonCut:
     @pytest.mark.parametrize(

@@ -63,11 +63,36 @@ class TestBuildAdmittance:
             build_admittance(buses, [Branch(0, 1, 0.0, 0.1)])
 
 
+# matrices that cannot be inverted safely, each with the 1/κ₁ it reports
+UNSAFE_ADMITTANCES = [
+    pytest.param(np.array([[np.nan, 1.0], [1.0, 2.0]]), "0.00e+00", id="nan-entry"),
+    pytest.param(np.array([[np.inf, 1.0], [1.0, 2.0]]), "0.00e+00", id="inf-entry"),
+    pytest.param(np.array([[-10j, 10j], [10j, -10j]]), "0.00e+00", id="lossless-pair"),
+    pytest.param(np.array([[-10j, 10j], [10j, -10j + 1e-11j]]), "2.50e-13", id="near-singular"),
+]
+
+
 class TestImpedanceMatrix:
-    def test_lossless_two_bus_is_singular(self):
-        y = np.array([[-10j, 10j], [10j, -10j]])
-        with pytest.raises(SingularAdmittance):
+    @pytest.mark.parametrize("y, rcond", UNSAFE_ADMITTANCES)
+    def test_unsafe_inverse_is_singular(self, y, rcond):
+        with pytest.raises(SingularAdmittance) as info:
             impedance_matrix(y)
+        assert str(info.value) == f"reciprocal condition estimate {rcond} below 1e-12"
+
+    def test_no_svd(self, bundled_ieee39, monkeypatch):
+        # the check reads κ₁ from the inverse: Z̄ is np.linalg.inv(Ȳ) bit for bit
+        y = bundled_ieee39.network.admittance()
+        expected = np.linalg.inv(y)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("impedance_matrix ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "cond", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert impedance_matrix(y).tobytes() == expected.tobytes()
+        for param in UNSAFE_ADMITTANCES:
+            with pytest.raises(SingularAdmittance):
+                impedance_matrix(param.values[0])
 
     def test_direct_inverse_consistency(self):
         y = np.array([[-9.98j, 10j], [10j, -9.99j]])
