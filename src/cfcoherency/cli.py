@@ -58,6 +58,16 @@ def _pairs(names: list, first: str, second: str) -> list[str]:
     return [template.format(name) for name in names for template in (first, second)]
 
 
+def _solver_summary(traj) -> str:
+    """What the solver did in a run, for the summary line of `run` and `cluster`."""
+    return (
+        f"{traj.times.size - 1} steps ({traj.filled} filled at a fixed point), "
+        f"{traj.newton_iters} Newton iterations, {traj.refreshes} Newton matrix refresh(es), "
+        f"{traj.residuals} residual evaluation(s), {traj.halvings} step halving(s), "
+        f"{len(traj.event_times)} event(s) applied"
+    )
+
+
 def _cmd_run(args) -> int:
     """Write trajectory.csv (voltages, currents and the devices' closed-form
     CFs, NaN where a current is solver noise) and cf.csv (the same CFs with
@@ -77,14 +87,7 @@ def _cmd_run(args) -> int:
     mask = ~estimator_valid(traj)
     fmt = [FLOAT] * len(cf_header) + ["%d"]
     _write_csv(out / "cf.csv", cf_header + ["event_mask"], _table(traj.times, cf, mask), fmt)
-    n_steps = traj.times.size - 1
-    print(
-        f"run: {n_steps} steps ({traj.filled} filled at a fixed point), "
-        f"{traj.newton_iters} Newton iterations, "
-        f"{traj.refreshes} Newton matrix refresh(es), {traj.residuals} residual evaluation(s), "
-        f"{traj.halvings} step halving(s), "
-        f"{len(traj.event_times)} event(s) applied"
-    )
+    print(f"run: {_solver_summary(traj)}")
     print(f"wrote {out / 'trajectory.csv'} and {out / 'cf.csv'}")
     return EXIT_OK
 
@@ -136,13 +139,11 @@ def _cmd_cluster(args) -> int:
     )
     print(
         f"cluster: k={k}, window=[{window[0]:g}, {window[1]:g}], simulated to "
-        f"{traj.times[-1]:g} s in {traj.times.size - 1} steps ({traj.filled} filled at a "
-        f"fixed point), {traj.newton_iters} Newton iterations, {traj.refreshes} Newton matrix "
-        f"refresh(es), {traj.residuals} residual evaluation(s)"
+        f"{traj.times[-1]:g} s in {_solver_summary(traj)}"
     )
     for gid, group in enumerate(groups):
         print(f"  group {gid}: {', '.join(sorted(group))}")
-    if scenario.analysis.observation_points and len(labels) >= 2:
+    if scenario.analysis.observation_points:
         try:
             dev = observer_independence_check(
                 traj, scenario.network, labels[0], labels[1],

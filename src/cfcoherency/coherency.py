@@ -171,9 +171,6 @@ class CoherencyDistanceMatrix:
         if v.shape != (len(self.labels), len(self.labels)):
             raise ValueError("matrix shape does not match labels")
 
-    def pair(self, a: str, b: str) -> float:
-        return float(self.values[self.labels.index(a), self.labels.index(b)])
-
 
 def distance_matrix(
     cfs: dict[str, CfSeries], window: tuple[float, float]

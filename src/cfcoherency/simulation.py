@@ -272,9 +272,9 @@ class DaeSystem:
     block.  The blocks hold the parameters; the devices are read only while
     the blocks are built.  The state vector holds the blocks one after
     another, so a block's states are one contiguous (n, n_states) view;
-    `slices` still maps each device to its states.  Block results reach the
-    buses through the bus/device `incidence` matrix, whose columns follow
-    the block order `order` (device indices; `members` splits it by block).
+    `slices` still maps each device to its states.  Per-device results come
+    in the block order `order` (device indices; `members` splits it by
+    block) and reach the buses by their index `bus`, in that same order.
     Every evaluation also takes leading sample axes on the states and
     voltages, and returns one result per sample.
     """
@@ -298,12 +298,8 @@ class DaeSystem:
         self.dynamic = [blk for blk in self.blocks if blk.n_states]
         self.members = list(members.values())
         self.order = np.array([i for idxs in self.members for i in idxs], dtype=int)
-        self.incidence = np.zeros((self.n_bus, len(devices)), dtype=complex)
-        self.incidence[[devices[i].bus for i in self.order], np.arange(len(devices))] = 1.0
-        # the columns of the devices with states, which alone have state-driven currents
-        self._dynamic_incidence = self.incidence[:, [devices[i].n_states > 0 for i in self.order]]
+        self.bus = np.concatenate([blk.bus for blk in self.blocks])
         self.n_states = off
-        self.n_vars = off + 2 * self.n_bus
         self.derive()
 
     def derive(self) -> None:
@@ -326,14 +322,12 @@ class DaeSystem:
         xb = x[..., blk.states].reshape(x.shape[:-1] + (blk.n, blk.n_states))
         return xb, v.take(blk.bus, axis=-1)
 
-    def _to_bus(
-        self, parts: list[np.ndarray], v: np.ndarray, incidence: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Sum per-device values given in block order onto their buses, in
-        the shape of the bus voltages `v`."""
-        return _matvec(
-            self.incidence if incidence is None else incidence, np.concatenate(parts, axis=-1)
-        )
+    def _to_bus(self, values: np.ndarray, bus: np.ndarray) -> np.ndarray:
+        """Sum per-device `values` (..., n) onto their buses `bus` (n,); each
+        bus adds its devices one after another, in the order given."""
+        out = np.zeros(values.shape[:-1] + (self.n_bus,), dtype=complex)
+        np.add.at(out, (..., bus), values)
+        return out
 
     def evaluate(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The state derivatives and the current injected by every device, in
@@ -350,13 +344,13 @@ class DaeSystem:
     def residual(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The state derivatives and the bus current balance ı - Ȳv."""
         f, currents = self.evaluate(x, v)
-        return f, _matvec(self.incidence, currents) - _matvec(self.y, v)
+        return f, self._to_bus(currents, self.bus) - _matvec(self.y, v)
 
     def derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.evaluate(x, v)[0]
 
     def injections(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _matvec(self.incidence, self.evaluate(x, v)[1])
+        return self._to_bus(self.evaluate(x, v)[1], self.bus)
 
     def network_residual(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.residual(x, v)[1]
@@ -370,8 +364,7 @@ class DaeSystem:
             at = (x, v) if blk.voltage_dependent else (x[first], v[first])
             ab.append([np.broadcast_to(s, v.shape[:-1] + (blk.n,))
                        for s in blk.voltage_sensitivity(*self._local(blk, *at))])
-        a_bus = self._to_bus([a for a, _ in ab], v)
-        b_bus = self._to_bus([b for _, b in ab], v)
+        a_bus, b_bus = (self._to_bus(np.concatenate(s, axis=-1), self.bus) for s in zip(*ab))
         m = _diag(a_bus) - self.y
         jac = np.empty(v.shape[:-1] + (2 * self.n_bus, 2 * self.n_bus))
         jac[..., 0::2, 0::2] = m.real + _diag(b_bus.real)
@@ -426,7 +419,8 @@ class DaeSystem:
             xb, vb = self._local(blk, x, v)
             xdot_b = xdot[..., blk.states].reshape(xb.shape)
             rates.append(blk.tangent(xb, vb, xdot_b, np.zeros_like(vb))[1])
-        return self.solve_voltage(x, v, -self._to_bus(rates, v, self._dynamic_incidence))
+        bus = np.concatenate([blk.bus for blk in self.dynamic])
+        return self.solve_voltage(x, v, -self._to_bus(np.concatenate(rates, axis=-1), bus))
 
     def analytic_cf(
         self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, i: np.ndarray, eta_v: np.ndarray,
@@ -643,7 +637,7 @@ def initialize(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, DaeSystem]:
         x0[blk.states] = blk.initial_state(v[blk.bus], s[idxs]).ravel()
     system.derive()
     f0, balance = system.residual(x0, v)
-    worst = np.max(np.abs(f0)) if f0.size else 0.0
+    worst = np.max(np.abs(f0))
     if worst >= 1e-9:
         raise InfeasibleInit(f"initial state derivative {worst:.3e} exceeds 1e-9")
     rn = np.max(np.abs(balance))

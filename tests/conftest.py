@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib.util
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,16 @@ from cfcoherency.devices import UNDEFINED_CF
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 
 OMEGA_B = 2.0 * np.pi * 60.0
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture()
+def tracer_module():
+    """`perfbench/tracer.py`, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # The paper's closed-form current CFs, the oracles the recorded CFs are
@@ -180,6 +193,39 @@ def reference_devices(system, devices) -> list:
             setattr(d, name, getattr(blk, name)[row].item())
         d.derive()
     return refs
+
+
+# the arguments a copy with share k of a device's current scales: by k
+# (exponent 1) or by 1/k (exponent -1); the rest it takes as they are
+SPLIT_SCALING = {
+    "sm": {"inertia": 1, "damping": 1, "p": 1, "xd_prime": -1},
+    "gfl": {"r_filter": -1, "x_filter": -1, "g_filter": 1, "b_filter": 1, "p": 1,
+            "kp_current": -1, "ki_current": -1},
+    "gfm": {"r_filter": -1, "x_filter": -1, "g_filter": 1, "b_filter": 1, "p": 1, "droop": -1},
+}
+
+
+def constructor_args(device) -> dict:
+    """The keyword arguments, besides the name and the bus, that rebuild `device`."""
+    values = vars(device).copy()
+    if hasattr(device, "z_f"):
+        values |= dict(r_filter=device.z_f.real, x_filter=device.z_f.imag,
+                       g_filter=device.y_f.real, b_filter=device.y_f.imag)
+    names = list(inspect.signature(type(device)).parameters)[2:]
+    return {name: values[name] for name in names}
+
+
+def split_device(device, k: float, **changes) -> list:
+    """Copies of `device`, named with the suffixes a and b, with shares k and
+    1 - k of its current: each rebuilds it from its constructor arguments
+    with `changes`, and scales those of `SPLIT_SCALING` by its share."""
+    args = constructor_args(device) | changes
+    copies = []
+    for suffix, share in (("a", k), ("b", 1.0 - k)):
+        scaled = {key: args[key] * share**power
+                  for key, power in SPLIT_SCALING[device.kind].items()}
+        copies.append(type(device)(device.name + suffix, device.bus, **args | scaled))
+    return copies
 
 
 CENTRAL_STEP = 1e-5  # relative step of the central differences below

@@ -8,10 +8,11 @@ system's device order, onto the buses one device at a time.
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfcoherency import (
@@ -34,6 +35,7 @@ from tests.conftest import (
     find_device,
     mixed_scenario,
     reference_devices,
+    split_device,
     state_vector,
     two_bus_scenario,
     zip_load,
@@ -397,6 +399,87 @@ class TestLinearize:
         ]
         for got, want in zip(blocks, central_linearization(system, x, v, 1e-5)):
             assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+# beside the constructor arguments of `SPLIT_SCALING`, what a copy with
+# share k of a device's current holds k**power of: the operating point that
+# initialization fixes, and each state, which is a current or a power where
+# the power is 1
+SPLIT_OPERATING = {
+    "sm": {"e_field": 0, "p_m": 1},
+    "gfl": {"iref_d": 1, "iref_q": 1},
+    "gfm": {"p_ref": 1, "v_ref": 0},
+}
+SPLIT_STATES = {"sm": (0, 0), "gfl": (0, 0, 1, 1, 0, 0), "gfm": (0, 0, 0, 1)}
+
+
+class TestSplitDeviceOnRandomGrids:
+    """A source split into copies with shares k and 1 - k of its current, at
+    a drawn point where the copies hold the device's states and operating
+    point, scaled by their shares: the grid sees the same device."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_grids(), st.data())
+    def test_split_changes_nothing_else(self, grid, data):
+        system, devices, x, v, xdot = grid
+        index = data.draw(st.sampled_from([i for i, d in enumerate(devices) if not d.is_load]))
+        k = data.draw(st.floats(0.2, 0.8))
+        device, shares = devices[index], (k, 1.0 - k)
+        copies = split_device(device, k)
+        for copy, share in zip(copies, shares):
+            for name, power in SPLIT_OPERATING[device.kind].items():
+                setattr(copy, name, getattr(device, name) * share**power)
+            copy.derive()
+        # the drawn grid's admittance, which is all a `DaeSystem` reads of its network
+        net = types.SimpleNamespace(admittance=lambda: system.y, n_bus=system.n_bus)
+        split = DaeSystem(net, devices[:index] + copies + devices[index + 1 :], OMEGA_B)
+        origin = [*range(index + 1), *range(index, len(devices))]
+
+        def spread(states):
+            """Device states of `system` as those of `split`."""
+            out = np.empty(split.n_states)
+            for j, (i, sl) in enumerate(zip(origin, split.slices)):
+                scale = 1.0
+                if j - index in (0, 1):
+                    scale = shares[j - index] ** np.array(SPLIT_STATES[device.kind])
+                out[sl] = states[system.slices[i]] * scale
+            return out
+
+        x2 = spread(x)
+        f, i = system.evaluate(x, v)
+        f2, i2 = split.evaluate(x2, v)
+        assert_close(f2, spread(f))
+        assert_close(split.residual(x2, v)[1], system.residual(x, v)[1])
+        assert_close(split.voltage_rates(x2, v, spread(xdot)), system.voltage_rates(x, v, xdot))
+
+        def cfs(sys, x, f, i):
+            eta_v = sys.voltage_cf(v, sys.voltage_rates(x, v, f))
+            return in_device_order(sys, sys.analytic_cf(x, f, v, i, eta_v, MAGNITUDE_GUARD))
+
+        cf, cf2 = cfs(system, x, f, i), cfs(split, x2, f2, i2)
+        others = [j for j in range(len(origin)) if j - index not in (0, 1)]
+        assert_close(cf2[others], cf[[origin[j] for j in others]])
+        assert abs(cf2[index] - cf2[index + 1]) <= 1e-13
+
+
+class TestBusSum:
+    @settings(max_examples=40, deadline=None)
+    @given(random_grids(), st.integers(0, 2**32 - 1))
+    def test_sequential_in_block_order(self, grid, seed):
+        # a bus with at least three devices, whose sum depends on its order;
+        # the values span 16 decades, so another order shows in the bits
+        system = grid[0]
+        assume(np.bincount(system.bus).max() >= 3)
+        rng = np.random.default_rng(seed)
+        shape = (4, system.bus.size)
+        values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** (
+            rng.integers(-8, 8, shape)
+        )
+        want = np.zeros((4, system.n_bus), dtype=complex)
+        for sample, row in zip(want, values):
+            for bus, value in zip(system.bus, row):
+                sample[bus] += value
+        assert np.array_equal(system._to_bus(values, system.bus), want)
 
 
 @pytest.mark.parametrize(

@@ -421,7 +421,8 @@ class TestClusterIeee39:
         assert capsys.readouterr().out.splitlines()[0] == (
             "cluster: k=4, window=[1.005, 2.4], simulated to 2.403 s in 2403 steps "
             "(999 filled at a fixed point), 1403 Newton iterations, "
-            "1 Newton matrix refresh(es), 1405 residual evaluation(s)"
+            "1 Newton matrix refresh(es), 1405 residual evaluation(s), 0 step halving(s), "
+            "1 event(s) applied"
         )
         rows = (out / "partition.csv").read_text().strip().splitlines()[1:]
         group_of = dict(row.split(",") for row in rows)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import os
 import subprocess
 import sys
@@ -39,6 +38,7 @@ from tests.conftest import (
     OMEGA_B,
     device_cf_numerical,
     mixed_scenario,
+    split_device,
     stencil_dilation,
     two_bus_scenario,
     two_machine,
@@ -52,6 +52,11 @@ def series(values, dt=1e-3, valid=None):
     if valid is not None:
         values = np.where(valid, values, np.nan)
     return CfSeries(np.arange(values.size) * dt, values)
+
+
+def pair(matrix, a: str, b: str) -> float:
+    """The distance between devices `a` and `b` in a `CoherencyDistanceMatrix`."""
+    return float(matrix.values[matrix.labels.index(a), matrix.labels.index(b)])
 
 
 def second_order_derivative(y: np.ndarray, dt: float) -> np.ndarray:
@@ -258,9 +263,9 @@ class TestCoherencyDistance:
             keep = ~np.isnan(eps.values)
             want = np.trapezoid(np.abs(eps.values[keep]), t[keep])
             assert coherency_distance(eps, *window) == pytest.approx(want, rel=1e-14)
-            assert matrix.pair(x, y) == coherency_distance(eps, *window)
+            assert pair(matrix, x, y) == coherency_distance(eps, *window)
         distances = sorted(matrix.values[np.triu_indices(3, 1)])
-        assert distances[0] < distances[1] < distances[2] == matrix.pair("a", "c")
+        assert distances[0] < distances[1] < distances[2] == pair(matrix, "a", "c")
         assert upgma_tree(matrix).cut(2) == [{"a"}, {"b", "c"}]
 
 
@@ -375,8 +380,8 @@ class TestDistanceMatrix:
             "c": series(base.copy()),
         }
         m = distance_matrix(cfs, (0.0, 0.19))
-        assert m.pair("a", "c") == 0.0
-        assert m.pair("a", "b") == pytest.approx(m.pair("c", "b"), rel=1e-12)
+        assert pair(m, "a", "c") == 0.0
+        assert pair(m, "a", "b") == pytest.approx(pair(m, "c", "b"), rel=1e-12)
 
     def test_metric_sanity(self):
         rng = np.linspace(0, 5, 300)
@@ -641,26 +646,6 @@ class TestSplitMachines:
             split_machines(sc, 0.3, 0.3)
 
 
-# the arguments a copy with share k of a device's current scales: by k
-# (exponent 1) or by 1/k (exponent -1); the rest it takes as they are
-SPLIT_SCALING = {
-    "sm": {"inertia": 1, "damping": 1, "p": 1, "xd_prime": -1},
-    "gfl": {"r_filter": -1, "x_filter": -1, "g_filter": 1, "b_filter": 1, "p": 1,
-            "kp_current": -1, "ki_current": -1},
-    "gfm": {"r_filter": -1, "x_filter": -1, "g_filter": 1, "b_filter": 1, "p": 1, "droop": -1},
-}
-
-
-def constructor_args(device) -> dict:
-    """The keyword arguments, besides the name and the bus, that rebuild `device`."""
-    values = vars(device).copy()
-    if hasattr(device, "z_f"):
-        values |= dict(r_filter=device.z_f.real, x_filter=device.z_f.imag,
-                       g_filter=device.y_f.real, b_filter=device.y_f.imag)
-    names = list(inspect.signature(type(device)).parameters)[2:]
-    return {name: values[name] for name in names}
-
-
 # the grids a device is split on: the mixed grid across its pulse, and the
 # two-bus grid with its load stepped up by 10% at 0.3 s
 SPLIT_GRIDS = {
@@ -685,15 +670,8 @@ class TestSplitDevice:
         sc = SPLIT_GRIDS[grid]()
         index = [d.name for d in sc.devices].index(name)
         device = sc.devices[index]
-        args = constructor_args(device)
-        if device.kind != "sm":
-            args |= dict(g_filter=0.002, b_filter=0.03)
-        copies = []
-        for suffix, share in (("a", k), ("b", 1.0 - k)):
-            scaled = {key: args[key] * share**power
-                      for key, power in SPLIT_SCALING[device.kind].items()}
-            copies.append(type(device)(name + suffix, device.bus, **args | scaled))
-        sc.devices[index : index + 1] = copies
+        shunt = {} if device.kind == "sm" else dict(g_filter=0.002, b_filter=0.03)
+        sc.devices[index : index + 1] = split_device(device, k, **shunt)
         traj = run(sc)
         eps = coherency_function(device_cf(traj, name + "a"), device_cf(traj, name + "b"))
         assert np.all(eps.valid)

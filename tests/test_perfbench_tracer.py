@@ -8,24 +8,10 @@ cluster of the same scenario.
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
-
-import pytest
 
 from cfcoherency import cli
 from cfcoherency.scenario_io import bundled_scenario_path
-
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-@pytest.fixture()
-def tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_tracer_finds_every_name_it_patches(tracer_module, tmp_path, capsys):

@@ -82,6 +82,7 @@ class TestParse:
             (lambda d: d["buses"][0].update(voltage=1.0), "$.buses[0].voltage"),
             (lambda d: d["devices"][0].update(h=3.0), "$.devices[0].h"),
             (lambda d: d["events"][0].update(ramp=1), "$.events[0].ramp"),
+            (lambda d: d.update(shunts=[{"bus": 2, "b": 0.1, "x": 0.3}]), "$.shunts[0].x"),
         ],
     )
     def test_unknown_keys_rejected(self, mutate, path_fragment):
@@ -119,6 +120,28 @@ class TestParse:
         ]
         with pytest.raises(SchemaError):
             parse_scenario(doc)
+
+    def test_shunt_enters_the_admittance_diagonal(self):
+        doc = minimal_doc()
+        plain = parse_scenario(doc).network.admittance()
+        doc["shunts"] = [{"bus": 2, "g": 0.05, "b": -0.2}]
+        added = parse_scenario(doc).network.admittance() - plain
+        assert added[1, 1] == pytest.approx(0.05 - 0.2j, abs=1e-15)
+        assert np.count_nonzero(added) == 1
+
+    def test_unknown_event_action_rejected(self):
+        doc = minimal_doc()
+        doc["events"][0]["action"] = "trip"
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(doc)
+        assert str(err.value) == "$.events[0].action: unknown action 'trip'"
+
+    def test_duplicate_device_names_rejected(self):
+        doc = minimal_doc()
+        doc["devices"][1]["name"] = "G1"
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(doc)
+        assert str(err.value) == "$: device names must be unique"
 
     def test_observation_point_needs_branch(self):
         doc = minimal_doc()

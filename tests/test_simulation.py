@@ -111,6 +111,28 @@ class TestTrapezoidalRule:
         assert np.array_equal(v1, v0)
 
 
+class TestNewtonChecks:
+    """A Newton solve gives up at once on a residual it cannot reduce."""
+
+    def test_non_finite_residual(self):
+        x, v, system = TestCarriedResidual.off_equilibrium()
+        f, rn = system.residual(x, v)
+        rn[0] = np.nan
+        integ = TrapezoidalIntegrator(system)
+        with pytest.raises(NewtonDivergence, match=r"^non-finite residual at dt=1\.000e-03$"):
+            integ._newton_step(x, v, f, rn, 1e-3)
+
+    def test_residual_that_blows_up(self, monkeypatch):
+        # the first iterate's bus balance reads 1e4 pu, over 1e3 times the
+        # handed pair's residual norm (or 1, the larger)
+        x, v, system = TestCarriedResidual.off_equilibrium()
+        f, rn = system.residual(x, v)
+        monkeypatch.setattr(system, "residual", lambda x1, v1: (f, np.full_like(rn, 1e4)))
+        integ = TrapezoidalIntegrator(system)
+        with pytest.raises(NewtonDivergence, match=r"^residual blew up to 1\.000e\+04 at dt="):
+            integ._newton_step(x, v, f, rn, 1e-3)
+
+
 class TestCarriedResidual:
     """`step` and `solve_algebraic` hand back the residual pair (f, rn) at the
     point they return, so the next step need not evaluate it: the pair must
@@ -164,7 +186,9 @@ class TestCarriedResidual:
 def _reference_residual(system, x, v):
     """`DaeSystem.residual` as first written: the currents gathered into a
     preallocated array, every block's derivatives written back, and each
-    product taken over a column of one vector."""
+    product taken over a column of one vector, the currents summed onto the
+    buses by a dense 0/1 bus/device matrix whose columns follow the block
+    order."""
     f = np.empty(x.shape)
     currents = np.empty(v.shape[:-1] + system.order.shape, dtype=complex)
     col = 0
@@ -173,7 +197,10 @@ def _reference_residual(system, x, v):
         f[..., blk.states] = f_b.reshape(x.shape[:-1] + (-1,))
         currents[..., col : col + blk.n] = i_b
         col += blk.n
-    rn = np.matmul(system.incidence, currents[..., None])[..., 0]
+    buses = np.concatenate([blk.bus for blk in system.blocks])
+    incidence = np.zeros((system.n_bus, system.order.size), dtype=complex)
+    incidence[buses, np.arange(system.order.size)] = 1.0
+    rn = np.matmul(incidence, currents[..., None])[..., 0]
     return f, rn - np.matmul(system.y, v[..., None])[..., 0]
 
 
@@ -184,11 +211,12 @@ def _reference_newton_step(self, x, v, f_prev, rn_prev, dt):
     z unpacked for every residual, the Newton matrix and the result."""
     sys = self.system
     nx = sys.n_states
+    n_vars = nx + 2 * sys.n_bus
 
     def unpack(z):
         return z[:nx], z[nx:].view(complex)
 
-    z = np.empty(sys.n_vars)
+    z = np.empty(n_vars)
     z[:nx] = x
     z[nx:] = v.view(float)
     x1, f, rn = x, f_prev, rn_prev
@@ -198,7 +226,7 @@ def _reference_newton_step(self, x, v, f_prev, rn_prev, dt):
             x1, v1 = unpack(z)
             f, rn = _reference_residual(sys, x1, v1)
             self.residuals += 1
-        r = np.empty(sys.n_vars)
+        r = np.empty(n_vars)
         r[:nx] = x1 - x - 0.5 * dt * (f_prev + f)
         r[nx:] = rn.view(float)
         norm = np.abs(r).max()
@@ -876,8 +904,25 @@ class TestRunLeavesScenario:
         assert spec_snapshot(sc) == before
 
 
+class TestScenarioSteps:
+    @pytest.mark.parametrize(
+        "t_end, dt, n", [(0.3, 0.1, 3), (0.0105, 1e-3, 11), (1.0, 0.3, 4)],
+        ids=["whole_after_rounding", "half_step", "third_of_a_step"],
+    )
+    def test_steps_cover_the_horizon(self, t_end, dt, n):
+        # 0.3/0.1 is 2.9999999999999996, three whole steps; otherwise the
+        # last step ends after t_end
+        sc = dataclasses.replace(two_bus_scenario(), t_end=t_end, dt=dt)
+        assert sc.n_steps == n
+        assert (n - 1) * dt < t_end <= n * dt + 1e-12
+
+
 class TestEventChecks:
     """Events are checked when the scenario is built, not when they fire."""
+
+    def test_unknown_action_raises(self):
+        with pytest.raises(ValueError, match="^unknown event action 'trip'$"):
+            Event(0.1, "trip", bus=1)
 
     def with_events(self, *events):
         return dataclasses.replace(two_bus_scenario(load_p=0.4), events=list(events))

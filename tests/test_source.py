@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import cfcoherency
+
 ROOT = Path(__file__).resolve().parents[1]
 MAX_LINE = 100  # characters
 
@@ -30,3 +32,33 @@ def test_only_the_cli_prints():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
     ]
     assert printing == []
+
+
+def test_every_function_is_referenced_in_the_package(tracer_module):
+    # no dead public helpers: each function or method is named somewhere in
+    # the package besides its definition, as a name or an attribute, unless
+    # it is a dunder, exported, a scenario lookup, or wrapped by the benchmark
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        patched = {attr for _, attr, _ in tracer.patches._saved}
+    finally:
+        tracer.patches.restore()
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "cfcoherency").glob("*.py"))]
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    exempt = set(cfcoherency.__all__) | {"bundled_scenario_path"} | patched
+    unreferenced = sorted(
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced | exempt
+    )
+    assert unreferenced == []
