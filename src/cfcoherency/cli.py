@@ -20,12 +20,12 @@ from .coherency import (
     EVENT_MASK_PAD,
     alpha_beta_sweep,
     cluster_trajectory,
+    clustered_devices,
     default_window,
     device_cf,
     estimator_valid,
     numerical_cf,
     observer_independence_check,
-    source_devices,
 )
 from .errors import CfCoherencyError, SchemaError, SingularAdmittance
 from .scenario_io import load_scenario, parse_window, scenario_error
@@ -101,12 +101,11 @@ def _cmd_cluster(args) -> int:
     reads changes."""
     scenario = _load(args)
     k = args.k if args.k is not None else scenario.analysis.k_clusters
-    names = scenario.analysis.cluster_devices
-    if names is None:
-        devices = scenario.devices
-        names = source_devices([d.name for d in devices], [d.kind for d in devices])
-    if len(names) < 2 or not 1 <= k <= len(names):
-        raise SchemaError("$", f"cannot cut {len(names)} clustered device(s) into k={k} groups")
+    kinds = {d.name: d.kind for d in scenario.devices}
+    try:
+        names = clustered_devices(kinds, k, scenario.analysis.cluster_devices)
+    except ValueError as exc:
+        raise SchemaError("$", str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     window = scenario.analysis.window

@@ -29,7 +29,7 @@ WINDOW_TOL = 1e-12  # s; a window holds samples this close outside it, as k·dt 
 INTEGRATION_BLOCK = 4096
 
 
-@dataclass
+@dataclass(eq=False)
 class CfSeries:
     """Sampled complex-frequency trajectory, NaN where undefined or untrustworthy."""
 
@@ -161,7 +161,7 @@ def coherency_distance(eps: CfSeries, t_start: float, t_end: float) -> float:
     return float(_integrate(np.abs(eps.values[win][sel])[None], w)[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class CoherencyDistanceMatrix:
     values: np.ndarray  # (n, n) symmetric, zero diagonal
     labels: list[str]
@@ -403,7 +403,7 @@ def _sweep_cell(cell: tuple[int, int, float, float, Scenario]):
         return ia, ib, float("nan"), f"{type(exc).__name__}: {exc}"
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepResult:
     alphas: np.ndarray
     betas: np.ndarray
@@ -447,10 +447,16 @@ def alpha_beta_sweep(scenario: Scenario, alphas, betas, workers: int = 1) -> Swe
     return SweepResult(alphas, betas, values, failures)
 
 
-def source_devices(names: list[str], kinds: list[str]) -> list[str]:
-    """The sources (machines and converters) among the devices; loads are
-    left out just like in a generator-coherency study."""
-    return [name for name, kind in zip(names, kinds) if kind != "zip"]
+def clustered_devices(kinds: dict[str, str], k: int, chosen: list[str] | None = None) -> list[str]:
+    """The devices to cut into k groups: `chosen`, or else the sources
+    (machines and converters) among the devices, given as {name: kind}, as
+    loads are left out of a generator-coherency study.  Raises `ValueError`
+    unless there are at least two and 1 <= k <= their number."""
+    if chosen is None:
+        chosen = [name for name, kind in kinds.items() if kind != "zip"]
+    if len(chosen) < 2 or not 1 <= k <= len(chosen):
+        raise ValueError(f"cannot cut {len(chosen)} clustered device(s) into k={k} groups")
+    return chosen
 
 
 def cluster_trajectory(
@@ -459,13 +465,10 @@ def cluster_trajectory(
     device_names: list[str] | None = None,
     window: tuple[float, float] | None = None,
 ) -> tuple[CoherencyDistanceMatrix, ClusterTree, list[set[str]]]:
-    """Distance matrix + UPGMA partition of a simulated run; by default of
-    its sources.  Raises `ValueError` before any CF is read unless there are
-    at least two devices and 1 <= k <= their number."""
-    if device_names is None:
-        device_names = source_devices(traj.device_names, traj.device_kinds)
-    if len(device_names) < 2 or not 1 <= k <= len(device_names):
-        raise ValueError(f"cannot cut {len(device_names)} device(s) into k={k} groups")
+    """Distance matrix + UPGMA partition of a simulated run, of its
+    `clustered_devices`, which are checked before any CF is read."""
+    kinds = dict(zip(traj.device_names, traj.device_kinds))
+    device_names = clustered_devices(kinds, k, device_names)
     if window is None:
         window = default_window(traj)
     cfs = {name: device_cf(traj, name) for name in device_names}

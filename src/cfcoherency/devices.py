@@ -122,9 +122,10 @@ class Device:
 
     def voltage_sensitivity(self, x, v):
         """(a, b) with dı̄ = a·dv̄ + b·dv̄* at fixed states, from the tangents d₁
-        and d_j along dv̄ = 1 and j: a = (d₁ - j·d_j)/2, b = (d₁ + j·d_j)/2."""
-        ones = np.ones(np.shape(v), dtype=complex)
-        d_1, d_j = (self.tangent(x, v, np.zeros(np.shape(x)), dv)[1] for dv in (ones, 1j * ones))
+        and d_j along dv̄ = 1 and j, taken in one call on a leading axis of
+        two: a = (d₁ - j·d_j)/2, b = (d₁ + j·d_j)/2."""
+        dv = np.multiply.outer([1.0, 1j], np.ones(np.shape(v)))
+        d_1, d_j = self.tangent(x, v, np.zeros((2,) + np.shape(x)), dv)[1]
         return 0.5 * (d_1 - 1j * d_j), 0.5 * (d_1 + 1j * d_j)
 
     def analytic_cf(self, x, xdot, v, i, eta_v):

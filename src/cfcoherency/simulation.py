@@ -177,7 +177,7 @@ class Scenario:
 # Power flow
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class PowerFlowResult:
     voltages: np.ndarray  # complex per bus
     bus_injection: np.ndarray  # complex net S at every bus
@@ -219,10 +219,10 @@ def power_flow(scenario: Scenario) -> PowerFlowResult:
 
     pvpq = pv + pq
     it = 0
-    mismatch = np.inf
     while True:
         v = v_mag * np.exp(1j * v_ang)
-        s_calc = v * np.conj(y @ v)
+        ibus = y @ v
+        s_calc = v * np.conj(ibus)
         dp = s_calc.real - p_spec
         dq = s_calc.imag - q_spec
         f = np.concatenate([dp[pvpq], dq[pq]])
@@ -234,7 +234,6 @@ def power_flow(scenario: Scenario) -> PowerFlowResult:
                 f"power flow: mismatch {mismatch:.3e} after {POWER_FLOW_MAX_ITER} iterations"
             )
         # Standard complex-matrix power-injection derivatives.
-        ibus = y @ v
         diag_v = np.diag(v)
         diag_i = np.diag(ibus)
         diag_e = np.diag(v / v_mag)
@@ -254,9 +253,7 @@ def power_flow(scenario: Scenario) -> PowerFlowResult:
         v_ang[pvpq] += dx[:n_a]
         v_mag[pq] += dx[n_a:]
         it += 1
-
-    v = v_mag * np.exp(1j * v_ang)
-    return PowerFlowResult(v, v * np.conj(y @ v), it, float(mismatch))
+    return PowerFlowResult(v, s_calc, it, float(mismatch))
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +297,14 @@ class DaeSystem:
         self.order = np.array([i for idxs in self.members for i in idxs], dtype=int)
         self.bus = np.concatenate([blk.bus for blk in self.blocks])
         self.n_states = off
+        self.revision = 0  # raised by every `derive`
         self.derive()
 
     def derive(self) -> None:
-        """Re-derive the blocks' dependent values and drop the kept inverse of
-        the voltage Jacobian; needed after initialization and every event."""
+        """Re-derive the blocks' dependent values, drop the kept inverse of
+        the voltage Jacobian and raise `revision`, on which the integrator
+        keys its Newton matrix; needed after initialization and every event."""
+        self.revision += 1
         for blk in self.blocks:
             blk.derive()
         self.voltage_dependent = any(blk.voltage_dependent for blk in self.blocks)
@@ -463,24 +463,20 @@ def _diag(d: np.ndarray) -> np.ndarray:
 
 
 class TrapezoidalIntegrator:
-    """Fixed-step implicit trapezoidal scheme with a lazily refreshed Newton
-    matrix and step-halving recovery."""
+    """Fixed-step implicit trapezoidal scheme with step-halving recovery and a
+    Newton matrix rebuilt lazily, once dt or the system's `revision` moves."""
 
     def __init__(self, system: DaeSystem, tol: float = 1e-8):
         self.system = system
         self.tol = tol
         self._jinv: np.ndarray | None = None
-        self._j_dt: float | None = None
+        self._j_key: tuple[float, int] | None = None  # the (dt, revision) of _jinv
         # refined corrections of the last accepted steps, newest first
         self._corrections: tuple[np.ndarray, ...] = ()
         self.total_newton_iters = 0
         self.refreshes = 0  # Newton matrices built
         self.halvings = 0
         self.residuals = 0  # DaeSystem.residual calls by steps and re-solves
-
-    def invalidate(self) -> None:
-        """Forget the Newton matrix; needed after a parameter change."""
-        self._jinv = None
 
     # -- Newton matrix --------------------------------------------------------
 
@@ -491,7 +487,7 @@ class TrapezoidalIntegrator:
         a = np.block([[np.eye(len(f_x)), np.zeros(f_v.shape)], [i_x, j_v]])
         a[: len(f_x)] -= 0.5 * dt * np.hstack((f_x, f_v))
         self._jinv = np.linalg.inv(a)
-        self._j_dt = dt
+        self._j_key = (dt, self.system.revision)
         self._corrections = ()
         self.refreshes += 1
 
@@ -561,7 +557,7 @@ class TrapezoidalIntegrator:
                 r0 = norm
             elif norm > 1e3 * max(r0, 1.0):
                 raise NewtonDivergence(f"residual blew up to {norm:.3e} at dt={dt:.3e}")
-            if self._jinv is None or self._j_dt != dt or it == NEWTON_REFRESH_ITER:
+            if self._j_key != (dt, sys.revision) or it == NEWTON_REFRESH_ITER:
                 self._refresh(x1, v1, dt)
             if z is None:
                 z = z1 = np.concatenate((x, v.view(float))) - self._jinv @ r
@@ -646,7 +642,7 @@ def initialize(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, DaeSystem]:
     return x0, v, system
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Uniformly sampled run: states, phasors and stationary-frame CFs."""
 
@@ -735,7 +731,6 @@ def run(scenario: Scenario) -> Trajectory:
                 getattr(blk, param)[row] = value
             system.derive()
             v, f, rn = integ.solve_algebraic(x, v)
-            integ.invalidate()
         xs[k] = x
         voltages[k] = v
         k += 1

@@ -292,7 +292,10 @@ class TestClusterCommand:
     def test_k_checked_before_simulating(self, tmp_path, capsys, no_simulation, name, k):
         scenario = str(bundled_scenario_path(name))
         assert main(["--out", str(tmp_path / "o"), "cluster", scenario, "--k", k]) == 1
-        assert f"into k={k} groups" in capsys.readouterr().err
+        n = {"twomachine": 2, "ieee39": 10}[name]  # the sources
+        err = capsys.readouterr().err
+        assert err == f"error: $: cannot cut {n} clustered device(s) into k={k} groups\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("window", [["2", "1"], ["1", "1"], ["nan", "2"], ["1", "inf"]])
     def test_bad_window_exits_one(self, tmp_path, capsys, no_simulation, window):

@@ -523,7 +523,8 @@ class TestClusterTrajectory:
     ], ids=["k0", "k_above_n", "one_device", "no_device"])
     def test_k_checked_before_any_integration(self, mixed_zip_trajectory, monkeypatch, names, k):
         traj = mixed_zip_trajectory
-        assert len(coherency.source_devices(traj.device_names, traj.device_kinds)) == 3
+        kinds = dict(zip(traj.device_names, traj.device_kinds))
+        assert len(coherency.clustered_devices(kinds, 1)) == 3
 
         def no_work(*args, **kwargs):
             raise AssertionError("CFs read before k was checked")
@@ -532,6 +533,16 @@ class TestClusterTrajectory:
         monkeypatch.setattr(coherency, "distance_matrix", no_work)
         with pytest.raises(ValueError, match="cannot cut"):
             cluster_trajectory(traj, k, names)
+
+    def test_clustered_devices(self):
+        # the sources by default, in device order; named devices as named
+        kinds = {"G1": "sm", "L": "zip", "C": "gfm", "F": "gfl"}
+        assert coherency.clustered_devices(kinds, 3) == ["G1", "C", "F"]
+        assert coherency.clustered_devices(kinds, 2, ["L", "G1"]) == ["L", "G1"]
+        for k, chosen, n in ((0, None, 3), (4, None, 3), (1, ["L"], 1), (1, [], 0)):
+            message = rf"^cannot cut {n} clustered device\(s\) into k={k} groups$"
+            with pytest.raises(ValueError, match=message):
+                coherency.clustered_devices(kinds, k, chosen)
 
 
 class TestComplexProportionality:

@@ -245,7 +245,7 @@ def _reference_newton_step(self, x, v, f_prev, rn_prev, dt):
             r0 = norm
         elif norm > 1e3 * max(r0, 1.0):
             raise NewtonDivergence("residual blew up")
-        if self._jinv is None or self._j_dt != dt or it == simulation.NEWTON_REFRESH_ITER:
+        if self._j_key != (dt, sys.revision) or it == simulation.NEWTON_REFRESH_ITER:
             self._refresh(*unpack(z), dt)  # forgets the corrections
         z = z - self._jinv @ r
         if it == 0:
@@ -262,7 +262,7 @@ class _ReferenceIntegrator(TrapezoidalIntegrator):
 
 def _solver_state(integ):
     return (
-        integ.total_newton_iters, integ.refreshes, integ.residuals, integ.halvings, integ._j_dt
+        integ.total_newton_iters, integ.refreshes, integ.residuals, integ.halvings, integ._j_key
     )
 
 
@@ -353,7 +353,7 @@ class TestCorrectionHistory:
     @staticmethod
     def fresh(integ):
         fresh = TrapezoidalIntegrator(integ.system, integ.tol)
-        fresh._jinv, fresh._j_dt = integ._jinv, integ._j_dt
+        fresh._jinv, fresh._j_key = integ._jinv, integ._j_key
         return fresh
 
     @staticmethod
@@ -381,8 +381,22 @@ class TestCorrectionHistory:
         blk.p0[row] *= 1.1
         integ.system.derive()
         v, f, rn = integ.solve_algebraic(x, v)
-        integ.invalidate()
         self.assert_fresh_step(integ, (x, v, f, rn))
+
+    def test_derive_alone_rebuilds_the_newton_matrix(self):
+        # a parameter write is seen by the next step once `derive` has run,
+        # with no call to the integrator in between
+        integ, state, _ = self.primed()
+        refreshes = integ.refreshes
+        blk, row = integ.system.row("LOAD")
+        blk.p0[row] *= 1.1
+        state = integ.step(*state, self.DT)
+        assert integ.refreshes == refreshes  # the write alone is not seen
+        integ.system.derive()
+        jinv = integ._jinv
+        integ.step(*state, self.DT)
+        assert integ.refreshes == refreshes + 1 and integ._jinv is not jinv
+        assert integ._j_key == (self.DT, integ.system.revision)
 
     def test_forced_halving(self, monkeypatch):
         integ, state, _ = self.primed()
@@ -865,20 +879,28 @@ def mixed_events(draw):
     return events
 
 
-# prints the SHA-256 of the bus voltages of twomachine and ieee39 run to 3 s.
-# ieee39_mod is left out: its run inverts a 118x118 matrix with
-# np.linalg.inv, whose result depends on the BLAS thread count (ROADMAP item 2)
+# prints the SHA-256 of the bus voltages, device currents and recorded CFs
+# of twomachine and ieee39 run to 3 s
 BLAS_PROBE = """
 import dataclasses, hashlib
+import numpy as np
 from cfcoherency.scenario_io import bundled_scenario_path, load_scenario
 from cfcoherency.simulation import run
 for name in ("twomachine", "ieee39"):
-    sc = dataclasses.replace(load_scenario(bundled_scenario_path(name)), t_end=3.0)
-    print(name, hashlib.sha256(run(sc).voltages.tobytes()).hexdigest())
+    traj = run(dataclasses.replace(load_scenario(bundled_scenario_path(name)), t_end=3.0))
+    cfs = np.vstack([traj.analytic_cf[d] for d in traj.device_names] + [traj.voltage_cf.T])
+    for label, arr in (("voltages", traj.voltages), ("currents", traj.currents), ("cfs", cfs)):
+        print(name, label, hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
 
 def test_voltages_independent_of_blas_threads():
+    """`run` gives the same voltages, currents and CFs bit for bit with one
+    BLAS thread and with two, one child process each, so it is a function of
+    its scenario alone.  ieee39_mod is left out: its run inverts a 118x118
+    Newton matrix with np.linalg.inv, whose result depends on the BLAS thread
+    count, until that matrix is inverted through the state matrix (ROADMAP
+    item 2)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = []
@@ -889,7 +911,7 @@ def test_voltages_independent_of_blas_threads():
         )
         assert done.returncode == 0, done.stderr
         out.append(done.stdout.split())
-    assert len(out[0]) == 4
+    assert len(out[0]) == 2 * 3 * 3
     assert out[0] == out[1]
 
 
@@ -1113,8 +1135,8 @@ class TestSensitivities:
     def test_voltage_jacobian_asks_sources_at_one_sample(self, monkeypatch):
         # the S-load makes the Jacobian vary per sample; a source's (a, b)
         # depends on its parameters only, so a 64-sample call evaluates each
-        # source block's two voltage tangents at one sample, and returns the
-        # per-sample matrices bit for bit
+        # source block's two voltage tangents at one sample, in one call with
+        # a leading axis of two, and returns the per-sample matrices bit for bit
         _, system, x, v = _off_equilibrium()
         assert system.voltage_dependent
         rng = np.random.default_rng(3)
@@ -1125,13 +1147,13 @@ class TestSensitivities:
         for blk in system.dynamic:
 
             def counted(dev, x, v, dx, dv, tangent=type(blk).tangent):
-                calls.append((dev.kind, np.shape(v)))
+                calls.append((dev.kind, np.shape(v), np.shape(dv)))
                 return tangent(dev, x, v, dx, dv)
 
             monkeypatch.setattr(type(blk), "tangent", counted)
         assert np.array_equal(system.voltage_jacobian(xs, vs), want)
         assert {blk.kind for blk in system.dynamic} == {"sm", "gfl", "gfm"}
-        assert sorted(calls) == sorted([(blk.kind, (blk.n,)) for blk in system.dynamic] * 2)
+        assert sorted(calls) == sorted((blk.kind, (blk.n,), (2, blk.n)) for blk in system.dynamic)
 
     def test_state_columns_match_finite_differences(self):
         # ∂ı/∂x_k is the current's tangent along the unit state rate e_k:

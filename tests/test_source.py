@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import ast
+import copy
+import dataclasses
 from pathlib import Path
 
+import numpy as np
+
 import cfcoherency
+from cfcoherency.coherency import CfSeries, CoherencyDistanceMatrix, SweepResult
+from cfcoherency.simulation import power_flow, run
+from tests.conftest import two_bus_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 MAX_LINE = 100  # characters
@@ -62,3 +69,49 @@ def test_every_function_is_referenced_in_the_package(tracer_module):
         and node.name not in referenced | exempt
     )
     assert unreferenced == []
+
+
+def _array_records(tree: ast.Module) -> list[ast.ClassDef]:
+    """The dataclasses of `tree` with a field annotated as, or holding, an
+    `np.ndarray`."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        and any(
+            isinstance(item, ast.AnnAssign) and "np.ndarray" in ast.unparse(item.annotation)
+            for item in node.body
+        )
+    ]
+
+
+def test_array_records_compare_by_identity():
+    # a generated __eq__ compares the fields, and == on two arrays has no
+    # single truth value, so a record that holds arrays passes eq=False
+    generated_eq = [
+        f"{path.name}:{node.name}"
+        for path in sorted((ROOT / "src" / "cfcoherency").glob("*.py"))
+        for node in _array_records(ast.parse(path.read_text(encoding="utf-8")))
+        if not any(
+            isinstance(d, ast.Call)
+            and any(kw.arg == "eq" and ast.unparse(kw.value) == "False" for kw in d.keywords)
+            for d in node.decorator_list
+        )
+    ]
+    assert generated_eq == []
+
+
+def test_array_records_equal_only_themselves():
+    scenario = dataclasses.replace(two_bus_scenario(), t_end=0.01)
+    t = np.arange(3) * 0.1
+    records = [
+        CfSeries(t, t + 1j),
+        CoherencyDistanceMatrix(np.zeros((2, 2)), ["A", "B"]),
+        SweepResult(t, t, np.zeros((3, 3))),
+        power_flow(scenario),
+        run(scenario),
+    ]
+    for record in records:
+        assert record == record
+        assert record != copy.deepcopy(record)
