@@ -366,7 +366,7 @@ def split_machines(scenario: Scenario, alpha: float, beta: float) -> Scenario:
     split alpha : 1 - alpha and their total x'_d split beta : 1 - beta.
 
     Every other device and field is the scenario's own, and so is every
-    other machine parameter (name, bus, damping, omega_base, q_weight).
+    other machine parameter (name, bus, damping, q_weight).
     Dispatch follows inertia, so the machines are coherent exactly on the
     line alpha = 1 - beta, where each machine's share of the inertia equals
     its share of the admittance 1/x'_d.
@@ -451,9 +451,16 @@ def clustered_devices(kinds: dict[str, str], k: int, chosen: list[str] | None = 
     """The devices to cut into k groups: `chosen`, or else the sources
     (machines and converters) among the devices, given as {name: kind}, as
     loads are left out of a generator-coherency study.  Raises `ValueError`
-    unless there are at least two and 1 <= k <= their number."""
+    naming the first device of `chosen` that is not in `kinds` or is named
+    twice, and then unless there are at least two and 1 <= k <= their
+    number."""
     if chosen is None:
         chosen = [name for name, kind in kinds.items() if kind != "zip"]
+    for i, name in enumerate(chosen):
+        if name not in kinds:
+            raise ValueError(f"unknown clustered device {name!r}")
+        if name in chosen[:i]:
+            raise ValueError(f"clustered device {name!r} named twice")
     if len(chosen) < 2 or not 1 <= k <= len(chosen):
         raise ValueError(f"cannot cut {len(chosen)} clustered device(s) into k={k} groups")
     return chosen

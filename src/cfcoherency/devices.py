@@ -5,7 +5,8 @@ Conventions shared by every model:
   * all phasors live in the system-synchronous reference frame,
   * devices inject current into the network (loads inject negative current),
   * reported complex frequencies are stationary-frame per-unit values, i.e.
-    the frame-relative log-derivative divided by omega_base plus j*1.
+    the frame-relative log-derivative divided by the grid's one base
+    frequency omega_base, which `Device.stack` gives each block, plus j*1.
 
 Each kind writes the same three methods the integrator relies on:
 `initial_state`, which back-solves the states and setpoints from the
@@ -71,11 +72,12 @@ class Device:
 
     An instance is one device, as a scenario declares it, or the stack of
     all devices of its kind in a run (`stack`), whose `name` and `bus` list
-    the devices' names and buses and whose parameters are (n,) arrays.  A
-    scenario's device is a read-only spec: a run copies its `params` into
-    the stack and changes only those.  `initial_state` writes the operating
-    point into the parameters, events edit their rows, and `derive`, which
-    the constructors call, has to run after either.  `tangent(x, v, dx, dv)`
+    the devices' names and buses, whose parameters are (n,) arrays and
+    whose `omega_base` is the system's.  A scenario's device is a read-only
+    spec with no `omega_base`: a run copies its `params` into the stack and
+    changes only those.  `initial_state` writes the operating point into
+    the parameters, events edit their rows, and `derive`, which the
+    constructors call, has to run after either.  `tangent(x, v, dx, dv)`
     returns (df, dı), shaped as `evaluate`'s.  An instance whose
     `voltage_dependent` is False has a `voltage_sensitivity` that depends on
     its parameters only.
@@ -83,7 +85,6 @@ class Device:
 
     params: tuple[str, ...] = ()  # what `stack` copies
     n_states: int = 0
-    state_names: tuple[str, ...] = ()
     kind: str = "device"
     is_load: bool = False
     settable_params: tuple[str, ...] = ()
@@ -94,11 +95,13 @@ class Device:
         self.bus = bus
 
     @classmethod
-    def stack(cls, devices: list[Device], start: int) -> Device:
-        """The `devices`, all of this kind, as one instance; `states` is its
-        range of the system state vector, which holds the devices' states
-        one after another from `start`.  The devices are only read."""
+    def stack(cls, devices: list[Device], start: int, omega_base: float) -> Device:
+        """The `devices`, all of this kind, as one instance on the system's
+        base frequency `omega_base`; `states` is its range of the system
+        state vector, which holds the devices' states one after another from
+        `start`.  The devices are only read."""
         blk = cls.__new__(cls)
+        blk.omega_base = omega_base
         blk.name = [d.name for d in devices]
         blk.bus = np.array([d.bus for d in devices], dtype=int)
         blk.n = len(devices)
@@ -132,8 +135,8 @@ class Device:
         """Stationary-frame CF of the injected current `i`: dı̄/dt is the
         tangent along (ẋ, v̇) with v̇ = ω_b·(η_v - j)·v̄ from `eta_v`.
         `xdot` and `i` are what `evaluate` returns at (x, v), with no zero
-        in `i` (`DaeSystem.analytic_cf` masks those).  Reads the kind's
-        `omega_base`."""
+        in `i` (`DaeSystem.analytic_cf` masks those).  Reads the system's
+        `omega_base`, which `stack` sets."""
         v_dot = self.omega_base * (eta_v - 1j) * v
         i_dot = self.tangent(x, v, xdot, v_dot)[1]
         return i_dot / (i * self.omega_base) + 1j
@@ -146,9 +149,8 @@ class SynchronousMachine(Device):
     """Lossless classical model: constant EMF magnitude behind x'_d, swing
     dynamics in (rotor angle, speed)."""
 
-    params = ("e_field", "xd_prime", "p_m", "damping", "inertia", "omega_base")
+    params = ("e_field", "xd_prime", "p_m", "damping", "inertia")
     n_states = 2
-    state_names = ("delta", "omega")
     kind = "sm"
     settable_params = ("p_m", "damping")
 
@@ -158,7 +160,6 @@ class SynchronousMachine(Device):
         bus: int,
         inertia: float,
         xd_prime: float,
-        omega_base: float,
         damping: float = 0.0,
         p: float = 0.0,
         q_weight: float | None = None,
@@ -169,7 +170,6 @@ class SynchronousMachine(Device):
         self.inertia = inertia
         self.xd_prime = xd_prime
         self.damping = damping
-        self.omega_base = omega_base
         self.p = p  # dispatch weight / setpoint, pu
         self.q_weight = q_weight  # reactive share among same-bus sources; defaults to p
         self.p_m = 0.0
@@ -321,16 +321,15 @@ class _Converter(Device):
     behind the output filter, a series impedance z_f = r + jx and a shunt
     admittance y_f = g + jb, fed from the fixed DC-side voltage `v_dc`."""
 
-    params = ("z_f", "y_f", "v_dc", "omega_base")
+    params = ("z_f", "y_f", "v_dc")
 
-    def __init__(self, name, bus, x_filter, omega_base, p, r_filter, g_filter, b_filter, v_dc):
+    def __init__(self, name, bus, x_filter, p, r_filter, g_filter, b_filter, v_dc):
         super().__init__(name, bus)
         self.z_f = complex(r_filter, x_filter)
         if abs(self.z_f) == 0.0:
             raise ValueError("filter series impedance must be nonzero")
         self.y_f = complex(g_filter, b_filter)
         self.v_dc = v_dc
-        self.omega_base = omega_base
         self.p = p
 
     def derive(self) -> None:
@@ -348,7 +347,6 @@ class GridFollowingConverter(_Converter):
         "kp_current", "ki_current", "t_measure", "kp_pll", "ki_pll", "iref_d", "iref_q",
     )
     n_states = 6
-    state_names = ("pi_d", "pi_q", "im_d", "im_q", "x_pll", "theta")
     kind = "gfl"
     settable_params = ("iref_d", "iref_q")
 
@@ -357,7 +355,6 @@ class GridFollowingConverter(_Converter):
         name: str,
         bus: int,
         x_filter: float,
-        omega_base: float,
         r_filter: float = 0.0,
         g_filter: float = 0.0,
         b_filter: float = 0.0,
@@ -369,7 +366,7 @@ class GridFollowingConverter(_Converter):
         ki_pll: float = 1.0,
         p: float = 0.0,
     ):
-        super().__init__(name, bus, x_filter, omega_base, p, r_filter, g_filter, b_filter, v_dc)
+        super().__init__(name, bus, x_filter, p, r_filter, g_filter, b_filter, v_dc)
         if t_measure <= 0.0:
             raise ValueError("measurement time constant must be positive")
         self.kp_current = kp_current
@@ -445,7 +442,6 @@ class GridFormingConverter(_Converter):
         "kp_voltage", "ki_voltage", "t_voltage", "t_power", "droop", "p_ref", "v_ref",
     )
     n_states = 4
-    state_names = ("e", "delta", "v_m", "p_m")
     kind = "gfm"
     settable_params = ("p_ref", "v_ref")
 
@@ -454,7 +450,6 @@ class GridFormingConverter(_Converter):
         name: str,
         bus: int,
         x_filter: float,
-        omega_base: float,
         r_filter: float = 0.0,
         g_filter: float = 0.0,
         b_filter: float = 0.0,
@@ -466,7 +461,7 @@ class GridFormingConverter(_Converter):
         droop: float = 0.02,
         p: float = 0.0,
     ):
-        super().__init__(name, bus, x_filter, omega_base, p, r_filter, g_filter, b_filter, v_dc)
+        super().__init__(name, bus, x_filter, p, r_filter, g_filter, b_filter, v_dc)
         if t_voltage <= 0.0 or t_power <= 0.0:
             raise ValueError("measurement time constants must be positive")
         if droop < 0.0:

@@ -256,8 +256,6 @@ def parse_scenario(doc: dict) -> Scenario:
         cls, keys = _select(d, "type", _DEVICES, path, "device type")
         args = _read(d, keys, path, index_of)
         del args["type"]
-        if not cls.is_load:  # loads are static; the other models run on the system frequency
-            args["omega_base"] = omega_base
         devices.append(_construct(path, cls, **args))
     names = {d.name for d in devices}
 

@@ -96,9 +96,8 @@ class Scenario:
         run: a positive finite step, horizon and Newton tolerance, events
         inside the horizon, unique device names, every event's device or
         load bus present, no negative scale factor or disconnected amount
-        (either would raise a draw or turn a load into a source), no
-        disconnect of more load than is left at its bus, and every dynamic
-        device on the scenario's `omega_base`.  A bad event raises
+        (either would raise a draw or turn a load into a source), and no
+        disconnect of more load than is left at its bus.  A bad event raises
         `EventError`, which carries its index in `events`.  The analysis
         window, which `run` does not read, is checked against the horizon at
         construction."""
@@ -112,12 +111,6 @@ class Scenario:
         by_name = {d.name: d for d in self.devices}
         if len(by_name) != len(self.devices):
             raise ValueError("device names must be unique")
-        for d in self.devices:
-            if not d.is_load and d.omega_base != self.omega_base:
-                raise ValueError(
-                    f"device {d.name!r} has omega_base {d.omega_base:g}, "
-                    f"the scenario {self.omega_base:g}"
-                )
         labels = {b.index: b.label for b in self.network.buses}
         # the scheduled draw (p0, q0) of each load
         draws = {d.name: np.array([d.p0, d.q0], dtype=float) for d in self.devices if d.is_load}
@@ -264,12 +257,13 @@ class DaeSystem:
     """All device states coupled through the bus equations.
 
     The devices are grouped by class, and each group is stacked into one
-    block, an instance of that same class with (n,) parameter arrays
-    (`Device.stack`); each system-level evaluation makes one call per
-    block.  The blocks hold the parameters; the devices are read only while
-    the blocks are built.  The state vector holds the blocks one after
-    another, so a block's states are one contiguous (n, n_states) view;
-    `slices` still maps each device to its states.  Per-device results come
+    block, an instance of that same class with (n,) parameter arrays and
+    the system's `omega_base` (`Device.stack`); each system-level
+    evaluation makes one call per block.  The blocks hold the parameters;
+    the devices are read only while the blocks are built.  The state vector
+    holds the blocks one after another, so a block's states are one
+    contiguous (n, n_states) view; `slices` still maps each device to its
+    states.  Per-device results come
     in the block order `order` (device indices; `members` splits it by
     block) and reach the buses by their index `bus`, in that same order.
     Every evaluation also takes leading sample axes on the states and
@@ -287,7 +281,7 @@ class DaeSystem:
         self.slices: list[slice] = [slice(0, 0)] * len(devices)
         off = 0
         for cls, idxs in members.items():
-            blk = cls.stack([devices[i] for i in idxs], off)
+            blk = cls.stack([devices[i] for i in idxs], off, omega_base)
             for j, i in enumerate(idxs):
                 self.slices[i] = slice(off + j * blk.n_states, off + (j + 1) * blk.n_states)
             off = blk.states.stop

@@ -108,7 +108,7 @@ def two_bus_scenario(load_p=0.1, load_q=0.0, x_line=0.1, **load_fracs) -> Scenar
         [Branch(0, 1, 0.0, x_line)],
     )
     devices = [
-        SynchronousMachine("SM", 0, inertia=8.0, xd_prime=0.05, omega_base=OMEGA_B, p=load_p),
+        SynchronousMachine("SM", 0, inertia=8.0, xd_prime=0.05, p=load_p),
         ZipLoad("LOAD", 1, p0=load_p, q0=load_q, **load_fracs),
     ]
     return Scenario(network=net, devices=devices, t_end=1.0, dt=1e-3, omega_base=OMEGA_B)
@@ -136,14 +136,10 @@ def mixed_scenario(t_end=3.0, with_pulse=True) -> Scenario:
         ],
     )
     devices = [
-        SynchronousMachine(
-            "SM", 0, inertia=10.0, xd_prime=0.08, omega_base=OMEGA_B, damping=2.0, p=1.0
-        ),
-        GridFollowingConverter(
-            "GFL", 1, x_filter=0.15, r_filter=0.003, v_dc=2.0, omega_base=OMEGA_B, p=0.6
-        ),
+        SynchronousMachine("SM", 0, inertia=10.0, xd_prime=0.08, damping=2.0, p=1.0),
+        GridFollowingConverter("GFL", 1, x_filter=0.15, r_filter=0.003, v_dc=2.0, p=0.6),
         GridFormingConverter(
-            "GFM", 2, x_filter=0.15, r_filter=0.005, v_dc=2.0, omega_base=OMEGA_B,
+            "GFM", 2, x_filter=0.15, r_filter=0.005, v_dc=2.0,
             ki_voltage=2.0, t_power=0.3, droop=0.008, p=0.5,
         ),
         ZipLoad("ZL", 1, p0=1.0, q0=0.3),
@@ -183,15 +179,22 @@ def state_vector(system, traj, k) -> np.ndarray:
     return x
 
 
+def on_grid(device, omega_base: float = OMEGA_B):
+    """`device` on the system base frequency that `Device.stack` gives a
+    run's blocks, so that it can be evaluated on its own."""
+    device.omega_base = omega_base
+    return device
+
+
 def reference_devices(system, devices) -> list:
     """Copies of the scalar devices that hold the system's block parameters
-    as they are now."""
+    as they are now, on its base frequency."""
     refs = copy.deepcopy(devices)
     for d in refs:
         blk, row = system.row(d.name)
         for name in blk.params:
             setattr(d, name, getattr(blk, name)[row].item())
-        d.derive()
+        on_grid(d, blk.omega_base).derive()
     return refs
 
 

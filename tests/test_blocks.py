@@ -34,6 +34,7 @@ from tests.conftest import (
     OMEGA_B,
     find_device,
     mixed_scenario,
+    on_grid,
     reference_devices,
     split_device,
     state_vector,
@@ -168,8 +169,7 @@ def make_device(kind, name, bus, rng):
     u = rng.uniform
     if kind == "sm":
         d = SynchronousMachine(
-            name, bus, inertia=u(2, 10), xd_prime=u(0.05, 0.3), omega_base=OMEGA_B,
-            damping=u(0, 3),
+            name, bus, inertia=u(2, 10), xd_prime=u(0.05, 0.3), damping=u(0, 3),
         )
         d.e_field, d.p_m = u(0.9, 1.2), u(0, 1)
         return d, [u(-1, 1), 1 + u(-0.01, 0.01)]
@@ -189,14 +189,14 @@ def make_device(kind, name, bus, rng):
     )
     if kind == "gfl":
         d = GridFollowingConverter(
-            name, bus, **filt, omega_base=OMEGA_B, kp_current=u(0.1, 0.5), ki_current=u(1, 10),
+            name, bus, **filt, kp_current=u(0.1, 0.5), ki_current=u(1, 10),
             t_measure=u(0.005, 0.05), kp_pll=u(0.05, 0.2), ki_pll=u(0.5, 2),
         )
         d.iref_d, d.iref_q = u(0, 1), u(-0.5, 0.5)
         d.derive()
         return d, [u(0.4, 0.7), u(-0.2, 0.2), u(-1, 1), u(-1, 1), u(-0.01, 0.01), u(-1, 1)]
     d = GridFormingConverter(
-        name, bus, **filt, omega_base=OMEGA_B, kp_voltage=u(0.01, 0.1), ki_voltage=u(1, 10),
+        name, bus, **filt, kp_voltage=u(0.01, 0.1), ki_voltage=u(1, 10),
         t_voltage=u(0.01, 0.05), t_power=u(0.05, 0.5), droop=u(0, 0.05),
     )
     d.p_ref, d.v_ref = u(0, 1), u(0.95, 1.05)
@@ -221,7 +221,7 @@ def random_grids(draw):
     devices, states = [], []
     for k, (kind, bus) in enumerate(zip(kinds, buses)):
         d, x_d = make_device(kind, f"D{k}", bus, rng)
-        devices.append(d)
+        devices.append(on_grid(d))
         states.append(x_d)
     system = DaeSystem(net, devices, OMEGA_B)
     x = np.empty(system.n_states)
@@ -278,9 +278,7 @@ class TestBlocksMatchDevices:
         sc = mixed_scenario(t_end=0.03, with_pulse=False)
         sc.devices += [
             ZipLoad("ZL0", 0, p0=0.3, q0=0.1),
-            GridFollowingConverter(
-                "GFL2", 2, x_filter=0.12, r_filter=0.004, v_dc=2.0, omega_base=OMEGA_B, p=0.2
-            ),
+            GridFollowingConverter("GFL2", 2, x_filter=0.12, r_filter=0.004, v_dc=2.0, p=0.2),
         ]
         sc.devices = [sc.devices[i] for i in order]
         sc.events = [Event(0.015, "load_scale", bus=1, factor=1.2)]
@@ -486,16 +484,15 @@ class TestBusSum:
     "device, states",
     [
         (zip_load, []),
-        (lambda name: GridFormingConverter(
-            name, 0, x_filter=0.15, r_filter=0.005, v_dc=2.0, omega_base=OMEGA_B
-        ), [1.0, 0.1, 1.0, 0.5]),
+        (lambda name: GridFormingConverter(name, 0, x_filter=0.15, r_filter=0.005, v_dc=2.0),
+         [1.0, 0.1, 1.0, 0.5]),
     ],
     ids=["zip_v", "gfm_v"],
 )
 def test_guard_names_the_device_of_a_sample(device, states):
     # (samples, devices) terminal voltages of three devices; one |v| at the guard
     devices = [device(f"D{k}") for k in range(3)]
-    blk = type(devices[0]).stack(devices, 0)
+    blk = type(devices[0]).stack(devices, 0, OMEGA_B)
     x = np.tile(np.array(states, dtype=float), (4, 3, 1))
     v = np.ones((4, 3), dtype=complex)
     v[2, 1] = 5e-10

@@ -534,6 +534,20 @@ class TestClusterTrajectory:
         with pytest.raises(ValueError, match="cannot cut"):
             cluster_trajectory(traj, k, names)
 
+    @pytest.mark.parametrize("names, message", [
+        (["SM1", "SM1", "SM2"], "^clustered device 'SM1' named twice$"),
+        (["SM1", "NOPE"], "^unknown clustered device 'NOPE'$"),
+    ], ids=["repeated", "unknown"])
+    def test_names_checked_before_any_cf(self, monkeypatch, names, message):
+        traj = run(two_machine(t_end=1.2))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("CFs read before the names were checked")
+
+        monkeypatch.setattr(coherency, "device_cf", no_work)
+        with pytest.raises(ValueError, match=message):
+            cluster_trajectory(traj, 3, names, (1.05, 1.2))
+
     def test_clustered_devices(self):
         # the sources by default, in device order; named devices as named
         kinds = {"G1": "sm", "L": "zip", "C": "gfm", "F": "gfl"}
@@ -543,6 +557,10 @@ class TestClusterTrajectory:
             message = rf"^cannot cut {n} clustered device\(s\) into k={k} groups$"
             with pytest.raises(ValueError, match=message):
                 coherency.clustered_devices(kinds, k, chosen)
+        # a bad name is named before the count is checked
+        for chosen, message in ((["G1", "G1"], "'G1' named twice"), (["X"], "unknown .* 'X'")):
+            with pytest.raises(ValueError, match=message):
+                coherency.clustered_devices(kinds, 0, chosen)
 
 
 class TestComplexProportionality:
@@ -588,8 +606,8 @@ def machine_pair_template(inertia, xd_prime, p, damping, q_weight) -> Scenario:
     parameters are the given pairs."""
     devices = [
         SynchronousMachine(
-            name, 0, inertia=inertia[k], xd_prime=xd_prime[k], omega_base=OMEGA_B,
-            damping=damping[k], p=p[k], q_weight=q_weight[k],
+            name, 0, inertia=inertia[k], xd_prime=xd_prime[k], damping=damping[k], p=p[k],
+            q_weight=q_weight[k],
         )
         for k, name in enumerate(("A", "B"))
     ]
@@ -629,7 +647,6 @@ class TestSplitMachines:
             assert machine.name == given_machine.name and machine.bus == given_machine.bus
             assert machine.damping == given_machine.damping
             assert machine.q_weight == given_machine.q_weight
-            assert machine.omega_base == given_machine.omega_base
         # the template itself is left as it was
         assert sc.devices[0].inertia == inertia[0] and sc.devices[2].xd_prime == xd_prime[1]
         assert out.events == sc.events and out.network is sc.network
@@ -650,9 +667,7 @@ class TestSplitMachines:
 
     def test_two_bus_grid_rejected(self):
         sc = two_bus_scenario()
-        sc.devices.append(
-            SynchronousMachine("SM2", 1, inertia=4.0, xd_prime=0.05, omega_base=OMEGA_B, p=0.1)
-        )
+        sc.devices.append(SynchronousMachine("SM2", 1, inertia=4.0, xd_prime=0.05, p=0.1))
         with pytest.raises(ValueError, match="single-bus grid"):
             split_machines(sc, 0.3, 0.3)
 

@@ -19,15 +19,20 @@ from cfcoherency import (
 )
 from cfcoherency.errors import MagnitudeUnderflow
 from cfcoherency.scenario_io import _DEVICES
-from tests.conftest import ibr_current_cf, s_load_cf, sm_current_cf, z_load_cf
-
-OMEGA_B = 2.0 * np.pi * 60.0
+from tests.conftest import (
+    OMEGA_B,
+    ibr_current_cf,
+    on_grid,
+    s_load_cf,
+    sm_current_cf,
+    z_load_cf,
+)
 
 
 def make_sm(**kw):
-    defaults = dict(inertia=8.0, xd_prime=0.1, omega_base=OMEGA_B)
+    defaults = dict(inertia=8.0, xd_prime=0.1)
     defaults.update(kw)
-    return SynchronousMachine("SM", 0, **defaults)
+    return on_grid(SynchronousMachine("SM", 0, **defaults))
 
 
 class TestSynchronousMachine:
@@ -268,15 +273,11 @@ class TestIbrCf:
 
 
 def make_gfl(**kw):
-    return GridFollowingConverter(
-        "GFL", 0, x_filter=0.15, r_filter=0.003, v_dc=2.0, omega_base=OMEGA_B, **kw
-    )
+    return on_grid(GridFollowingConverter("GFL", 0, x_filter=0.15, r_filter=0.003, v_dc=2.0, **kw))
 
 
 def make_gfm(**kw):
-    return GridFormingConverter(
-        "GFM", 0, x_filter=0.15, r_filter=0.005, v_dc=2.0, omega_base=OMEGA_B, **kw
-    )
+    return on_grid(GridFormingConverter("GFM", 0, x_filter=0.15, r_filter=0.005, v_dc=2.0, **kw))
 
 
 class TestGridFollowing:
@@ -367,11 +368,8 @@ def test_stack_outputs_feed_back_into_the_stack(cls, knock):
     # a stack's own initial_state result and evaluate derivatives go back
     # into evaluate and analytic_cf as they are; a GFL reads its states as
     # complex pairs, which needs a contiguous state axis
-    devices = [
-        cls(f"D{k}", k, x_filter=0.15, r_filter=0.004, v_dc=2.0, omega_base=OMEGA_B)
-        for k in range(2)
-    ]
-    stack = cls.stack(devices, 0)
+    devices = [cls(f"D{k}", k, x_filter=0.15, r_filter=0.004, v_dc=2.0) for k in range(2)]
+    stack = cls.stack(devices, 0, OMEGA_B)
     v = np.array([1.01 * cmath.exp(0.1j), 0.99 * cmath.exp(-0.05j)])
     x = stack.initial_state(v, np.array([0.6 + 0.15j, 0.45 + 0.1j]))
     getattr(stack, knock)[:] += 0.1  # knock off equilibrium, so the rates are not zero
@@ -394,18 +392,17 @@ def test_stack_outputs_feed_back_into_the_stack(cls, knock):
 # ---------------------------------------------------------------------------
 
 def any_device(kind: str, values):
-    """A device of the registered `kind`, built from its required scenario
-    keys, whose every parameter (`params`) is then set from `values`, two
-    numbers per parameter (real and imaginary part where it is complex)."""
+    """A device of the registered `kind` on the system base frequency, built
+    from its required scenario keys, whose every parameter (`params`) is
+    then set from `values`, two numbers per parameter (real and imaginary
+    part where it is complex)."""
     cls, keys = _DEVICES[kind]
     args = {
         spec.arg: 0.5
         for key, spec in keys.items()
         if spec.required and key not in ("type", "name", "bus")
     }
-    if not cls.is_load:
-        args["omega_base"] = OMEGA_B
-    dev = cls("D", 0, **args)
+    dev = on_grid(cls("D", 0, **args))
     for k, name in enumerate(cls.params):
         re, im = values[2 * k], values[2 * k + 1]
         setattr(dev, name, complex(re, im) if isinstance(getattr(dev, name), complex) else re)
@@ -455,7 +452,7 @@ def test_voltage_sensitivity_is_the_admittance_bit_for_bit(kind):
     rng = np.random.default_rng(3)
     cls = _DEVICES[kind][0]
     devices = [any_device(kind, rng.uniform(0.01, 3.0, 2 * len(cls.params))) for _ in range(500)]
-    blk = cls.stack(devices, 0)
+    blk = cls.stack(devices, 0, OMEGA_B)
     x = rng.uniform(-2.0, 2.0, (3, blk.n, cls.n_states))
     v = rng.uniform(0.5, 1.5, (3, blk.n)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (3, blk.n)))
     a, b = blk.voltage_sensitivity(x, v)

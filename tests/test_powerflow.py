@@ -105,9 +105,7 @@ class TestInitialize:
         )
         sc = Scenario(
             network=net,
-            devices=[
-                SynchronousMachine("SM", 0, inertia=8.0, xd_prime=0.1, omega_base=OMEGA_B, p=0.1)
-            ],
+            devices=[SynchronousMachine("SM", 0, inertia=8.0, xd_prime=0.1, p=0.1)],
             omega_base=OMEGA_B,
         )
         with pytest.raises(InfeasibleInit):

@@ -254,16 +254,16 @@ class TestParse:
 REQUIRED_ONLY = {
     "sm": (
         {"inertia": 8.0, "xd_prime": 0.1, "p": 0.5},
-        lambda: SynchronousMachine("D", 1, inertia=8.0, xd_prime=0.1, omega_base=OMEGA_60, p=0.5),
+        lambda: SynchronousMachine("D", 1, inertia=8.0, xd_prime=0.1, p=0.5),
     ),
     "zip": ({"p": 0.5}, lambda: ZipLoad("D", 1, p0=0.5)),
     "gfl": (
         {"p": 0.5, "x_filter": 0.15},
-        lambda: GridFollowingConverter("D", 1, x_filter=0.15, omega_base=OMEGA_60, p=0.5),
+        lambda: GridFollowingConverter("D", 1, x_filter=0.15, p=0.5),
     ),
     "gfm": (
         {"p": 0.5, "x_filter": 0.15},
-        lambda: GridFormingConverter("D", 1, x_filter=0.15, omega_base=OMEGA_60, p=0.5),
+        lambda: GridFormingConverter("D", 1, x_filter=0.15, p=0.5),
     ),
 }
 
@@ -294,7 +294,7 @@ class TestSingleDeclaration:
         specs = parse_scenario(doc).devices
         for device in specs:
             assert [name for name in cls.params if not hasattr(device, name)] == []
-        stack = cls.stack(specs, 0)
+        stack = cls.stack(specs, 0, OMEGA_60)
         v = np.array([1.0 + 0.1j, 0.98 - 0.05j])
         x = stack.initial_state(v, np.array([0.5 + 0.1j, 0.3 + 0.05j]))
         stack.derive()

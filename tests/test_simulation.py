@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -35,7 +36,6 @@ from cfcoherency.simulation import (
 from tests.conftest import (
     OMEGA_B,
     device_fd_blocks,
-    find_device,
     ibr_current_cf,
     mixed_scenario,
     reference_devices,
@@ -52,7 +52,6 @@ class _LinearTestDevice(Device):
 
     params = ("lam",)
     n_states = 1
-    state_names = ("x",)
     kind = "test"
 
     def __init__(self, lam):
@@ -1044,17 +1043,24 @@ class TestEventChecks:
             self.with_events(cut, Event(0.1, "load_disconnect_mw", bus=1, amount=25.0))
 
 
-@pytest.mark.parametrize("name", ["SM", "GFL", "GFM"])
-def test_device_off_the_scenario_omega_base_rejected(name):
-    # a device's swing and CF read its own omega_base, the voltage CFs the
-    # scenario's; the loads carry none
-    sc = mixed_scenario(t_end=0.1, with_pulse=False)
-    find_device(sc, name).omega_base = 2.0 * np.pi * 50.0
-    message = f"device '{name}' has omega_base 314.159, the scenario 376.991"
-    with pytest.raises(ValueError, match=message):
-        dataclasses.replace(sc)
-    find_device(sc, name).omega_base = OMEGA_B
-    dataclasses.replace(sc)
+def test_a_50_hz_grid_runs_on_its_base_frequency(tmp_path):
+    # one ω_b per grid: every block takes the system's from `Device.stack`,
+    # so a machine's swing on a 50 Hz grid reads 2π·50
+    doc = json.loads(bundled_scenario_path("twomachine").read_text(encoding="utf-8"))
+    doc["system"]["f_nominal"] = 50.0
+    path = tmp_path / "twomachine_50hz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    sc = dataclasses.replace(load_scenario(path), t_end=1.05)
+    omega_b = 2.0 * np.pi * 50.0
+    traj = run(sc)
+    assert traj.omega_base == omega_b and np.all(np.isfinite(traj.voltages))
+    x0, v0, system = initialize(sc)
+    assert [blk.omega_base for blk in system.blocks] == [omega_b] * len(system.blocks)
+    x = x0 + np.random.default_rng(5).uniform(-0.01, 0.01, x0.shape)
+    f = system.derivatives(x, v0)
+    for name in ("SM1", "SM2"):
+        sl = system.slices[traj.device_names.index(name)]
+        assert f[sl][0] == omega_b * (x[sl][1] - 1.0)
 
 
 class TestVoltageRates:

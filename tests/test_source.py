@@ -18,6 +18,12 @@ ROOT = Path(__file__).resolve().parents[1]
 MAX_LINE = 100  # characters
 
 
+def _package_trees() -> list[ast.Module]:
+    """The parsed modules of the package."""
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "cfcoherency").glob("*.py"))]
+
+
 def test_no_source_line_is_longer_than_100_characters():
     paths = sorted((ROOT / "src" / "cfcoherency").glob("*.py")) + sorted(ROOT.glob("tests/*.py"))
     long = [
@@ -51,8 +57,7 @@ def test_every_function_is_referenced_in_the_package(tracer_module):
         patched = {attr for _, attr, _ in tracer.patches._saved}
     finally:
         tracer.patches.restore()
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted((ROOT / "src" / "cfcoherency").glob("*.py"))]
+    trees = _package_trees()
     referenced = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
@@ -69,6 +74,36 @@ def test_every_function_is_referenced_in_the_package(tracer_module):
         and node.name not in referenced | exempt
     )
     assert unreferenced == []
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple, whose class-body names are its fields."""
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list) or any(
+        ast.unparse(base).endswith("NamedTuple") for base in node.bases
+    )
+
+
+def test_every_class_attribute_is_read_in_the_package():
+    # no dead declarations: each name that a class body assigns, outside the
+    # records, is read as an attribute somewhere in the package
+    trees = _package_trees()
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{node.name}.{target.id}"
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and not _is_record(node)
+        for item in node.body
+        if isinstance(item, (ast.Assign, ast.AnnAssign))
+        for target in (item.targets if isinstance(item, ast.Assign) else [item.target])
+        if isinstance(target, ast.Name) and target.id not in read
+    )
+    assert unread == []
 
 
 def _array_records(tree: ast.Module) -> list[ast.ClassDef]:
