@@ -39,11 +39,22 @@ EXIT_SOLVER = 2
 FLOAT = "%.17e"  # format(x, ".17e"): exact and the same on every platform
 
 
+def _out_dir(text: str) -> Path:
+    """`--out`, checked before any command starts: its nearest existing
+    part must be a directory, which `_write_csv` makes when it writes."""
+    out = Path(text)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise SchemaError("--out", f"{existing} exists and is not a directory")
+    return out
+
+
 def _write_csv(path: Path, header: list[str], rows, fmt: list[str] | None = None) -> None:
     """Write `rows` under `header`, each cell in its column's %-format of
-    `fmt` (by default every cell as FLOAT)."""
+    `fmt` (by default every cell as FLOAT), making the directory if needed."""
     line = ",".join(fmt or [FLOAT] * len(header)) + "\n"
     text = ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -75,8 +86,7 @@ def _cmd_run(args) -> int:
     finite-difference CF of the recorded currents, such as the `cf` command
     computes, straddles an event)."""
     scenario = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out
     traj = run(scenario)
     names = traj.device_names
     cf = np.stack([device_cf(traj, name).values for name in names], axis=-1)
@@ -106,8 +116,7 @@ def _cmd_cluster(args) -> int:
         names = clustered_devices(kinds, k, scenario.analysis.cluster_devices)
     except ValueError as exc:
         raise SchemaError("$", str(exc)) from exc
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out
     window = scenario.analysis.window
     if window is not None:
         horizon = min(scenario.t_end, window[1] + (EVENT_MASK_PAD + 1) * scenario.dt)
@@ -190,8 +199,7 @@ def _cmd_sweep(args) -> int:
         result = alpha_beta_sweep(scenario, alphas, betas, workers=args.workers)
     except ValueError as exc:
         raise SchemaError("$", str(exc)) from exc
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out
     _write_csv(
         out / "sweep.csv",
         ["alpha\\beta"] + [FLOAT % b for b in betas],
@@ -248,8 +256,7 @@ def _cmd_cf(args) -> int:
         raise SchemaError("--f-nominal", "base frequency must be positive and finite")
     omega_base = 2.0 * np.pi * args.f_nominal
     cf = [numerical_cf(data[:, c] + 1j * data[:, c + 1], dt, omega_base).values for _, c in pairs]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out
     _write_csv(
         out / "cf.csv",
         ["time"] + _pairs([name for name, _ in pairs], "rho_{}", "omega_{}"),
@@ -344,6 +351,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, which is the solver-failure code here
         return EXIT_SCHEMA if exc.code else EXIT_OK
     try:
+        args.out = _out_dir(args.out)
         code = args.func(args)
         sys.stdout.flush()  # a block-buffered stdout finds a closed pipe here
         return code

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,18 +216,18 @@ class ClusterTree:
     step k creates cluster id n+k from `left` and `right` at the stored
     height."""
 
-    n_leaves: int
     merges: list[tuple[int, int, float]]
     labels: list[str]
 
     def cut(self, k: int) -> list[set[str]]:
         """Partition into k groups of labels by undoing the last merges,
         ordered by the smallest leaf index in each group."""
-        if not 1 <= k <= self.n_leaves:
-            raise ValueError(f"k must be in [1, {self.n_leaves}]")
-        members: dict[int, set[int]] = {i: {i} for i in range(self.n_leaves)}
-        for step, (left, right, _) in enumerate(self.merges[: self.n_leaves - k]):
-            members[self.n_leaves + step] = members.pop(left) | members.pop(right)
+        n = len(self.labels)
+        if not 1 <= k <= n:
+            raise ValueError(f"k must be in [1, {n}]")
+        members: dict[int, set[int]] = {i: {i} for i in range(n)}
+        for step, (left, right, _) in enumerate(self.merges[: n - k]):
+            members[n + step] = members.pop(left) | members.pop(right)
         return [{self.labels[i] for i in g} for g in sorted(members.values(), key=min)]
 
 
@@ -276,7 +277,7 @@ def upgma_tree(matrix: CoherencyDistanceMatrix) -> ClusterTree:
         near[closer], near_d[closer] = new, row[closer]
         for k in stale:
             rescan(k)
-    return ClusterTree(n, merges, list(matrix.labels))
+    return ClusterTree(merges, list(matrix.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +396,16 @@ def two_machine_distance(scenario: Scenario, alpha: float, beta: float) -> float
     return coherency_distance(eps, *(scenario.analysis.window or default_window(traj)))
 
 
-def _sweep_cell(cell: tuple[int, int, float, float, Scenario]):
-    ia, ib, alpha, beta, scenario = cell
+def _sweep_cell(scenario: Scenario, alpha: float, beta: float) -> tuple[float, str]:
+    """The cell's `two_machine_distance` and "", or NaN and the error it raised."""
     try:
-        return ia, ib, two_machine_distance(scenario, alpha, beta), ""
+        return two_machine_distance(scenario, alpha, beta), ""
     except Exception as exc:  # cell failures are recorded, not fatal
-        return ia, ib, float("nan"), f"{type(exc).__name__}: {exc}"
+        return float("nan"), f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(eq=False)
 class SweepResult:
-    alphas: np.ndarray
-    betas: np.ndarray
     values: np.ndarray  # (n_alpha, n_beta), NaN where a cell failed
     failures: list[tuple[float, float, str]] = field(default_factory=list)
 
@@ -417,7 +416,8 @@ def alpha_beta_sweep(scenario: Scenario, alphas, betas, workers: int = 1) -> Swe
 
     The grid and the template are checked once, before any cell runs, and
     raise `ValueError`.  Cells are independent and may run in parallel;
-    results are merged by index so the output does not depend on scheduling.
+    they are mapped in row-major grid order, which the results keep, so the
+    output does not depend on scheduling.
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -425,26 +425,20 @@ def alpha_beta_sweep(scenario: Scenario, alphas, betas, workers: int = 1) -> Swe
     if not np.all((grid > 0.0) & (grid < 1.0)):  # NaN fails too
         raise ValueError("grid values must lie strictly inside (0, 1)")
     _machine_pair(scenario)
-    cells = [
-        (ia, ib, float(a), float(b), scenario)
-        for ia, a in enumerate(alphas)
-        for ib, b in enumerate(betas)
-    ]
-    values = np.full((alphas.size, betas.size), np.nan)
-    failures: list[tuple[float, float, str]] = []
+    cell_alphas = np.repeat(alphas, betas.size).tolist()
+    cell_betas = np.tile(betas, alphas.size).tolist()
+    cells = (itertools.repeat(scenario), cell_alphas, cell_betas)
     if workers > 1:
         # imported here: it loads multiprocessing, which no other command needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, cells))
+            results = list(pool.map(_sweep_cell, *cells))
     else:
-        results = [_sweep_cell(c) for c in cells]
-    for ia, ib, value, err in results:
-        values[ia, ib] = value
-        if err:
-            failures.append((float(alphas[ia]), float(betas[ib]), err))
-    return SweepResult(alphas, betas, values, failures)
+        results = list(map(_sweep_cell, *cells))
+    values = np.array([value for value, _ in results]).reshape(alphas.size, betas.size)
+    failures = [(a, b, err) for a, b, (_, err) in zip(cell_alphas, cell_betas, results) if err]
+    return SweepResult(values, failures)
 
 
 def clustered_devices(kinds: dict[str, str], k: int, chosen: list[str] | None = None) -> list[str]:

@@ -203,9 +203,15 @@ class Network:
     def __post_init__(self):
         self._y = build_admittance(self.buses, self.branches, self.shunts)
         self._z: np.ndarray | None = None
-        # the ordered bus pairs that a branch joins, both ways round
-        self._bus_pairs = {(br.from_bus, br.to_bus) for br in self.branches}
-        self._bus_pairs |= {(j, h) for h, j in self._bus_pairs}
+        # each ordered bus pair (h, j) that a branch joins: the terms (y_hh,
+        # y_hj) of the current leaving h towards j, summed in branch order
+        self._pair_terms: dict[tuple[int, int], tuple[complex, complex]] = {}
+        for br in self.branches:
+            y_ff, y_ft, y_tf, y_tt = _branch_terms(br)
+            for pair, y_hh, y_hj in (((br.from_bus, br.to_bus), y_ff, y_ft),
+                                     ((br.to_bus, br.from_bus), y_tt, y_tf)):
+                sum_hh, sum_hj = self._pair_terms.get(pair, (0j, 0j))
+                self._pair_terms[pair] = (sum_hh + y_hh, sum_hj + y_hj)
 
     @property
     def n_bus(self) -> int:
@@ -220,7 +226,7 @@ class Network:
         return self._z
 
     def has_branch(self, h: int, j: int) -> bool:
-        return (h, j) in self._bus_pairs
+        return (h, j) in self._pair_terms
 
     def branch_current(self, h: int, j: int, bus_voltages: np.ndarray) -> complex | np.ndarray:
         """Current leaving bus h into the branch(es) towards bus j.
@@ -231,16 +237,6 @@ class Network:
         """
         if not self.has_branch(h, j):
             raise NoSuchBranch(f"no branch between buses {h} and {j}")
+        y_hh, y_hj = self._pair_terms[h, j]
         v = np.asarray(bus_voltages, dtype=complex)
-        y_hh = 0.0 + 0.0j
-        y_hj = 0.0 + 0.0j
-        for br in self.branches:
-            if (br.from_bus, br.to_bus) == (h, j):
-                y_ff, y_ft, _, _ = _branch_terms(br)
-                y_hh += y_ff
-                y_hj += y_ft
-            elif (br.to_bus, br.from_bus) == (h, j):
-                _, _, y_tf, y_tt = _branch_terms(br)
-                y_hh += y_tt
-                y_hj += y_tf
         return y_hh * v[..., h] + y_hj * v[..., j]

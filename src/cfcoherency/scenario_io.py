@@ -219,8 +219,6 @@ def parse_scenario(doc: dict) -> Scenario:
             raise SchemaError("$", f"missing required section {key!r}")
 
     system = _read(doc["system"], _SYSTEM, "$.system")
-    if system["f_nominal"] <= 0 or system["s_base"] <= 0:
-        raise SchemaError("$.system", "f_nominal and s_base must be positive")
     omega_base = 2.0 * math.pi * system["f_nominal"]
 
     rows = {}

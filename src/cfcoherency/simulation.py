@@ -93,18 +93,21 @@ class Scenario:
         value)]} in the order `run` applies them; the only code that
         interprets events.  A load event writes the new draw (p0, q0) of
         each load at its bus.  Raises `ValueError` unless the scenario can
-        run: a positive finite step, horizon and Newton tolerance, events
-        inside the horizon, unique device names, every event's device or
-        load bus present, no negative scale factor or disconnected amount
-        (either would raise a draw or turn a load into a source), and no
-        disconnect of more load than is left at its bus.  A bad event raises
-        `EventError`, which carries its index in `events`.  The analysis
-        window, which `run` does not read, is checked against the horizon at
-        construction."""
+        run: a positive finite step, horizon, Newton tolerance, base
+        frequency and base power, events inside the horizon, unique device
+        names, every event's device or load bus present, no negative scale
+        factor or disconnected amount (either would raise a draw or turn a
+        load into a source), and no disconnect of more load than is left at
+        its bus.  A bad event raises `EventError`, which carries its index in
+        `events`.  The analysis window, which `run` does not read, is checked
+        against the horizon at construction."""
         if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
             raise ValueError("dt and t_end must be positive and finite")
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"Newton tolerance {self.tolerance!r} must be positive and finite")
+        if not (0.0 < self.omega_base < np.inf and 0.0 < self.s_base < np.inf):
+            raise ValueError(f"base values omega_base {self.omega_base!r} and s_base "
+                             f"{self.s_base!r} must be positive and finite")
         for i, ev in enumerate(self.events):
             if not 0.0 <= ev.time <= self.t_end:
                 raise EventError(i, f"event at t={ev.time} outside [0, {self.t_end}]")
@@ -290,6 +293,8 @@ class DaeSystem:
         self.members = list(members.values())
         self.order = np.array([i for idxs in self.members for i in idxs], dtype=int)
         self.bus = np.concatenate([blk.bus for blk in self.blocks])
+        self.dynamic_bus = np.array([b for blk in self.dynamic for b in blk.bus], dtype=int)
+        self._rows = {name: (blk, r) for blk in self.blocks for r, name in enumerate(blk.name)}
         self.n_states = off
         self.revision = 0  # raised by every `derive`
         self.derive()
@@ -306,10 +311,7 @@ class DaeSystem:
 
     def row(self, name: str) -> tuple[Device, int]:
         """The block that holds device `name`, and its row there."""
-        for blk in self.blocks:
-            if name in blk.name:
-                return blk, blk.name.index(name)
-        raise KeyError(name)
+        return self._rows[name]
 
     def _local(self, blk: Device, x: np.ndarray, v: np.ndarray):
         """The block's states as (..., n, n_states) and its terminal voltages."""
@@ -413,8 +415,8 @@ class DaeSystem:
             xb, vb = self._local(blk, x, v)
             xdot_b = xdot[..., blk.states].reshape(xb.shape)
             rates.append(blk.tangent(xb, vb, xdot_b, np.zeros_like(vb))[1])
-        bus = np.concatenate([blk.bus for blk in self.dynamic])
-        return self.solve_voltage(x, v, -self._to_bus(np.concatenate(rates, axis=-1), bus))
+        i_dot = np.concatenate(rates, axis=-1)
+        return self.solve_voltage(x, v, -self._to_bus(i_dot, self.dynamic_bus))
 
     def analytic_cf(
         self, x: np.ndarray, xdot: np.ndarray, v: np.ndarray, i: np.ndarray, eta_v: np.ndarray,

@@ -458,3 +458,10 @@ def test_voltage_sensitivity_is_the_admittance_bit_for_bit(kind):
     a, b = blk.voltage_sensitivity(x, v)
     assert np.array_equal(a, np.broadcast_to(VOLTAGE_ADMITTANCE[kind](blk), v.shape))
     assert np.all(b == 0.0)
+
+
+def test_repr_names_a_device_and_a_stack():
+    machines = [SynchronousMachine("G1", 0, 5.0, 0.1), SynchronousMachine("G2", 3, 5.0, 0.1)]
+    assert repr(machines[0]) == "SynchronousMachine(name='G1', bus=0)"
+    stack = SynchronousMachine.stack(machines, 0, OMEGA_B)
+    assert repr(stack) == "SynchronousMachine(name=['G1', 'G2'], bus=[0 3])"

@@ -106,6 +106,31 @@ def test_every_class_attribute_is_read_in_the_package():
     assert unread == []
 
 
+def test_every_record_field_is_read():
+    # no field stored for nobody: each field of a `src/` dataclass is read as
+    # an attribute in the package, its tests or the benchmark, which alone
+    # reads some solver counts
+    scanned = [ROOT / "src" / "cfcoherency", ROOT / "tests", ROOT / "perfbench"]
+    read = {
+        node.attr
+        for folder in scanned
+        for path in sorted(folder.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{node.name}.{item.target.id}"
+        for tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    )
+    assert unread == []
+
+
 def _array_records(tree: ast.Module) -> list[ast.ClassDef]:
     """The dataclasses of `tree` with a field annotated as, or holding, an
     `np.ndarray`."""
@@ -143,7 +168,7 @@ def test_array_records_equal_only_themselves():
     records = [
         CfSeries(t, t + 1j),
         CoherencyDistanceMatrix(np.zeros((2, 2)), ["A", "B"]),
-        SweepResult(t, t, np.zeros((3, 3))),
+        SweepResult(np.zeros((3, 3))),
         power_flow(scenario),
         run(scenario),
     ]
