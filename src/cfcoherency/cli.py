@@ -22,7 +22,6 @@ from .coherency import (
     cluster_trajectory,
     clustered_devices,
     default_window,
-    device_cf,
     estimator_valid,
     numerical_cf,
     observer_independence_check,
@@ -51,11 +50,15 @@ def _out_dir(text: str) -> Path:
 
 def _write_csv(path: Path, header: list[str], rows, fmt: list[str] | None = None) -> None:
     """Write `rows` under `header`, each cell in its column's %-format of
-    `fmt` (by default every cell as FLOAT), making the directory if needed."""
+    `fmt` (by default every cell as FLOAT), making the directory if needed;
+    a write that fails is an `--out` error."""
     line = ",".join(fmt or [FLOAT] * len(header)) + "\n"
     text = ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise SchemaError("--out", f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _table(*blocks: np.ndarray) -> list[list[float]]:
@@ -89,7 +92,7 @@ def _cmd_run(args) -> int:
     out = args.out
     traj = run(scenario)
     names = traj.device_names
-    cf = np.stack([device_cf(traj, name).values for name in names], axis=-1)
+    cf = np.stack([traj.analytic_cf[name] for name in names], axis=-1)
     cf_header = ["time"] + _pairs(names, "rho_{}", "omega_{}")
     header = ["time"] + _pairs(traj.bus_labels, "v{}_re", "v{}_im")
     header += _pairs(names, "i_{}_re", "i_{}_im") + cf_header[1:]

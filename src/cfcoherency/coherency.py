@@ -50,8 +50,8 @@ class CfSeries:
 def numerical_cf(samples, dt: float, omega_base: float) -> CfSeries:
     """Finite-difference CF estimate of a sampled Clarke vector.
 
-    Second-order stencils throughout: 3-point central differences inside,
-    3-point one-sided at both ends.  The radial part differentiates
+    `np.gradient`'s second-order stencils: 3-point central differences
+    inside, 3-point one-sided at both ends.  The radial part differentiates
     log-magnitude, the rotational part the phase unwrapped over the defined
     samples; both are normalized by `omega_base`.  A sample at or below
     `MAGNITUDE_GUARD`, and every sample whose stencil reads one, is `UNDEFINED_CF`.
@@ -65,15 +65,8 @@ def numerical_cf(samples, dt: float, omega_base: float) -> CfSeries:
     log_mag, phase = np.full((2, x.size), np.nan)
     log_mag[ok] = np.log(mags[ok])
     phase[ok] = np.unwrap(np.angle(x[ok]))
-
-    def diff(y: np.ndarray) -> np.ndarray:
-        d = np.empty_like(y)
-        d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-        d[0] = (-1.5 * y[0] + 2.0 * y[1] - 0.5 * y[2]) / dt
-        d[-1] = (1.5 * y[-1] - 2.0 * y[-2] + 0.5 * y[-3]) / dt
-        return d
-
-    values = (diff(log_mag) + 1j * diff(phase)) / omega_base
+    rho, omega = (np.gradient(y, dt, edge_order=2) for y in (log_mag, phase))
+    values = (rho + 1j * omega) / omega_base
     # the central stencil skips its own sample; a NaN part voids both
     values[~ok | np.isnan(values)] = UNDEFINED_CF
     times = np.arange(x.size) * dt

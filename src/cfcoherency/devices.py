@@ -165,7 +165,7 @@ class SynchronousMachine(Device):
         q_weight: float | None = None,
     ):
         super().__init__(name, bus)
-        if inertia <= 0.0 or xd_prime <= 0.0:
+        if not (inertia > 0.0 and xd_prime > 0.0):
             raise ValueError("inertia and xd_prime must be positive")
         self.inertia = inertia
         self.xd_prime = xd_prime
@@ -237,9 +237,9 @@ class ZipLoad(Device):
         kp_q: float = 0.0,
     ):
         super().__init__(name, bus)
-        if abs(kz_p + ki_p + kp_p - 1.0) > ZIP_FRACTION_TOL:
+        if not abs(kz_p + ki_p + kp_p - 1.0) <= ZIP_FRACTION_TOL:
             raise ValueError(f"load {name!r}: active-power fractions must sum to 1")
-        if abs(kz_q + ki_q + kp_q - 1.0) > ZIP_FRACTION_TOL:
+        if not abs(kz_q + ki_q + kp_q - 1.0) <= ZIP_FRACTION_TOL:
             raise ValueError(f"load {name!r}: reactive-power fractions must sum to 1")
         self.p0 = p0  # scheduled draw at |v| = v0, pu
         self.q0 = q0
@@ -329,6 +329,8 @@ class _Converter(Device):
         if abs(self.z_f) == 0.0:
             raise ValueError("filter series impedance must be nonzero")
         self.y_f = complex(g_filter, b_filter)
+        if not v_dc > 0.0:  # the grid-forming kind does not read it, so only this refuses NaN
+            raise ValueError("DC-side voltage must be positive")
         self.v_dc = v_dc
         self.p = p
 
@@ -367,7 +369,7 @@ class GridFollowingConverter(_Converter):
         p: float = 0.0,
     ):
         super().__init__(name, bus, x_filter, p, r_filter, g_filter, b_filter, v_dc)
-        if t_measure <= 0.0:
+        if not t_measure > 0.0:
             raise ValueError("measurement time constant must be positive")
         self.kp_current = kp_current
         self.ki_current = ki_current
@@ -462,9 +464,9 @@ class GridFormingConverter(_Converter):
         p: float = 0.0,
     ):
         super().__init__(name, bus, x_filter, p, r_filter, g_filter, b_filter, v_dc)
-        if t_voltage <= 0.0 or t_power <= 0.0:
+        if not (t_voltage > 0.0 and t_power > 0.0):
             raise ValueError("measurement time constants must be positive")
-        if droop < 0.0:
+        if not droop >= 0.0:
             raise ValueError("droop gain must be nonnegative")
         self.kp_voltage = kp_voltage
         self.ki_voltage = ki_voltage

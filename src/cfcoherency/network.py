@@ -70,7 +70,7 @@ class Branch:
             raise ZeroImpedanceBranch(
                 f"branch {self.from_bus}-{self.to_bus} has zero series impedance"
             )
-        if self.tap <= 0.0:
+        if not self.tap > 0.0:
             raise ValueError("tap ratio must be positive")
 
 
@@ -202,7 +202,6 @@ class Network:
 
     def __post_init__(self):
         self._y = build_admittance(self.buses, self.branches, self.shunts)
-        self._z: np.ndarray | None = None
         # each ordered bus pair (h, j) that a branch joins: the terms (y_hh,
         # y_hj) of the current leaving h towards j, summed in branch order
         self._pair_terms: dict[tuple[int, int], tuple[complex, complex]] = {}
@@ -221,9 +220,7 @@ class Network:
         return self._y
 
     def impedance(self) -> np.ndarray:
-        if self._z is None:
-            self._z = impedance_matrix(self._y)
-        return self._z
+        return impedance_matrix(self._y)
 
     def has_branch(self, h: int, j: int) -> bool:
         return (h, j) in self._pair_terms

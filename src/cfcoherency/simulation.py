@@ -198,30 +198,23 @@ def power_flow(scenario: Scenario) -> PowerFlowResult:
     pv = [i for i, k in enumerate(kinds) if k == "generation"]
     pq = [i for i, k in enumerate(kinds) if k == "load"]
 
-    p_spec = np.zeros(n)
-    q_spec = np.zeros(n)
+    s_spec = np.zeros(n, dtype=complex)  # scheduled net injection P + jQ
     for d in scenario.devices:
-        if d.is_load:
-            p_spec[d.bus] -= d.p0
-            q_spec[d.bus] -= d.q0
-        else:
-            p_spec[d.bus] += d.p
+        s_spec[d.bus] += -complex(d.p0, d.q0) if d.is_load else d.p
 
-    v_mag = np.ones(n)
-    for b in net.buses:
-        if b.kind != "load":
-            v_mag[b.index] = b.v_set
+    v_mag = np.array([1.0 if b.kind == "load" else b.v_set for b in net.buses])
     v_ang = np.zeros(n)
 
     pvpq = pv + pq
+    # the free unknowns, angles then magnitudes, and their P and Q mismatches
+    free = pvpq + [n + i for i in pq]
     it = 0
     while True:
         v = v_mag * np.exp(1j * v_ang)
         ibus = y @ v
         s_calc = v * np.conj(ibus)
-        dp = s_calc.real - p_spec
-        dq = s_calc.imag - q_spec
-        f = np.concatenate([dp[pvpq], dq[pq]])
+        mis = s_calc - s_spec
+        f = np.concatenate((mis.real, mis.imag))[free]
         mismatch = np.max(np.abs(f)) if f.size else 0.0
         if mismatch < POWER_FLOW_TOL:
             break
@@ -235,14 +228,9 @@ def power_flow(scenario: Scenario) -> PowerFlowResult:
         diag_e = np.diag(v / v_mag)
         ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
         ds_dvm = diag_v @ np.conj(y @ diag_e) + np.conj(diag_i) @ diag_e
-
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
+        jac = np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
         try:
-            dx = np.linalg.solve(jac, -f)
+            dx = np.linalg.solve(jac[np.ix_(free, free)], -f)
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"power flow: singular Jacobian ({exc})") from exc
         n_a = len(pvpq)
@@ -532,8 +520,6 @@ class TrapezoidalIntegrator:
         sys = self.system
         h = 0.5 * dt
         x1, v1, f, rn = x, v, f_prev, rn_prev
-        z = z1 = None  # the Newton variables, packed once the iterate has to move
-        r0 = None
         for it in range(NEWTON_MAX_ITER):
             if it:
                 f, rn = sys.residual(x1, v1)
@@ -544,24 +530,21 @@ class TrapezoidalIntegrator:
                 raise NewtonDivergence(f"non-finite residual at dt={dt:.3e}")
             if norm < self.tol:
                 self.total_newton_iters += it
-                if z is None:
-                    self._corrections = ()
-                else:
-                    self._corrections = (z - self._jinv @ r - z1, *self._corrections[:2])
+                self._corrections = (z - self._jinv @ r - z1, *self._corrections[:2]) if it else ()
                 return x1, v1, f, rn
-            if r0 is None:
+            if not it:
                 r0 = norm
             elif norm > 1e3 * max(r0, 1.0):
                 raise NewtonDivergence(f"residual blew up to {norm:.3e} at dt={dt:.3e}")
             if self._j_key != (dt, sys.revision) or it == NEWTON_REFRESH_ITER:
                 self._refresh(x1, v1, dt)
-            if z is None:
+            if it:
+                z = z - self._jinv @ r
+            else:  # the Newton variables, packed once the iterate has to move
                 z = z1 = np.concatenate((x, v.view(float))) - self._jinv @ r
                 if len(self._corrections) == 3:
                     c0, c1, c2 = self._corrections
                     z = z1 + 3 * (c0 - c1) + c2
-            else:
-                z = z - self._jinv @ r
             x1, v1 = z[: sys.n_states], z[sys.n_states :].view(complex)
         raise NewtonDivergence(
             f"no convergence in {NEWTON_MAX_ITER} iterations at dt={dt:.3e} "
@@ -630,10 +613,10 @@ def initialize(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, DaeSystem]:
     system.derive()
     f0, balance = system.residual(x0, v)
     worst = np.max(np.abs(f0))
-    if worst >= 1e-9:
+    if not worst < 1e-9:  # NaN is no equilibrium either
         raise InfeasibleInit(f"initial state derivative {worst:.3e} exceeds 1e-9")
     rn = np.max(np.abs(balance))
-    if rn >= 1e-8:
+    if not rn < 1e-8:
         raise InfeasibleInit(f"initial network residual {rn:.3e} exceeds 1e-8")
     return x0, v, system
 

@@ -68,15 +68,7 @@ def guard_free_cf(x: np.ndarray, dt: float, omega_base: float) -> np.ndarray:
     """`numerical_cf`'s arithmetic on a series with no sample at or below the
     guard: log|x| and the phase unwrapped over every sample, through its stencils."""
     log_mag, phase = np.log(np.abs(x)), np.unwrap(np.angle(x))
-
-    def diff(y):
-        d = np.empty_like(y)
-        d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-        d[0] = (-1.5 * y[0] + 2.0 * y[1] - 0.5 * y[2]) / dt
-        d[-1] = (1.5 * y[-1] - 2.0 * y[-2] + 0.5 * y[-3]) / dt
-        return d
-
-    return (diff(log_mag) + 1j * diff(phase)) / omega_base
+    return second_order_derivative(log_mag + 1j * phase, dt) / omega_base
 
 
 class TestNumericalCf:

@@ -4,7 +4,11 @@ with the error it gives."""
 from __future__ import annotations
 
 import dataclasses
+import errno
+import inspect
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,14 +30,22 @@ from cfcoherency.devices import (
     ZipLoad,
 )
 from cfcoherency.errors import (
+    CfCoherencyError,
     EmptyWindow,
     InfeasibleInit,
     NonConvergence,
     SingularAdmittance,
 )
 from cfcoherency.network import Branch, Bus, Network, Shunt, build_admittance, impedance_matrix
-from cfcoherency.scenario_io import bundled_scenario_path, load_scenario, parse_scenario
-from cfcoherency.simulation import DaeSystem, Scenario, initialize, power_flow, run
+from cfcoherency.scenario_io import _DEVICES, bundled_scenario_path, load_scenario, parse_scenario
+from cfcoherency.simulation import (
+    DaeSystem,
+    Scenario,
+    TrapezoidalIntegrator,
+    initialize,
+    power_flow,
+    run,
+)
 from tests.conftest import OMEGA_B, two_bus_scenario, two_machine
 
 TWOMACHINE = json.loads(bundled_scenario_path("twomachine").read_text(encoding="utf-8"))
@@ -173,6 +185,33 @@ def test_out_naming_a_file_is_rejected_before_any_work(
     assert taken.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "command, flags, written",
+    [
+        ("run", [], "trajectory.csv"),
+        ("cluster", [], "distance.csv"),
+        ("sweep", ["--grid", "1"], "sweep.csv"),
+        ("cf", [], "cf.csv"),
+    ],
+    ids=["run", "cluster", "sweep", "cf"],
+)
+def test_a_failed_write_exits_one_through_the_out_rule(
+    tmp_path, capsys, monkeypatch, command, flags, written
+):
+    trajectory = tmp_path / "trajectory.csv"
+    trajectory.write_text(CSV, encoding="utf-8")
+    source = trajectory if command == "cf" else bundled_scenario_path("twomachine")
+
+    def full_disk(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    out = tmp_path / "o"
+    assert main(["--out", str(out), command, str(source), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --out: cannot write {out / written}: {os.strerror(errno.ENOSPC)}\n"
+
+
 def test_a_failed_cell_is_reported_and_the_sweep_goes_on(tmp_path, capsys, monkeypatch):
     def distance(scenario, alpha, beta):
         if (alpha, beta) == (0.3, 0.6):
@@ -234,6 +273,14 @@ def _observer_check(points, window=None) -> float:
                                        window)
 
 
+def _two_bus_with(**changes) -> Scenario:
+    """`two_bus_scenario` with `changes` to its machine's attributes."""
+    scenario = two_bus_scenario()
+    for name, value in changes.items():
+        setattr(scenario.devices[0], name, value)
+    return scenario
+
+
 def _two_bus_system() -> DaeSystem:
     scenario = two_bus_scenario()
     return DaeSystem(scenario.network, scenario.devices, OMEGA_B)
@@ -254,6 +301,8 @@ LIBRARY_FAILURES = [
                  "measurement time constants must be positive", id="gfm-t-voltage"),
     pytest.param(lambda: GridFormingConverter("C", 0, 0.1, droop=-0.01), ValueError,
                  "droop gain must be nonnegative", id="gfm-droop"),
+    pytest.param(lambda: GridFormingConverter("C", 0, 0.1, v_dc=0.0), ValueError,
+                 "DC-side voltage must be positive", id="converter-v-dc"),
     pytest.param(lambda: CfSeries(np.zeros(3), np.zeros(2, complex)), ValueError,
                  "times and values must share one shape", id="cf-series-shape"),
     pytest.param(lambda: CoherencyDistanceMatrix(np.zeros((2, 2)), ["A"]), ValueError,
@@ -283,6 +332,8 @@ LIBRARY_FAILURES = [
                  InfeasibleInit, "initial state derivative", id="init-derivative"),
     pytest.param(lambda: initialize(_twomachine_with(inertia=1e12, xd_prime=1e-13)),
                  InfeasibleInit, "initial network residual", id="init-residual"),
+    pytest.param(lambda: initialize(_two_bus_with(damping=float("nan"))), InfeasibleInit,
+                 "initial state derivative nan", id="init-nan"),
     pytest.param(lambda: _two_bus_system().row("NOPE"), KeyError, "NOPE", id="no-such-row"),
     # the analysis
     pytest.param(lambda: distance_matrix({"A": CfSeries(np.zeros(3), np.zeros(3, complex))},
@@ -318,3 +369,44 @@ def test_cluster_trajectory_defaults_to_default_window():
     explicit, _, explicit_groups = cluster_trajectory(traj, 1, window=default_window(traj))
     assert np.array_equal(matrix.values, explicit.values)
     assert groups == explicit_groups
+
+
+def _numeric_args(cls) -> list[str]:
+    """The constructor arguments of a device kind that take a number."""
+    return [name for name, par in inspect.signature(cls).parameters.items()
+            if "float" in str(par.annotation)]
+
+
+# NaN arithmetic on the way to the refusal may warn, as a complex division does
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind, arg",
+    [pytest.param(kind, arg, id=f"{kind}-{arg}")
+     for kind, (cls, _) in _DEVICES.items() for arg in _numeric_args(cls)],
+)
+def test_a_nan_parameter_never_reaches_the_integrator(monkeypatch, kind, arg):
+    # a device of `kind`, its required numbers 0.1, joins `two_bus_scenario`
+    # at the machine's bus, or at the load's if it is a load; with `arg` NaN,
+    # its constructor or `initialize` refuses it before the first step
+    cls = _DEVICES[kind][0]
+    parameters = inspect.signature(cls).parameters
+    required = {name: 0.1 for name in _numeric_args(cls)
+                if parameters[name].default is inspect.Parameter.empty}
+
+    def on_two_bus(**changes) -> Scenario:
+        base = two_bus_scenario()
+        device = cls("X", 1 if cls.is_load else 0, **required | changes)
+        return dataclasses.replace(base, devices=base.devices + [device])
+
+    initialize(on_two_bus())  # the device as it is stands at an equilibrium
+
+    def step(*args, **kwargs):
+        raise AssertionError("a NaN parameter reached the integrator")
+
+    monkeypatch.setattr(TrapezoidalIntegrator, "step", step)
+    try:
+        scenario = on_two_bus(**{arg: float("nan")})
+    except ValueError:
+        return
+    with pytest.raises(CfCoherencyError):
+        run(scenario)

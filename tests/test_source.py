@@ -47,6 +47,28 @@ def test_only_the_cli_prints():
     assert printing == []
 
 
+def test_every_module_import_is_read():
+    # no unused import: each name that a module imports at its top level is
+    # read in that module or listed in its `__all__`
+    unused = []
+    for path in sorted((ROOT / "src" / "cfcoherency").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {name for stmt in tree.body if isinstance(stmt, ast.Assign)
+                 and any(getattr(target, "id", None) == "__all__" for target in stmt.targets)
+                 for name in ast.literal_eval(stmt.value)}
+        unused += [
+            f"{path.name}:{stmt.lineno}: {alias.asname or alias.name.split('.')[0]}"
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Import, ast.ImportFrom))
+            and getattr(stmt, "module", None) != "__future__"
+            for alias in stmt.names
+            if (alias.asname or alias.name.split(".")[0]) not in read
+        ]
+    assert unused == []
+
+
 def test_every_function_is_referenced_in_the_package(tracer_module):
     # no dead public helpers: each function or method is named somewhere in
     # the package besides its definition, as a name or an attribute, unless
